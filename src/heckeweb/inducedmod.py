@@ -8,11 +8,20 @@ it hits the sign wall (eigenvalue -q) or the trivial wall (eigenvalue
 q^-1).  The bar involution is induced from the Hecke algebra through
 N_w = N_e . H_w, and the canonical basis is built by the same
 multiply-and-correct scheme as for the algebra itself.
+
+Which rule applies is read off the two entries a = w(i), b = w(i+1) that
+s_i swaps (Deodhar, J. Algebra 111, 1987): if they are consecutive values
+j, j+1 with s_j in a wall, then w s_i = s_j w and H_i acts by that wall's
+eigenvalue; otherwise w s_i is again a shortest representative, longer
+exactly when a < b.  A step thus costs O(1) per support term.  This needs
+every support index to be a shortest representative, which the
+constructors that take outside input check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qarith import LaurentPoly, RationalFunction
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
@@ -22,6 +31,10 @@ __all__ = ["InducedModule", "ModuleElement", "map_i", "map_Q", "map_j", "map_z"]
 
 _Q = RationalFunction.q_power
 _ONE = RationalFunction.one()
+_SIGN_WALL = -_Q(1)  # eigenvalue of H_i on the sign wall
+_TRIVIAL_WALL = _Q(-1)  # eigenvalue of H_i on the trivial wall
+_SHORTEN = _Q(-1) - _Q(1)  # extra term of a length-dropping step
+_INVERSE_SHIFT = _Q(1) - _Q(-1)  # H_i^-1 = H_i + (q - q^-1)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -72,8 +85,7 @@ class InducedModule:
         return ModuleElement(self, {})
 
     def standard(self, w: Permutation) -> "ModuleElement":
-        if not is_shortest_rep(w, self.parabolic_pq(), side="left"):
-            raise ValueError(f"{w} does not index a basis element of {self}")
+        _check_index(self, w)
         return ModuleElement(self, {w: _ONE})
 
     def generator(self) -> "ModuleElement":
@@ -107,11 +119,7 @@ class ModuleElement:
             raise ValueError("elements of different induced modules")
         out = dict(self.support)
         for w, c in other.support.items():
-            s = out.get(w, RationalFunction.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _acc(out, w, c)
         return ModuleElement(self.parent, out)
 
     def __neg__(self):
@@ -153,12 +161,10 @@ class ModuleElement:
 
     def bar(self) -> "ModuleElement":
         """Bar involution via N_w = N_e . H_w and bar(N_e) = N_e."""
-        mod = self.parent
-        gen = mod.generator()
-        out = mod.zero()
+        out: dict = {}
         for w, c in self.support.items():
-            out = out + gen.act_hecke(hecke.bar_of_standard(mod.n, w)).scale(c.bar())
-        return out
+            _add_scaled(out, _bar_of_standard(self.parent, w), c.bar())
+        return ModuleElement(self.parent, out)
 
     def terms_sorted(self):
         return sorted(
@@ -195,9 +201,9 @@ class ModuleElement:
         mod = InducedModule.from_json(data["module"])
         support = {}
         for item in data["support"]:
-            support[Permutation(tuple(item["w"]))] = RationalFunction.from_json(
-                item["coeff"]
-            )
+            w = Permutation(tuple(item["w"]))
+            _check_index(mod, w)
+            support[w] = RationalFunction.from_json(item["coeff"])
         return ModuleElement(mod, support)
 
 
@@ -206,44 +212,75 @@ def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     mod = x.parent
     if not 1 <= i <= mod.n - 1:
         raise ValueError(f"generator index {i} out of range for S_{mod.n}")
-    pq = mod.parabolic_pq()
-    shorten = _Q(-1) - _Q(1)
-    out: dict[Permutation, RationalFunction] = {}
-
-    def _acc(w, c):
-        s = out.get(w, RationalFunction.zero()) + c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
+    out: dict = {}
     for w, c in x.support.items():
-        wsi = w.times_simple(i)
-        if is_shortest_rep(wsi, pq, side="left"):
-            if wsi.length() > w.length():
-                _acc(wsi, c)
-            else:
-                _acc(wsi, c)
-                _acc(w, c * shorten)
+        a, b = w.one_line[i - 1], w.one_line[i]
+        j = min(a, b)
+        if abs(a - b) == 1 and j in mod.p_gens:
+            _acc(out, w, c * _SIGN_WALL)
+        elif abs(a - b) == 1 and j in mod.q_gens:
+            _acc(out, w, c * _TRIVIAL_WALL)
         else:
-            # w s_i = s_j w for a simple reflection s_j in one of the walls
-            t = (w * Permutation.simple(mod.n, i)) * w.inverse()
-            j = _simple_index(t)
-            if j in mod.p_gens:
-                _acc(w, c * (-_Q(1)))
-            elif j in mod.q_gens:
-                _acc(w, c * _Q(-1))
-            else:
-                raise ArithmeticError(f"reflection s_{j} escaped both walls at {w}")
+            _acc(out, w.times_simple(i), c)
+            if a > b:
+                _acc(out, w, c * _SHORTEN)
     return ModuleElement(mod, out)
 
 
-def _simple_index(t: Permutation) -> int:
-    """Index j with t = s_j; raises if t is not a simple transposition."""
-    moved = [i for i in range(1, t.n + 1) if t(i) != i]
-    if len(moved) == 2 and moved[1] == moved[0] + 1 and t(moved[0]) == moved[1]:
-        return moved[0]
-    raise ArithmeticError(f"{t} is not a simple transposition")
+def _acc(out: dict, w: Permutation, c: RationalFunction) -> None:
+    """out[w] += c, dropping a zero sum."""
+    prev = out.get(w)
+    s = c if prev is None else prev + c
+    if s.is_zero():
+        out.pop(w, None)
+    else:
+        out[w] = s
+
+
+def _add_scaled(out: dict, x: ModuleElement, c: RationalFunction) -> None:
+    """out += c * x."""
+    for w, v in x.support.items():
+        _acc(out, w, v * c)
+
+
+def _check_index(mod: InducedModule, w: Permutation) -> None:
+    if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq(), side="left"):
+        raise ValueError(f"{w} does not index a basis element of {mod}")
+
+
+def _along_reduced_word(cache: dict, mod: InducedModule, w: Permutation, step) -> ModuleElement:
+    """N_e . X_{i1} ... X_{ik} for the reduced word i1..ik of w, where
+    step(x, i) = x . X_i, cached per (mod, w).  The reduced word of w is
+    that of w s_i followed by i, for i the last right descent of w."""
+    key = (mod, w)
+    out = cache.get(key)
+    if out is None:
+        descents = w.right_descents()
+        if descents:
+            i = descents[-1]
+            out = step(_along_reduced_word(cache, mod, w.times_simple(i), step), i)
+        else:
+            out = mod.generator()
+        cache[key] = out
+    return out
+
+
+_image_cache: dict[tuple[InducedModule, Permutation], ModuleElement] = {}
+_bar_cache: dict[tuple[InducedModule, Permutation], ModuleElement] = {}
+
+
+def _generator_times(mod: InducedModule, w: Permutation) -> ModuleElement:
+    """N_e . H_w, for any w in S_n."""
+    return _along_reduced_word(_image_cache, mod, w, act_generator)
+
+
+def _bar_step(x: ModuleElement, i: int) -> ModuleElement:
+    return act_generator(x, i) + x.scale(_INVERSE_SHIFT)
+
+
+def _bar_of_standard(mod: InducedModule, w: Permutation) -> ModuleElement:
+    """bar(N_w) = N_e . bar(H_w) = N_e . H_{i1}^-1 ... H_{ik}^-1."""
+    return _along_reduced_word(_bar_cache, mod, w, _bar_step)
 
 
 _canonical_cache: dict[tuple[InducedModule, Permutation], ModuleElement] = {}
@@ -257,8 +294,7 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
     cached = _canonical_cache.get(key)
     if cached is not None:
         return cached
-    if not is_shortest_rep(w, mod.parabolic_pq(), side="left"):
-        raise ValueError(f"{w} does not index a basis element of {mod}")
+    _check_index(mod, w)
     descents = w.right_descents()
     if not descents:
         result = mod.standard(w)
@@ -307,10 +343,26 @@ def bilinear_form(x: ModuleElement, y: ModuleElement) -> RationalFunction:
 # -- maps between modules with nested parabolic data --------------------
 
 
-def _short_reps_inside(outer: ParabolicSubgroup, inner_gens: frozenset) -> list[Permutation]:
-    """Shortest representatives for (inner \\ outer), as elements of outer."""
+@lru_cache(maxsize=None)
+def _short_reps_inside(outer: ParabolicSubgroup, inner_gens: frozenset) -> tuple:
+    """Shortest representatives r for (inner \\ outer), as elements of
+    outer, each paired with its length."""
     inner = ParabolicSubgroup(outer.n, frozenset(inner_gens))
-    return [x for x in outer.elements() if is_shortest_rep(x, inner, side="left")]
+    return tuple(
+        (x, x.length()) for x in outer.elements() if is_shortest_rep(x, inner, side="left")
+    )
+
+
+@lru_cache(maxsize=None)
+def _quotient_scale(outer: ParabolicSubgroup, inner_gens: frozenset) -> RationalFunction:
+    """1 / sum_r q^(top - 2 l(r)) over the representatives r above,
+    where top is the largest l(r)."""
+    reps = _short_reps_inside(outer, inner_gens)
+    top = max(length for _, length in reps)
+    c_norm = RationalFunction.zero()
+    for _, length in reps:
+        c_norm = c_norm + _Q(top - 2 * length)
+    return c_norm.inverse()
 
 
 def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -320,12 +372,12 @@ def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     if x.parent != src:
         raise ValueError("element does not live in the source module")
     reps = _short_reps_inside(src.parabolic_q(), dst.q_gens)
-    top = max(r.length() for r in reps)
-    out = dst.zero()
+    top = max(length for _, length in reps)
+    out: dict = {}
     for w, c in x.support.items():
-        for r in reps:
-            out = out + dst.standard(r * w).scale(c * _Q(top - r.length()))
-    return out
+        for r, length in reps:
+            _acc(out, r * w, c * _Q(top - length))
+    return ModuleElement(dst, out)
 
 
 def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -334,16 +386,7 @@ def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     _check_shrink(dst, src, which="q")
     if x.parent != src:
         raise ValueError("element does not live in the source module")
-    reps = _short_reps_inside(dst.parabolic_q(), src.q_gens)
-    top = max(r.length() for r in reps)
-    c_norm = RationalFunction.zero()
-    for r in reps:
-        c_norm = c_norm + _Q(top - 2 * r.length())
-    gen = dst.generator().scale(c_norm.inverse())
-    out = dst.zero()
-    for w, c in x.support.items():
-        out = out + gen.act_hecke(hecke.standard_basis_element(w)).scale(c)
-    return out
+    return _push_forward(dst, x).scale(_quotient_scale(dst.parabolic_q(), src.q_gens))
 
 
 def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -354,12 +397,11 @@ def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
         raise ValueError("element does not live in the source module")
     reps = _short_reps_inside(src.parabolic_p(), dst.p_gens)
     minus_q = -LaurentPoly.q()
-    out = dst.zero()
+    out: dict = {}
     for w, c in x.support.items():
-        for r in reps:
-            sign_coeff = RationalFunction.from_laurent(minus_q ** r.length())
-            out = out + dst.standard(r * w).scale(c * sign_coeff)
-    return out
+        for r, length in reps:
+            _acc(out, r * w, c * minus_q ** length)
+    return ModuleElement(dst, out)
 
 
 def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -367,11 +409,16 @@ def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     _check_shrink(dst, src, which="p")
     if x.parent != src:
         raise ValueError("element does not live in the source module")
-    gen = dst.generator()
-    out = dst.zero()
+    return _push_forward(dst, x)
+
+
+def _push_forward(dst: InducedModule, x: ModuleElement) -> ModuleElement:
+    """sum_w c_w N_e . H_w in dst, for x = sum_w c_w N_w in a module over
+    the same S_n."""
+    out: dict = {}
     for w, c in x.support.items():
-        out = out + gen.act_hecke(hecke.standard_basis_element(w)).scale(c)
-    return out
+        _add_scaled(out, _generator_times(dst, w), c)
+    return ModuleElement(dst, out)
 
 
 def _check_shrink(big: InducedModule, small: InducedModule, which: str) -> None:

@@ -154,6 +154,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -234,6 +237,11 @@ class LaurentPoly:
         return LaurentPoly({int(e): int(c) for e, c in data.items()})
 
 
+# the shared denominator of every Laurent RationalFunction; nothing mutates
+# a LaurentPoly after construction
+_LAURENT_ONE = LaurentPoly.one()
+
+
 def _as_laurent(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
@@ -308,7 +316,7 @@ class RationalFunction:
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p, LaurentPoly.one(), _normalized=True)
+        return RationalFunction(p, _LAURENT_ONE, _normalized=True)
 
     @staticmethod
     def from_int(c: int) -> "RationalFunction":
@@ -391,6 +399,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a Laurent polynomial hashes as the LaurentPoly (or int) it equals
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -276,10 +276,6 @@ def act_K(v: TensorVector) -> TensorVector:
     return v.scale(_Q(sum(v.comp)))
 
 
-def act_K_inv(v: TensorVector) -> TensorVector:
-    return v.scale(_Q(-sum(v.comp)))
-
-
 def act_qh(h1_coeff: int, h2_coeff: int, v: TensorVector) -> TensorVector:
     """Diagonal action of q^h for h = h1_coeff h_1 + h2_coeff h_2."""
     n = sum(v.comp)

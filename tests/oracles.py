@@ -3,7 +3,12 @@
 from itertools import combinations
 
 from heckeweb.qarith import RationalFunction
-from heckeweb.symgrp import Permutation
+from heckeweb.symgrp import (
+    ParabolicSubgroup,
+    Permutation,
+    is_shortest_rep,
+    shortest_rep_of_coset,
+)
 from heckeweb import uqrep
 
 
@@ -19,6 +24,40 @@ def subword_bruhat_leq(u: Permutation, w: Permutation) -> bool:
         if prod == u:
             return True
     return False
+
+
+def act_generator_by_products(mod, w: Permutation, i: int):
+    """N_w . H_i by permutation products: if w s_i is again a shortest
+    representative the index moves (with an extra term when the length
+    drops); otherwise w s_i w^-1 is a simple reflection s_j of one of the
+    walls, and H_i acts by that wall's eigenvalue."""
+    Q = RationalFunction.q_power
+    n = mod.n
+    wsi = w * Permutation.simple(n, i)
+    if is_shortest_rep(wsi, mod.parabolic_pq(), side="left"):
+        if wsi.length() > w.length():
+            return mod.standard(wsi)
+        return mod.standard(wsi) + mod.standard(w).scale(Q(-1) - Q(1))
+    t = wsi * w.inverse()
+    (j,) = [j for j in range(1, n) if t == Permutation.simple(n, j)]
+    if j in mod.p_gens:
+        return mod.standard(w).scale(-Q(1))
+    assert j in mod.q_gens
+    return mod.standard(w).scale(Q(-1))
+
+
+def generator_times_closed_form(mod, w: Permutation):
+    """N_e . H_w for any w in S_n: with w = x w', w' the shortest element
+    of W_pq w and x = x_p x_q in W_p x W_q, it is
+    (-q)^l(x_p) q^-l(x_q) N_w'."""
+    short = shortest_rep_of_coset(w, mod.parabolic_pq(), side="left")
+    x = w * short.inverse()
+    x_p = shortest_rep_of_coset(x, ParabolicSubgroup(mod.n, mod.q_gens), side="right")
+    len_p = x_p.length()
+    len_q = x.length() - len_p
+    return mod.standard(short).scale(
+        RationalFunction.q_power(len_p - len_q) * (-1) ** len_p
+    )
 
 
 def bar_right_nested(v: uqrep.TensorVector) -> uqrep.TensorVector:

@@ -3,10 +3,24 @@ from math import factorial
 import pytest
 
 from heckeweb.qarith import LaurentPoly, RationalFunction
-from heckeweb.symgrp import ParabolicSubgroup, Permutation
+from heckeweb.symgrp import ParabolicSubgroup, Permutation, all_permutations
 from heckeweb import hecke, inducedmod
 
+from oracles import act_generator_by_products, generator_times_closed_form
+
 Q = RationalFunction.q_power
+
+
+def commuting_modules(max_n):
+    """Every module M(n, p, q) with commuting walls and 2 <= n <= max_n."""
+    for n in range(2, max_n + 1):
+        gens = range(1, n)
+        for p_bits in range(1 << (n - 1)):
+            p = {g for g in gens if p_bits >> (g - 1) & 1}
+            free = [g for g in gens if all(abs(g - h) >= 2 for h in p)]
+            for q_bits in range(1 << len(free)):
+                q = {g for k, g in enumerate(free) if q_bits >> k & 1}
+                yield inducedmod.InducedModule.of(n, p, q)
 
 
 def test_commuting_validation():
@@ -153,3 +167,36 @@ def test_json_round_trip():
     cb = inducedmod.canonical_basis_element(mod, w)
     back = inducedmod.ModuleElement.from_json(cb.to_json())
     assert back == cb
+
+
+def test_json_rejects_an_index_outside_the_quotient():
+    mod = inducedmod.InducedModule.of(3, p_gens=[1])
+    good = mod.standard(Permutation((1, 3, 2))).to_json()
+    assert inducedmod.ModuleElement.from_json(good) == mod.standard(Permutation((1, 3, 2)))
+    for bad_w in ([2, 1, 3], [1, 2]):
+        bad = dict(good, support=[{"w": bad_w, "coeff": good["support"][0]["coeff"]}])
+        with pytest.raises(ValueError):
+            inducedmod.ModuleElement.from_json(bad)
+
+
+def test_action_matches_permutation_products():
+    for mod in commuting_modules(4):
+        for w in mod.basis_index():
+            for i in range(1, mod.n):
+                want = act_generator_by_products(mod, w, i)
+                assert mod.standard(w).act_generator(i) == want, (mod, w, i)
+
+
+def test_bar_matches_action_of_algebra_bar():
+    for mod in commuting_modules(4):
+        gen = mod.generator()
+        for w in mod.basis_index():
+            want = gen.act_hecke(hecke.bar_of_standard(mod.n, w))
+            assert mod.standard(w).bar() == want, (mod, w)
+
+
+def test_generator_times_standard_matches_closed_form():
+    for mod in commuting_modules(4):
+        for w in all_permutations(mod.n):
+            want = generator_times_closed_form(mod, w)
+            assert inducedmod._generator_times(mod, w) == want, (mod, w)

@@ -1,7 +1,9 @@
+import doctest
 import random
 
 import pytest
 
+from heckeweb import qarith
 from heckeweb.qarith import (
     LaurentPoly,
     RationalFunction,
@@ -196,3 +198,23 @@ def test_at_one():
 
     x = RationalFunction(quantum_int(3), quantum_int(2))
     assert x.at_one() == Fraction(3, 2)
+
+
+def test_constants_hash_as_the_ints_they_equal():
+    for c in (-3, -1, 0, 1, 2):
+        for x in (LaurentPoly.const(c), RationalFunction.from_int(c)):
+            assert x == c and hash(x) == hash(c)
+            assert {c: "x"}.get(x) == "x"
+
+
+def test_laurent_rational_hashes_as_its_numerator():
+    for _ in range(50):
+        p = rand_poly()
+        x = RationalFunction.from_laurent(p)
+        assert x == p and hash(x) == hash(p)
+    assert {LaurentPoly.q(): "q"}.get(RationalFunction.q_power(1)) == "q"
+
+
+def test_module_doctests():
+    result = doctest.testmod(qarith)
+    assert result.attempted > 0 and result.failed == 0

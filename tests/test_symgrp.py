@@ -1,5 +1,8 @@
+import doctest
+
 import pytest
 
+from heckeweb import symgrp
 from heckeweb.symgrp import (
     ParabolicSubgroup,
     Permutation,
@@ -219,3 +222,8 @@ def test_rendering():
     assert str(w) == "[2,1,3]"
     assert w.word_str() == "s1"
     assert Permutation.identity(2).word_str() == "e"
+
+
+def test_module_doctests():
+    result = doctest.testmod(symgrp)
+    assert result.attempted > 0 and result.failed == 0
