@@ -108,7 +108,7 @@ def kl_bruteforce(w: Permutation) -> hecke.HeckeElement:
     support = {
         v: RationalFunction.from_laurent(p) for v, p in coeffs.items() if not p.is_zero()
     }
-    out = hecke.HeckeElement(n, support)
+    out = hecke.HeckeElement(inducedmod.InducedModule.of(n), support)
     if hecke.bar(out) != out:
         raise CheckFailure(f"brute-force element at {w} is not bar invariant")
     return out

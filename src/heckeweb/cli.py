@@ -1,7 +1,9 @@
 """Command line interface: exact computations with machine-readable output.
 
 Exit codes: 0 on success (and when every requested check passes), 1 when
-a check suite fails, 2 on malformed input.
+a check suite fails, 2 on malformed input, 3 when an internal invariant
+breaks (a canonical basis element of the wrong shape, two routes that
+should agree disagreeing, a singular matrix that must be invertible).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def _parse_perm(text: str, n: int) -> Permutation:
             entries = tuple(int(p) for p in body.split(","))
         except ValueError:
             raise ValueError(f"malformed one-line permutation {text!r}")
+        if len(entries) != n:
+            raise ValueError(f"one-line permutation {text!r} does not have n={n} entries")
         return Permutation(entries)
     word = []
     for tok in text.split("*"):
@@ -177,6 +181,7 @@ def _cmd_tableaux(args) -> int:
 def _cmd_translate(args) -> int:
     comp = _parse_comp(args.comp)
     i, k = args.pos, args.k
+    tabgroth.check_weight(comp, k)
     lines = []
     payload = {"comp": list(comp), "pos": i, "k": k, "basis": args.basis, "dir": args.dir}
     if args.basis == "proper":
@@ -324,6 +329,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

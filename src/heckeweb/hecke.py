@@ -6,14 +6,19 @@ standard basis.  The bar involution fixes the H_i + q and sends q to q^-1;
 the canonical basis elements are the unique bar-invariant elements that
 are unitriangular over the standard basis with off-diagonal coefficients
 in qZ[q].
+
+The algebra is the induced module with both walls empty, acting on itself
+from the right (H_w = N_e . H_w), so every operation here is the
+`inducedmod` one on `InducedModule.of(n)`; a HeckeElement only prints its
+basis vectors as H[...] and has its own JSON form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .qarith import LaurentPoly, RationalFunction
+from .qarith import RationalFunction
 from .symgrp import Permutation
+from . import inducedmod
+from .inducedmod import InducedModule, ModuleElement
 
 __all__ = [
     "HeckeElement",
@@ -25,237 +30,70 @@ __all__ = [
     "bilinear_form",
 ]
 
-_Q = RationalFunction.q_power
 _ONE = RationalFunction.one()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class HeckeElement:
-    n: int
-    support: dict  # Permutation -> RationalFunction, no zero values
+class HeckeElement(ModuleElement):
+    """sum_w c_w H_w, an element of the regular module `parent`."""
 
-    @staticmethod
-    def zero(n: int) -> "HeckeElement":
-        return HeckeElement(n, {})
+    __slots__ = ()
 
-    def coeff(self, w: Permutation) -> RationalFunction:
-        return self.support.get(w, RationalFunction.zero())
+    @property
+    def n(self) -> int:
+        return self.parent.n
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("mismatched Hecke algebras")
-        out = dict(self.support)
-        for w, c in other.support.items():
-            s = out.get(w, RationalFunction.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return HeckeElement(self.n, out)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.n, {w: -c for w, c in self.support.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElement":
-        c = c if isinstance(c, RationalFunction) else RationalFunction.from_laurent(
-            c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-        )
-        if c.is_zero():
-            return HeckeElement.zero(self.n)
-        return HeckeElement(self.n, {w: v * c for w, v in self.support.items()})
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.n == other.n
-            and self.support == other.support
-        )
+    def _label(self, w: Permutation) -> str:
+        return f"H{w}"
 
     def times_generator(self, i: int) -> "HeckeElement":
         return multiply_by_generator(self, i)
 
-    def times_generator_inverse(self, i: int) -> "HeckeElement":
-        """Right multiplication by H_i^-1 = H_i + (q - q^-1)."""
-        shift = _Q(1) - _Q(-1)
-        return multiply_by_generator(self, i) + self.scale(shift)
-
     def times(self, other: "HeckeElement") -> "HeckeElement":
         """Product, expanding the right factor through reduced words."""
-        if self.n != other.n:
-            raise ValueError("mismatched Hecke algebras")
-        out = HeckeElement.zero(self.n)
-        for w, c in other.support.items():
-            piece = self
-            for i in w.reduced_word():
-                piece = piece.times_generator(i)
-            out = out + piece.scale(c)
-        return out
-
-    def bar(self) -> "HeckeElement":
-        return bar(self)
-
-    def terms_sorted(self):
-        """(w, coeff) pairs, leading (longest) terms first."""
-        return sorted(
-            self.support.items(),
-            key=lambda item: (item[0].length(), item[0].one_line),
-            reverse=True,
-        )
-
-    def __str__(self):
-        if not self.support:
-            return "0"
-        parts = []
-        for w, c in self.terms_sorted():
-            if c.is_one():
-                parts.append(f"H{w}")
-            else:
-                coeff = str(c)
-                if c.is_laurent() and len(c.num.terms) > 1:
-                    coeff = f"({coeff})"
-                parts.append(f"{coeff}*H{w}")
-        return " + ".join(parts)
+        return self.act_hecke(other)
 
     def to_json(self):
-        return [
-            {"w": list(w.one_line), "coeff": c.to_json()} for w, c in self.terms_sorted()
-        ]
+        return self._support_json("w", lambda w: list(w.one_line))
 
     @staticmethod
     def from_json(n: int, data) -> "HeckeElement":
-        support = {}
-        for item in data:
-            w = Permutation(tuple(item["w"]))
-            support[w] = RationalFunction.from_json(item["coeff"])
-        return HeckeElement(n, support)
+        mod = InducedModule.of(n)
+        return HeckeElement._from_support_json(
+            mod, data, "w", lambda w: inducedmod._check_index(mod, Permutation(tuple(w)))
+        )
+
+
+bilinear_form = HeckeElement.bilinear_form
 
 
 def unit(n: int) -> HeckeElement:
-    return HeckeElement(n, {Permutation.identity(n): _ONE})
+    return standard_basis_element(Permutation.identity(n))
 
 
 def standard_basis_element(w: Permutation) -> HeckeElement:
-    return HeckeElement(w.n, {w: _ONE})
+    return HeckeElement(InducedModule.of(w.n), {w: _ONE})
 
 
 def multiply_by_generator(x: HeckeElement, i: int) -> HeckeElement:
     """Right multiplication by H_i: H_w H_i = H_{w s_i} if the length goes
     up, and H_{w s_i} + (q^-1 - q) H_w otherwise."""
-    if not 1 <= i <= x.n - 1:
-        raise ValueError(f"generator index {i} out of range for S_{x.n}")
-    out: dict[Permutation, RationalFunction] = {}
-
-    def _acc(w, c):
-        s = out.get(w, RationalFunction.zero()) + c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-
-    shorten = _Q(-1) - _Q(1)
-    for w, c in x.support.items():
-        wsi = w.times_simple(i)
-        if wsi.length() > w.length():
-            _acc(wsi, c)
-        else:
-            _acc(wsi, c)
-            _acc(w, c * shorten)
-    return HeckeElement(x.n, out)
-
-
-_bar_standard_cache: dict[tuple[int, Permutation], HeckeElement] = {}
+    return inducedmod.act_generator(x, i)
 
 
 def bar_of_standard(n: int, w: Permutation) -> HeckeElement:
-    """bar(H_w) = H_{w^-1}^-1, computed along a reduced word of w."""
-    key = (n, w)
-    cached = _bar_standard_cache.get(key)
-    if cached is not None:
-        return cached
-    out = unit(n)
-    for i in w.reduced_word():
-        out = out.times_generator_inverse(i)
-    _bar_standard_cache[key] = out
-    return out
+    """bar(H_w) = H_{w^-1}^-1."""
+    if w.n != n:
+        raise ValueError(f"{w} is not an element of S_{n}")
+    return bar(standard_basis_element(w))
 
 
 def bar(x: HeckeElement) -> HeckeElement:
     """The bar involution: q -> q^-1 and H_w -> H_{w^-1}^-1."""
-    out = HeckeElement.zero(x.n)
-    for w, c in x.support.items():
-        out = out + bar_of_standard(x.n, w).scale(c.bar())
-    return out
-
-
-_kl_cache: dict[tuple[int, Permutation], HeckeElement] = {}
+    return x.bar()
 
 
 def kl_basis_element(w: Permutation) -> HeckeElement:
-    """The canonical basis element, built inductively: multiply a shorter
-    canonical element by H_i + q and subtract integer multiples of lower
-    canonical elements until all off-diagonal coefficients lie in qZ[q].
-    The correction multiple at each w' is the constant term of its current
-    coefficient.  Results are cached; recomputation is idempotent."""
-    key = (w.n, w)
-    cached = _kl_cache.get(key)
-    if cached is not None:
-        return cached
-    descents = w.right_descents()
-    if not descents:
-        result = standard_basis_element(w)
-    else:
-        i = descents[-1]
-        shorter = kl_basis_element(w.times_simple(i))
-        product = shorter.times_generator(i) + shorter.scale(_Q(1))
-        corrections = []
-        for y, c in product.support.items():
-            if y == w:
-                continue
-            if not c.is_laurent():
-                raise ArithmeticError(f"non-polynomial coefficient {c} at {y}")
-            m = c.as_laurent().constant_term()
-            if m:
-                corrections.append((y, m))
-        # process longer corrections first: each subtraction only changes
-        # constant terms at strictly shorter elements
-        corrections.sort(key=lambda t: (t[0].length(), t[0].one_line), reverse=True)
-        result = product
-        for y, _ in corrections:
-            c = result.coeff(y)
-            m = c.as_laurent().constant_term()
-            if m:
-                result = result - kl_basis_element(y).scale(m)
-        result = _assert_kl_shape(result, w)
-    _kl_cache[key] = result
-    return result
-
-
-def _assert_kl_shape(x: HeckeElement, w: Permutation) -> HeckeElement:
-    for y, c in x.support.items():
-        p = c.as_laurent()
-        if y == w:
-            if not p.is_one():
-                raise ArithmeticError(f"diagonal coefficient {p} at {w}")
-        else:
-            if p.constant_term() != 0 or (not p.is_zero() and p.min_exp() < 1):
-                raise ArithmeticError(f"coefficient {p} at {y} misses qZ[q]")
-    return x
-
-
-def bilinear_form(x: HeckeElement, y: HeckeElement) -> RationalFunction:
-    """The form making the standard basis orthonormal, extended bilinearly."""
-    if x.n != y.n:
-        raise ValueError("mismatched Hecke algebras")
-    out = RationalFunction.zero()
-    small, big = (x.support, y.support) if len(x.support) < len(y.support) else (y.support, x.support)
-    for w, c in small.items():
-        d = big.get(w)
-        if d is not None:
-            out = out + c * d
-    return out
+    """The canonical basis element: the canonical basis element of the
+    regular module, read as an element of the algebra."""
+    cb = inducedmod.canonical_basis_element(InducedModule.of(w.n), w)
+    return HeckeElement(cb.parent, cb.support)

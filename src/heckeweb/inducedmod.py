@@ -6,8 +6,9 @@ double-parabolic left quotient.  A generator H_i acts by one of four
 rules: it moves the index within the quotient (two cases, by length), or
 it hits the sign wall (eigenvalue -q) or the trivial wall (eigenvalue
 q^-1).  The bar involution is induced from the Hecke algebra through
-N_w = N_e . H_w, and the canonical basis is built by the same
-multiply-and-correct scheme as for the algebra itself.
+N_w = N_e . H_w, and the canonical basis is built by multiplying and
+correcting.  With both walls empty the module is the Hecke algebra
+itself, acting on itself from the right; `hecke` is a view of that case.
 
 Which rule applies is read off the two entries a = w(i), b = w(i+1) that
 s_i swaps (Deodhar, J. Algebra 111, 1987): if they are consecutive values
@@ -23,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qarith import LaurentPoly, RationalFunction
+from .qarith import LaurentPoly, RationalFunction, SparseVector
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
-from . import hecke
 
 __all__ = ["InducedModule", "ModuleElement", "map_i", "map_Q", "map_j", "map_z"]
 
@@ -37,7 +37,7 @@ _SHORTEN = _Q(-1) - _Q(1)  # extra term of a length-dropping step
 _INVERSE_SHIFT = _Q(1) - _Q(-1)  # H_i^-1 = H_i + (q - q^-1)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class InducedModule:
     n: int
     p_gens: frozenset[int]
@@ -67,22 +67,10 @@ class InducedModule:
         """Shortest coset representatives, sorted by (length, one-line)."""
         return shortest_coset_reps(self.parabolic_pq(), side="left")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InducedModule)
-            and (self.n, self.p_gens, self.q_gens) == (other.n, other.p_gens, other.q_gens)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.p_gens, self.q_gens))
-
     def __str__(self):
         return f"M(n={self.n}, p={sorted(self.p_gens)}, q={sorted(self.q_gens)})"
 
     # -- element constructors -----------------------------------------
-
-    def zero(self) -> "ModuleElement":
-        return ModuleElement(self, {})
 
     def standard(self, w: Permutation) -> "ModuleElement":
         _check_index(self, w)
@@ -103,108 +91,58 @@ class InducedModule:
         return InducedModule.of(data["n"], data["p_generators"], data["q_generators"])
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ModuleElement:
-    parent: InducedModule
-    support: dict  # Permutation -> RationalFunction
+class ModuleElement(SparseVector):
+    """sum_w c_w N_w in the induced module `parent`, labelled by shortest
+    coset representatives w."""
 
-    def coeff(self, w: Permutation) -> RationalFunction:
-        return self.support.get(w, RationalFunction.zero())
+    __slots__ = ()
 
-    def is_zero(self) -> bool:
-        return not self.support
+    @staticmethod
+    def _sort_key(w: Permutation):
+        return (w.length(), w.one_line)
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.parent != other.parent:
-            raise ValueError("elements of different induced modules")
-        out = dict(self.support)
-        for w, c in other.support.items():
-            _acc(out, w, c)
-        return ModuleElement(self.parent, out)
-
-    def __neg__(self):
-        return ModuleElement(self.parent, {w: -c for w, c in self.support.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ModuleElement":
-        if not isinstance(c, RationalFunction):
-            c = RationalFunction.from_laurent(
-                c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-            )
-        if c.is_zero():
-            return self.parent.zero()
-        return ModuleElement(self.parent, {w: v * c for w, v in self.support.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and self.parent == other.parent
-            and self.support == other.support
-        )
+    def _label(self, w: Permutation) -> str:
+        return f"N{w}"
 
     def act_generator(self, i: int) -> "ModuleElement":
         return act_generator(self, i)
 
-    def act_hecke(self, x: hecke.HeckeElement) -> "ModuleElement":
+    def act_hecke(self, x: "ModuleElement") -> "ModuleElement":
         """Right action of a Hecke algebra element."""
-        if x.n != self.parent.n:
+        if x.parent.n != self.parent.n:
             raise ValueError("Hecke element size mismatch")
-        out = self.parent.zero()
+        terms = []
         for w, c in x.support.items():
             piece = self
             for i in w.reduced_word():
                 piece = piece.act_generator(i)
-            out = out + piece.scale(c)
-        return out
+            terms.extend((k, v * c) for k, v in piece.support.items())
+        return self.from_terms(self.parent, terms)
 
     def bar(self) -> "ModuleElement":
         """Bar involution via N_w = N_e . H_w and bar(N_e) = N_e."""
-        out: dict = {}
-        for w, c in self.support.items():
-            _add_scaled(out, _bar_of_standard(self.parent, w), c.bar())
-        return ModuleElement(self.parent, out)
-
-    def terms_sorted(self):
-        return sorted(
-            self.support.items(),
-            key=lambda item: (item[0].length(), item[0].one_line),
-            reverse=True,
-        )
-
-    def __str__(self):
-        if not self.support:
-            return "0"
-        parts = []
-        for w, c in self.terms_sorted():
-            if c.is_one():
-                parts.append(f"N{w}")
-            else:
-                coeff = str(c)
-                if c.is_laurent() and len(c.num.terms) > 1:
-                    coeff = f"({coeff})"
-                parts.append(f"{coeff}*N{w}")
-        return " + ".join(parts)
+        mod = self.parent
+        return self.from_terms(mod, (
+            (k, v * c.bar())
+            for w, c in self.support.items()
+            for k, v in _bar_of_standard(mod, w).support.items()
+        ))
 
     def to_json(self):
         return {
             "module": self.parent.to_json(),
-            "support": [
-                {"w": list(w.one_line), "coeff": c.to_json()}
-                for w, c in self.terms_sorted()
-            ],
+            "support": self._support_json("w", lambda w: list(w.one_line)),
         }
 
     @staticmethod
     def from_json(data) -> "ModuleElement":
         mod = InducedModule.from_json(data["module"])
-        support = {}
-        for item in data["support"]:
-            w = Permutation(tuple(item["w"]))
-            _check_index(mod, w)
-            support[w] = RationalFunction.from_json(item["coeff"])
-        return ModuleElement(mod, support)
+        return ModuleElement._from_support_json(
+            mod, data["support"], "w", lambda w: _check_index(mod, Permutation(tuple(w)))
+        )
+
+
+bilinear_form = ModuleElement.bilinear_form
 
 
 def act_generator(x: ModuleElement, i: int) -> ModuleElement:
@@ -212,40 +150,25 @@ def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     mod = x.parent
     if not 1 <= i <= mod.n - 1:
         raise ValueError(f"generator index {i} out of range for S_{mod.n}")
-    out: dict = {}
+    terms = []
     for w, c in x.support.items():
         a, b = w.one_line[i - 1], w.one_line[i]
         j = min(a, b)
         if abs(a - b) == 1 and j in mod.p_gens:
-            _acc(out, w, c * _SIGN_WALL)
+            terms.append((w, c * _SIGN_WALL))
         elif abs(a - b) == 1 and j in mod.q_gens:
-            _acc(out, w, c * _TRIVIAL_WALL)
+            terms.append((w, c * _TRIVIAL_WALL))
         else:
-            _acc(out, w.times_simple(i), c)
+            terms.append((w.times_simple(i), c))
             if a > b:
-                _acc(out, w, c * _SHORTEN)
-    return ModuleElement(mod, out)
+                terms.append((w, c * _SHORTEN))
+    return x.from_terms(mod, terms)
 
 
-def _acc(out: dict, w: Permutation, c: RationalFunction) -> None:
-    """out[w] += c, dropping a zero sum."""
-    prev = out.get(w)
-    s = c if prev is None else prev + c
-    if s.is_zero():
-        out.pop(w, None)
-    else:
-        out[w] = s
-
-
-def _add_scaled(out: dict, x: ModuleElement, c: RationalFunction) -> None:
-    """out += c * x."""
-    for w, v in x.support.items():
-        _acc(out, w, v * c)
-
-
-def _check_index(mod: InducedModule, w: Permutation) -> None:
+def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
     if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq(), side="left"):
         raise ValueError(f"{w} does not index a basis element of {mod}")
+    return w
 
 
 def _along_reduced_word(cache: dict, mod: InducedModule, w: Permutation, step) -> ModuleElement:
@@ -307,7 +230,7 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
             for y, c in product.support.items()
             if y != w and c.as_laurent().constant_term() != 0
         ]
-        corrections.sort(key=lambda y: (y.length(), y.one_line), reverse=True)
+        corrections.sort(key=ModuleElement._sort_key, reverse=True)
         result = product
         for y in corrections:
             m = result.coeff(y).as_laurent().constant_term()
@@ -326,18 +249,6 @@ def _assert_canonical_shape(x: ModuleElement, w: Permutation) -> None:
                 raise ArithmeticError(f"diagonal coefficient {p} at {w}")
         elif p.constant_term() != 0 or p.min_exp() < 1:
             raise ArithmeticError(f"coefficient {p} at {y} misses qZ[q]")
-
-
-def bilinear_form(x: ModuleElement, y: ModuleElement) -> RationalFunction:
-    """Form with orthonormal standard basis, inherited from the algebra."""
-    if x.parent != y.parent:
-        raise ValueError("elements of different induced modules")
-    out = RationalFunction.zero()
-    for w, c in x.support.items():
-        d = y.support.get(w)
-        if d is not None:
-            out = out + c * d
-    return out
 
 
 # -- maps between modules with nested parabolic data --------------------
@@ -373,11 +284,9 @@ def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
         raise ValueError("element does not live in the source module")
     reps = _short_reps_inside(src.parabolic_q(), dst.q_gens)
     top = max(length for _, length in reps)
-    out: dict = {}
-    for w, c in x.support.items():
-        for r, length in reps:
-            _acc(out, r * w, c * _Q(top - length))
-    return ModuleElement(dst, out)
+    return ModuleElement.from_terms(dst, (
+        (r * w, c * _Q(top - length)) for w, c in x.support.items() for r, length in reps
+    ))
 
 
 def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -397,11 +306,9 @@ def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
         raise ValueError("element does not live in the source module")
     reps = _short_reps_inside(src.parabolic_p(), dst.p_gens)
     minus_q = -LaurentPoly.q()
-    out: dict = {}
-    for w, c in x.support.items():
-        for r, length in reps:
-            _acc(out, r * w, c * minus_q ** length)
-    return ModuleElement(dst, out)
+    return ModuleElement.from_terms(dst, (
+        (r * w, c * minus_q ** length) for w, c in x.support.items() for r, length in reps
+    ))
 
 
 def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -415,10 +322,11 @@ def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
 def _push_forward(dst: InducedModule, x: ModuleElement) -> ModuleElement:
     """sum_w c_w N_e . H_w in dst, for x = sum_w c_w N_w in a module over
     the same S_n."""
-    out: dict = {}
-    for w, c in x.support.items():
-        _add_scaled(out, _generator_times(dst, w), c)
-    return ModuleElement(dst, out)
+    return ModuleElement.from_terms(dst, (
+        (k, v * c)
+        for w, c in x.support.items()
+        for k, v in _generator_times(dst, w).support.items()
+    ))
 
 
 def _check_shrink(big: InducedModule, small: InducedModule, which: str) -> None:

@@ -8,6 +8,9 @@ polynomial in q with positive leading coefficient, all negative powers
 of q having been pushed into the numerator, and the gcd (including the
 shared integer content) has been cancelled.  Structural equality of the
 normalized pair therefore coincides with mathematical equality.
+SparseVector is the finite linear combination of labelled basis vectors
+over that field which the Hecke algebra, its induced modules and the
+tensor representations all use.
 
 >>> str(quantum_int(3))
 'q^-2 + 1 + q^2'
@@ -20,11 +23,13 @@ normalized pair therefore coincides with mathematical equality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd as _int_gcd
 
 __all__ = [
     "LaurentPoly",
     "RationalFunction",
+    "SparseVector",
     "bar",
     "quantum_int",
     "quantum_factorial",
@@ -455,6 +460,126 @@ def _as_rational(x) -> RationalFunction:
 def bar(x: RationalFunction) -> RationalFunction:
     """The involution q -> q^-1."""
     return x.bar()
+
+
+# -- finite linear combinations over the rational function field -------
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SparseVector:
+    """A finite linear combination of labelled basis vectors of the space
+    `parent`, stored as a dict from label to nonzero RationalFunction; no
+    zero coefficient is ever stored, so equal vectors have equal dicts.
+
+    Subclasses fix only the format: `_sort_key(label)` orders the terms
+    (leading terms first), `_label(label)` renders a basis vector, and
+    `PARENTHESIZE_FRACTIONS` says whether a non-Laurent coefficient is
+    printed in parentheses."""
+
+    parent: object
+    support: dict  # label -> nonzero RationalFunction
+
+    PARENTHESIZE_FRACTIONS = False
+
+    @classmethod
+    def from_terms(cls, parent, terms, start=()):
+        """The vector sum of c * [label] over the (label, c) pairs of
+        `terms`, added onto the support dict `start`."""
+        out = dict(start)
+        for label, c in terms:
+            prev = out.get(label)
+            if prev is not None:
+                c = prev + c
+            if c.is_zero():
+                out.pop(label, None)
+            else:
+                out[label] = c
+        return cls(parent, out)
+
+    def coeff(self, label) -> RationalFunction:
+        return self.support.get(label, _ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.support
+
+    def _check_same_space(self, other) -> None:
+        if type(other) is not type(self) or other.parent != self.parent:
+            raise ValueError(
+                f"cannot combine {type(self).__name__} of {self.parent} "
+                f"with {type(other).__name__} of {other.parent}"
+            )
+
+    def __add__(self, other):
+        self._check_same_space(other)
+        return self.from_terms(self.parent, other.support.items(), self.support)
+
+    def __neg__(self):
+        return type(self)(self.parent, {k: -c for k, c in self.support.items()})
+
+    def __sub__(self, other):
+        self._check_same_space(other)
+        negated = ((k, -c) for k, c in other.support.items())
+        return self.from_terms(self.parent, negated, self.support)
+
+    def scale(self, c):
+        c = _as_rational(c)
+        if c.is_zero():
+            return type(self)(self.parent, {})
+        return type(self)(self.parent, {k: v * c for k, v in self.support.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.parent == self.parent
+            and other.support == self.support
+        )
+
+    def bilinear_form(self, other) -> RationalFunction:
+        """The form making the labelled basis orthonormal."""
+        self._check_same_space(other)
+        small, big = sorted((self.support, other.support), key=len)
+        out = _ZERO
+        for k, c in small.items():
+            d = big.get(k)
+            if d is not None:
+                out = out + c * d
+        return out
+
+    def terms_sorted(self):
+        """(label, coeff) pairs, leading terms first."""
+        key = self._sort_key
+        return sorted(self.support.items(), key=lambda item: key(item[0]), reverse=True)
+
+    def __str__(self):
+        if not self.support:
+            return "0"
+        parts = []
+        for k, c in self.terms_sorted():
+            label = self._label(k)
+            if c.is_one():
+                parts.append(label)
+                continue
+            text = str(c)
+            if (len(c.num.terms) > 1) if c.is_laurent() else self.PARENTHESIZE_FRACTIONS:
+                text = f"({text})"
+            parts.append(f"{text}*{label}")
+        return " + ".join(parts)
+
+    def _support_json(self, key: str, label_json) -> list:
+        return [
+            {key: label_json(k), "coeff": c.to_json()} for k, c in self.terms_sorted()
+        ]
+
+    @classmethod
+    def _from_support_json(cls, parent, items, key: str, parse_label):
+        terms = (
+            (parse_label(item[key]), RationalFunction.from_json(item["coeff"]))
+            for item in items
+        )
+        return cls.from_terms(parent, terms)
+
+
+_ZERO = RationalFunction.zero()
 
 
 # -- quantum integers, factorials, binomials ---------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "admissible_tableaux",
     "enumerate_lambda",
     "class_vector",
+    "check_weight",
     "translate_onto_wall",
     "translate_out_of_wall",
     "web_translation_matrix",
@@ -235,11 +236,20 @@ def _decrement_entries(t: HookTableau, i: int, new_comp) -> HookTableau:
     return HookTableau(t.n, t.k, composition(new_comp), column, row)
 
 
+def check_weight(comp, k: int) -> None:
+    """Raise ValueError unless k is a weight index of the tensor product
+    of type comp, that is unless uqrep.weight_etas(comp, k) is nonempty."""
+    n = sum(comp)
+    if not n - len(comp) <= k <= n:
+        raise ValueError(f"k={k} is not a weight of {tuple(comp)}: needs {n - len(comp)}..{n}")
+
+
 def translate_onto_wall(comp, i: int, k: int) -> dict:
     """Matrix of the wall-crossing on proper standard classes, from type
     comp to the type with parts i, i+1 merged.  Keyed by source index
     permutation; values map target index permutations to coefficients."""
     comp = composition(comp)
+    check_weight(comp, k)
     if not 1 <= i <= len(comp) - 1:
         raise ValueError(f"merge position {i} out of range for {comp}")
     merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
@@ -285,6 +295,7 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
     rescaled binomial coefficients; an all-in-column entry goes to the
     single evenly split target."""
     comp = composition(comp)
+    check_weight(comp, k)
     if not 1 <= i <= len(comp) - 1:
         raise ValueError(f"split position {i} out of range for {comp}")
     merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
@@ -366,6 +377,7 @@ def translate_projective(comp, i: int, k: int, w: Permutation) -> TensorVector:
     """Out-of-wall translation of an indecomposable projective class:
     the projective indexed by w y_0 on the finer type."""
     comp = composition(comp)
+    check_weight(comp, k)
     merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
     t = tableau_from_perm(w, merged, k)
     if not is_admissible(t):
@@ -378,6 +390,7 @@ def translate_simple(comp, i: int, k: int, w: Permutation) -> TensorVector:
     """Onto-wall translation of a simple class: q^(-l(y_0)) times the
     simple at z when w = z y_0 reduces through the wall, else zero."""
     comp = composition(comp)
+    check_weight(comp, k)
     merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
     t = tableau_from_perm(w, comp, k)
     if not is_admissible(t):

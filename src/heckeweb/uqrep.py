@@ -16,12 +16,12 @@ tensor powers of the vector representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .qarith import (
     LaurentPoly,
     RationalFunction,
+    SparseVector,
     quantum_binom,
     quantum_int,
     quantum_int0,
@@ -77,91 +77,38 @@ def _check_eta(comp, eta) -> tuple[int, ...]:
     return eta
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TensorVector:
-    comp: tuple[int, ...]
-    support: dict  # eta tuple -> RationalFunction
+class TensorVector(SparseVector):
+    """sum_eta c_eta v_eta in the tensor product of type `parent`, the
+    composition."""
 
-    def coeff(self, eta) -> RationalFunction:
-        return self.support.get(tuple(eta), RationalFunction.zero())
+    __slots__ = ()
+    PARENTHESIZE_FRACTIONS = True
 
-    def is_zero(self) -> bool:
-        return not self.support
+    @property
+    def comp(self) -> tuple[int, ...]:
+        return self.parent
 
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        if self.comp != other.comp:
-            raise ValueError(f"composition mismatch: {self.comp} vs {other.comp}")
-        out = dict(self.support)
-        for eta, c in other.support.items():
-            s = out.get(eta, RationalFunction.zero()) + c
-            if s.is_zero():
-                out.pop(eta, None)
-            else:
-                out[eta] = s
-        return TensorVector(self.comp, out)
+    @staticmethod
+    def _sort_key(eta):
+        """Leading terms (most inversions) first."""
+        return (_inversions(eta), eta)
 
-    def __neg__(self):
-        return TensorVector(self.comp, {k: -c for k, c in self.support.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorVector":
-        if not isinstance(c, RationalFunction):
-            c = RationalFunction.from_laurent(
-                c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-            )
-        if c.is_zero():
-            return TensorVector(self.comp, {})
-        return TensorVector(self.comp, {k: v * c for k, v in self.support.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorVector)
-            and self.comp == other.comp
-            and self.support == other.support
-        )
-
-    def terms_sorted(self):
-        """(eta, coeff) pairs, leading terms (most inversions) first."""
-        return sorted(
-            self.support.items(),
-            key=lambda item: (_inversions(item[0]), item[0]),
-            reverse=True,
-        )
-
-    def __str__(self):
-        if not self.support:
-            return "0"
-        parts = []
-        for eta, c in self.terms_sorted():
-            bits = "".join(str(e) for e in eta)
-            if c.is_one():
-                parts.append(f"v[{bits}]")
-            else:
-                coeff = str(c)
-                if not (c.is_laurent() and len(c.num.terms) == 1):
-                    coeff = f"({coeff})"
-                parts.append(f"{coeff}*v[{bits}]")
-        return " + ".join(parts)
+    def _label(self, eta) -> str:
+        return f"v[{_bits(eta)}]"
 
     def to_json(self):
-        return {
-            "comp": list(self.comp),
-            "support": [
-                {"eta": "".join(str(e) for e in eta), "coeff": c.to_json()}
-                for eta, c in self.terms_sorted()
-            ],
-        }
+        return {"comp": list(self.comp), "support": self._support_json("eta", _bits)}
 
     @staticmethod
     def from_json(data) -> "TensorVector":
         comp = composition(data["comp"])
-        support = {}
-        for item in data["support"]:
-            eta = tuple(int(ch) for ch in item["eta"])
-            support[eta] = RationalFunction.from_json(item["coeff"])
-        return TensorVector(comp, support)
+        return TensorVector._from_support_json(
+            comp, data["support"], "eta", lambda bits: _check_eta(comp, bits)
+        )
+
+
+def _bits(eta) -> str:
+    return "".join(str(e) for e in eta)
 
 
 def standard_vector(comp, eta) -> TensorVector:
@@ -232,7 +179,7 @@ def act_E(v: TensorVector) -> TensorVector:
     tail = [0] * (len(comp) + 1)
     for r in range(len(comp) - 1, -1, -1):
         tail[r] = tail[r + 1] + comp[r]
-    out = zero_vector(comp)
+    terms = []
     for eta, c in v.support.items():
         odd = 0
         for r, e in enumerate(eta):
@@ -244,10 +191,9 @@ def act_E(v: TensorVector) -> TensorVector:
                 )
                 if odd % 2:
                     coeff = -coeff
-                flipped = eta[:r] + (0,) + eta[r + 1 :]
-                out = out + TensorVector(comp, {flipped: coeff})
+                terms.append((eta[:r] + (0,) + eta[r + 1 :], coeff))
                 odd += 1
-    return out
+    return TensorVector.from_terms(comp, terms)
 
 
 def act_F(v: TensorVector) -> TensorVector:
@@ -257,7 +203,7 @@ def act_F(v: TensorVector) -> TensorVector:
     head = [0] * (len(comp) + 1)
     for r in range(len(comp)):
         head[r + 1] = head[r] + comp[r]
-    out = zero_vector(comp)
+    terms = []
     for eta, c in v.support.items():
         odd = 0
         for r, e in enumerate(eta):
@@ -265,11 +211,10 @@ def act_F(v: TensorVector) -> TensorVector:
                 coeff = c * _Q(head[r])
                 if odd % 2:
                     coeff = -coeff
-                flipped = eta[:r] + (1,) + eta[r + 1 :]
-                out = out + TensorVector(comp, {flipped: coeff})
+                terms.append((eta[:r] + (1,) + eta[r + 1 :], coeff))
             else:
                 odd += 1
-    return out
+    return TensorVector.from_terms(comp, terms)
 
 
 def act_K(v: TensorVector) -> TensorVector:
@@ -310,7 +255,7 @@ def phi_merge(v: TensorVector, i: int) -> TensorVector:
         raise ValueError(f"merge position {i} out of range for {comp}")
     a, b = comp[i - 1], comp[i]
     new_comp = comp[: i - 1] + (a + b,) + comp[i + 1 :]
-    out = zero_vector(new_comp)
+    terms = []
     for eta, c in v.support.items():
         pair = (eta[i - 1], eta[i])
         rest = eta[: i - 1] + eta[i + 1 :]
@@ -325,8 +270,8 @@ def phi_merge(v: TensorVector, i: int) -> TensorVector:
         else:
             coeff = c * RationalFunction.from_laurent(quantum_binom(a + b, a))
             new_eta = rest[: i - 1] + (0,) + rest[i - 1 :]
-        out = out + TensorVector(new_comp, {new_eta: coeff})
-    return out
+        terms.append((new_eta, coeff))
+    return TensorVector.from_terms(new_comp, terms)
 
 
 def phi_split(v: TensorVector, i: int, a: int, b: int) -> TensorVector:
@@ -337,17 +282,15 @@ def phi_split(v: TensorVector, i: int, a: int, b: int) -> TensorVector:
     if comp[i - 1] != a + b or a < 1 or b < 1:
         raise ValueError(f"factor {i} of {comp} does not split as {a}+{b}")
     new_comp = comp[: i - 1] + (a, b) + comp[i:]
-    out = zero_vector(new_comp)
+    terms = []
     for eta, c in v.support.items():
         head, tail = eta[: i - 1], eta[i:]
         if eta[i - 1] == 0:
-            out = out + TensorVector(new_comp, {head + (0, 0) + tail: c})
+            terms.append((head + (0, 0) + tail, c))
         else:
-            out = out + TensorVector(
-                new_comp,
-                {head + (1, 0) + tail: c, head + (0, 1) + tail: c * _Q(a)},
-            )
-    return out
+            terms.append((head + (1, 0) + tail, c))
+            terms.append((head + (0, 1) + tail, c * _Q(a)))
+    return TensorVector.from_terms(new_comp, terms)
 
 
 # -- bar involution -------------------------------------------------------
@@ -370,30 +313,27 @@ def _bar_basis(comp, eta) -> TensorVector:
         ext = TensorVector(
             comp, {g + (last,): c for g, c in prefix.support.items()}
         )
-        correction = zero_vector(comp)
+        correction = []
         if last == 0:
             # (E x F) acts only when the last factor is v_0; F turns it
             # into v_1 and E hits the prefix with a sign per odd prefix
+            shift = _Q(-1) - _Q(1)
             for g, c in ext.support.items():
-                if g[-1] != 0:
-                    continue
                 sign = -1 if sum(g[:-1]) % 2 else 1
                 e_part = act_E(standard_vector(comp[:-1], g[:-1]))
                 for ge, ce in e_part.support.items():
-                    correction = correction + TensorVector(
-                        comp, {ge + (1,): ce * c * (sign)}
-                    )
-        shift = _Q(-1) - _Q(1)
-        result = ext + correction.scale(shift)
+                    correction.append((ge + (1,), ce * c * sign * shift))
+        result = TensorVector.from_terms(comp, correction, ext.support)
     _bar_basis_cache[key] = result
     return result
 
 
 def bar(v: TensorVector) -> TensorVector:
-    out = zero_vector(v.comp)
-    for eta, c in v.support.items():
-        out = out + _bar_basis(v.comp, eta).scale(c.bar())
-    return out
+    return TensorVector.from_terms(v.comp, (
+        (g, d * c.bar())
+        for eta, c in v.support.items()
+        for g, d in _bar_basis(v.comp, eta).support.items()
+    ))
 
 
 # -- canonical and dual bases ---------------------------------------------
@@ -483,10 +423,11 @@ def dual_canonical(comp, eta) -> TensorVector:
         inv = _invert_matrix(gram)
         table = {}
         for col, g in enumerate(etas):
-            vec = zero_vector(comp)
-            for row in range(size):
-                vec = vec + basis[row].scale(inv[row][col])
-            table[g] = vec
+            table[g] = TensorVector.from_terms(comp, (
+                (gamma, d * inv[row][col])
+                for row in range(size)
+                for gamma, d in basis[row].support.items()
+            ))
         _dual_canonical_cache[key] = table
     return table[eta]
 
@@ -499,7 +440,9 @@ def _invert_matrix(rows):
         for r, row in enumerate(rows)
     ]
     for col in range(size):
-        pivot = next(r for r in range(col, size) if not aug[r][col].is_zero())
+        pivot = next((r for r in range(col, size) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise ArithmeticError(f"singular matrix: no pivot in column {col}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = aug[col][col].inverse()
         aug[col] = [v * inv_p for v in aug[col]]
@@ -521,19 +464,20 @@ def schur_weyl_H(v: TensorVector, i: int) -> TensorVector:
     if not 1 <= i <= len(comp) - 1:
         raise ValueError(f"position {i} out of range for {comp}")
     shorten = _Q(-1) - _Q(1)
-    out = zero_vector(comp)
+    terms = []
     for eta, c in v.support.items():
         pair = (eta[i - 1], eta[i])
         swapped = eta[: i - 1] + (eta[i], eta[i - 1]) + eta[i + 1 :]
         if pair == (1, 1):
-            out = out + TensorVector(comp, {eta: c * (-_Q(1))})
+            terms.append((eta, c * (-_Q(1))))
         elif pair == (1, 0):
-            out = out + TensorVector(comp, {swapped: c, eta: c * shorten})
+            terms.append((swapped, c))
+            terms.append((eta, c * shorten))
         elif pair == (0, 1):
-            out = out + TensorVector(comp, {swapped: c})
+            terms.append((swapped, c))
         else:
-            out = out + TensorVector(comp, {eta: c * _Q(-1)})
-    return out
+            terms.append((eta, c * _Q(-1)))
+    return TensorVector.from_terms(comp, terms)
 
 
 def stl_C(v: TensorVector, i: int) -> TensorVector:
@@ -556,10 +500,9 @@ def psi_iso(x: ModuleElement, k: int) -> TensorVector:
         )
     comp = regular_composition(n)
     eta_min = (0,) * k + (1,) * (n - k)
-    out = zero_vector(comp)
-    for w, c in x.support.items():
-        out = out + TensorVector(comp, {seq_act_right(eta_min, w): c})
-    return out
+    return TensorVector.from_terms(
+        comp, ((seq_act_right(eta_min, w), c) for w, c in x.support.items())
+    )
 
 
 def eta_to_perm(eta, k: int) -> Permutation:

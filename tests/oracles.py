@@ -9,7 +9,7 @@ from heckeweb.symgrp import (
     is_shortest_rep,
     shortest_rep_of_coset,
 )
-from heckeweb import uqrep
+from heckeweb import hecke, uqrep
 
 
 def subword_bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -44,6 +44,15 @@ def act_generator_by_products(mod, w: Permutation, i: int):
         return mod.standard(w).scale(-Q(1))
     assert j in mod.q_gens
     return mod.standard(w).scale(Q(-1))
+
+
+def hecke_generator_inverse(n: int, i: int):
+    """H_i^-1 = H_i + (q - q^-1), read off the quadratic relation
+    H_i^2 = (q^-1 - q) H_i + 1; it is also bar(H_i)."""
+    Q = RationalFunction.q_power
+    return hecke.standard_basis_element(Permutation.simple(n, i)) + hecke.unit(n).scale(
+        Q(1) - Q(-1)
+    )
 
 
 def generator_times_closed_form(mod, w: Permutation):

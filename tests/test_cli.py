@@ -226,3 +226,50 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "v[10] + q*v[01]"
+
+
+def test_permutation_size_must_match_n(capsys):
+    code, out, err = run_cli(capsys, "kl-basis", "--n", "3", "--w", "[2,1]")
+    assert code == 2 and out == "" and "error:" in err
+    code, out, err = run_cli(
+        capsys, "homdim", "--n", "3", "--k", "1", "--w", "e", "--z", "[2,1]"
+    )
+    assert code == 2 and out == "" and "error:" in err
+    one = RationalFunction.one().to_json()
+    assert HeckeElement.from_json(2, [{"w": [2, 1], "coeff": one}]).n == 2
+    with pytest.raises(ValueError):
+        HeckeElement.from_json(3, [{"w": [2, 1], "coeff": one}])
+
+
+def test_translate_rejects_k_outside_the_weights(capsys):
+    # (1,1) has weights k = 0, 1, 2
+    for direction, basis in [
+        ("out", "proper"), ("onto", "proper"), ("out", "projective"), ("onto", "simple"),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            "translate", "--comp", "1,1", "--pos", "1", "--k", "9",
+            "--dir", direction, "--basis", basis,
+        )
+        assert code == 2 and out == "" and "error:" in err, (direction, basis)
+
+
+def test_broken_invariant_exits_3_not_1(capsys, monkeypatch):
+    from heckeweb import tabgroth
+
+    def broken(*args):
+        raise ArithmeticError("synthetic shape defect")
+
+    monkeypatch.setattr(inducedmod, "canonical_basis_element", broken)
+    code, out, err = run_cli(capsys, "mod-basis", "--n", "2", "--w", "e")
+    assert code == 3 and out == ""
+    assert err.strip() == "internal error: synthetic shape defect"
+
+    def disagree(*args):
+        raise RuntimeError("synthetic route disagreement")
+
+    monkeypatch.setattr(tabgroth, "hom_dim", disagree)
+    code, _, err = run_cli(
+        capsys, "homdim", "--n", "2", "--k", "1", "--w", "e", "--z", "s1"
+    )
+    assert code == 3 and err.startswith("internal error:")

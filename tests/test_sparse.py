@@ -1,0 +1,102 @@
+"""Property tests of the shared sparse-vector type against a plain-dict
+reference: a vector is the dict of its nonzero coefficients, summed term
+by term."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heckeweb import uqrep
+from heckeweb.qarith import LaurentPoly, RationalFunction, SparseVector
+
+ZERO = RationalFunction.zero()
+
+laurent = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3).map(LaurentPoly)
+coeffs = laurent.map(RationalFunction.from_laurent)  # zero included
+terms = st.lists(st.tuples(st.sampled_from("abcd"), coeffs), max_size=8)
+
+examples = settings(max_examples=150, deadline=None)
+
+
+def reference(pairs) -> dict:
+    out = {}
+    for label, c in pairs:
+        out[label] = out.get(label, ZERO) + c
+    return {label: c for label, c in out.items() if not c.is_zero()}
+
+
+def vec(pairs) -> SparseVector:
+    return SparseVector.from_terms("V", pairs)
+
+
+def stores_no_zero(v: SparseVector) -> bool:
+    return all(not c.is_zero() for c in v.support.values())
+
+
+@examples
+@given(terms)
+def test_from_terms_sums_like_the_reference(a):
+    v = vec(a)
+    assert v.support == reference(a)
+    assert stores_no_zero(v)
+    for label in "abcd":
+        assert v.coeff(label) == reference(a).get(label, ZERO)
+
+
+@examples
+@given(terms, terms)
+def test_add_is_commutative_and_termwise(a, b):
+    x, y = vec(a), vec(b)
+    assert x + y == y + x
+    assert (x + y).support == reference(a + b)
+    assert stores_no_zero(x + y)
+
+
+@examples
+@given(terms, terms)
+def test_sub_and_neg_invert_add(a, b):
+    x, y = vec(a), vec(b)
+    assert (x + y) - y == x
+    assert (x - y).support == reference(a + [(k, -c) for k, c in b])
+    assert -(-x) == x
+    assert (x - x).is_zero() and (x + -x) == vec([])
+    assert stores_no_zero(x - y) and stores_no_zero(-x)
+
+
+@examples
+@given(terms, coeffs)
+def test_scale(a, c):
+    x = vec(a)
+    assert x.scale(0) == x.scale(ZERO) == vec([])
+    assert x.scale(c).support == reference([(k, v * c) for k, v in x.support.items()])
+    assert stores_no_zero(x.scale(c))
+
+
+@examples
+@given(terms, terms)
+def test_bilinear_form_is_the_orthonormal_dot_product(a, b):
+    x, y = vec(a), vec(b)
+    want = ZERO
+    for label, c in reference(a).items():
+        want = want + c * reference(b).get(label, ZERO)
+    assert x.bilinear_form(y) == y.bilinear_form(x) == want
+
+
+def test_different_spaces_do_not_mix():
+    one = RationalFunction.one()
+    x = SparseVector.from_terms("V", [("a", one)])
+    y = SparseVector.from_terms("W", [("a", one)])
+    assert x != y
+    with pytest.raises(ValueError):
+        x + y
+    v = uqrep.standard_vector((1, 1), (1, 0))
+    assert v != uqrep.TensorVector((1, 1, 1), {(1, 0, 0): one})
+    with pytest.raises(ValueError):
+        v - uqrep.standard_vector((1, 1, 1), (1, 0, 0))
+
+
+def test_json_input_stores_no_zero():
+    data = {"comp": [1, 1], "support": [
+        {"eta": "10", "coeff": ZERO.to_json()},
+        {"eta": "01", "coeff": RationalFunction.one().to_json()},
+    ]}
+    assert uqrep.TensorVector.from_json(data) == uqrep.standard_vector((1, 1), (0, 1))

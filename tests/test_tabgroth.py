@@ -294,3 +294,17 @@ def test_tableau_rendering_and_json():
     assert str(t) == "row[1 2] col[1]"
     back = tabgroth.HookTableau.from_json(t.to_json())
     assert back == t
+
+
+def test_translations_reject_k_outside_the_weights():
+    # (1,1) has weights 0, 1, 2; the merged type (2) has 1, 2
+    for k in (-1, 3, 9):
+        for translate in (tabgroth.translate_onto_wall, tabgroth.translate_out_of_wall):
+            with pytest.raises(ValueError, match="not a weight"):
+                translate((1, 1), 1, k)
+        with pytest.raises(ValueError, match="not a weight"):
+            tabgroth.translate_projective((1, 1), 1, k, Permutation.identity(2))
+        with pytest.raises(ValueError, match="not a weight"):
+            tabgroth.translate_simple((1, 1), 1, k, Permutation.identity(2))
+    # weight 0 of (1,1) exists, so out of the wall it is the empty map
+    assert tabgroth.translate_out_of_wall((1, 1), 1, 0) == {}

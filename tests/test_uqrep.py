@@ -335,3 +335,11 @@ def test_rendering_and_json():
     assert str(cb) == "v[10] + q*v[01]"
     back = uqrep.TensorVector.from_json(cb.to_json())
     assert back == cb
+
+
+def test_singular_matrix_is_an_internal_error():
+    zero, one = RationalFunction.zero(), RationalFunction.one()
+    with pytest.raises(ArithmeticError, match="singular"):
+        uqrep._invert_matrix([[one, one], [one, one]])
+    with pytest.raises(ArithmeticError):
+        uqrep._invert_matrix([[zero]])
