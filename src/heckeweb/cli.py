@@ -36,6 +36,8 @@ def _parse_gens(text: str) -> tuple[int, ...]:
 
 
 def _parse_perm(text: str, n: int) -> Permutation:
+    if n < 1:
+        raise ValueError(f"--n must be a positive integer, got {n}")
     text = text.strip()
     if text in ("e", "", "id"):
         return Permutation.identity(n)
@@ -155,19 +157,7 @@ def _cmd_tableaux(args) -> int:
     if args.admissible_only:
         tabs = tabgroth.admissible_tableaux(comp, args.k)
     else:
-        from itertools import permutations as itperms
-
-        seen = set()
-        tabs = []
-        for arrangement in itperms(tabgroth._type_sequence(comp)):
-            if arrangement in seen:
-                continue
-            seen.add(arrangement)
-            tabs.append(
-                tabgroth.HookTableau(
-                    n, args.k, comp, arrangement[: args.k], arrangement[args.k :]
-                )
-            )
+        tabs = tabgroth.all_tableaux(comp, args.k)
     for t in tabs:
         adm = tabgroth.is_admissible(t)
         w = tabgroth.perm_from_tableau(t)

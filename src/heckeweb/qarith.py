@@ -24,6 +24,7 @@ tensor representations all use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -584,6 +585,9 @@ _ZERO = RationalFunction.zero()
 
 # -- quantum integers, factorials, binomials ---------------------------
 
+# The memoized ones below return shared LaurentPolys, which is safe because
+# nothing mutates a LaurentPoly after construction.
+
 
 def quantum_int(k: int) -> LaurentPoly:
     """[k] = (q^k - q^-k)/(q - q^-1) = q^(k-1) + q^(k-3) + ... + q^(1-k)."""
@@ -592,6 +596,7 @@ def quantum_int(k: int) -> LaurentPoly:
     return LaurentPoly({k - 1 - 2 * i: 1 for i in range(k)})
 
 
+@lru_cache(maxsize=None)
 def quantum_factorial(k: int) -> LaurentPoly:
     """[k]! = [k][k-1]...[1]."""
     if k < 0:
@@ -602,6 +607,7 @@ def quantum_factorial(k: int) -> LaurentPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def quantum_binom(n: int, k: int) -> LaurentPoly:
     """[n]!/([k]![n-k]!); symmetric in k <-> n-k."""
     if k < 0 or k > n:
@@ -641,7 +647,11 @@ def quantum_binom0(a: int, b: int) -> LaurentPoly:
 
 def quantum_multinom0(parts) -> LaurentPoly:
     """Rescaled multinomial q^(sum_{i<j} k_i k_j) * multinom(parts)."""
-    parts = list(parts)
+    return _quantum_multinom0(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _quantum_multinom0(parts: tuple[int, ...]) -> LaurentPoly:
     exp = 0
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):

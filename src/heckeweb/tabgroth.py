@@ -22,7 +22,7 @@ suite requires to pass for every composition at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .qarith import RationalFunction, quantum_binom0
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, longest_quotient_rep
@@ -40,6 +40,8 @@ __all__ = [
     "eta_of_tableau",
     "tableau_of_eta",
     "admissible_tableaux",
+    "MAX_TABLEAUX",
+    "all_tableaux",
     "enumerate_lambda",
     "class_vector",
     "check_weight",
@@ -190,6 +192,47 @@ def admissible_tableaux(comp, k: int) -> list[HookTableau]:
     return [tableau_of_eta(comp, k, eta) for eta in uqrep.weight_etas(comp, k)]
 
 
+# the most tableaux all_tableaux lists: (1^8) has 8! = 40320, (1^9) too many
+MAX_TABLEAUX = 100_000
+
+
+def all_tableaux(comp, k: int) -> list[HookTableau]:
+    """Every filling of the hook (n-k, k) by the type comp, admissible or
+    not, in lexicographic order of the entries in box order.  There are
+    n!/(a_1! ... a_l!) of them; raises ValueError past MAX_TABLEAUX."""
+    comp = composition(comp)
+    n = sum(comp)
+    if not 0 <= k <= n:
+        raise ValueError(f"hook parameter k={k} out of range for n={n}")
+    count = factorial(n) // prod(factorial(a) for a in comp)
+    if count > MAX_TABLEAUX:
+        raise ValueError(
+            f"type {comp} has {count} tableaux, more than the {MAX_TABLEAUX} listed at most"
+        )
+    return [
+        HookTableau(n, k, comp, entries[:k], entries[k:])
+        for entries in _multiset_permutations(_type_sequence(comp))
+    ]
+
+
+def _multiset_permutations(seq):
+    """The distinct arrangements of seq in lexicographic order, each once:
+    repeatedly step to the next permutation (Knuth, TAOCP 7.2.1.2, L)."""
+    a = sorted(seq)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
 def enumerate_lambda(comp, k: int) -> list[Permutation]:
     """Index permutations of the admissible tableaux, increasing order."""
     perms = [perm_from_tableau(t) for t in admissible_tableaux(comp, k)]
@@ -321,7 +364,8 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
 def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     """The same matrices through the evaluated webs and the class
     isomorphism sending a proper standard class to its normalized
-    standard vector."""
+    standard vector v_eta / (v_eta, v_eta): the web is applied to the
+    plain standard vector and each entry divided once."""
     comp = composition(comp)
     merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
     if direction == "onto":
@@ -335,20 +379,15 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
         raise ValueError(f"direction must be 'onto' or 'out', got {direction!r}")
     out = {}
     for w in enumerate_lambda(src, k):
-        t = tableau_from_perm(w, src, k)
-        eta = eta_of_tableau(t)
-        norm_src = uqrep.bilinear_form(
-            uqrep.standard_vector(src, eta), uqrep.standard_vector(src, eta)
-        )
-        image = apply_web(uqrep.standard_vector(src, eta).scale(norm_src.inverse()))
-        row = {}
-        for gamma, c in image.support.items():
-            tgt = tableau_of_eta(dst, k, gamma)
-            norm = uqrep.bilinear_form(
-                uqrep.standard_vector(dst, gamma), uqrep.standard_vector(dst, gamma)
+        eta = eta_of_tableau(tableau_from_perm(w, src, k))
+        norm_src = uqrep.standard_norm(src, eta)
+        image = apply_web(uqrep.standard_vector(src, eta))
+        out[w] = {
+            perm_from_tableau(tableau_of_eta(dst, k, gamma)): RationalFunction(
+                c.as_laurent() * uqrep.standard_norm(dst, gamma), norm_src
             )
-            row[perm_from_tableau(tgt)] = c * norm
-        out[w] = row
+            for gamma, c in image.support.items()
+        }
     return out
 
 

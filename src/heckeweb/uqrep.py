@@ -11,7 +11,9 @@ Implements the raising/lowering/Cartan actions, the merge and split
 intertwiners, the bar involution built from Theta' = 1 + (q^-1 - q) E x F,
 standard/canonical/dual bases, the bilinear form with rescaled quantum
 multinomial values, the rescaled adjoint E' of F, and the Hecke action on
-tensor powers of the vector representation.
+tensor powers of the vector representation.  The canonical basis is the
+evaluated canonical basis diagram of webcat; bar-fixing is kept as an
+independent check route.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "phi_split",
     "bar",
     "canonical_basis",
+    "canonical_basis_by_bar",
+    "standard_norm",
     "bilinear_form",
     "dual_standard",
     "dual_canonical",
@@ -343,12 +347,33 @@ _canonical_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], TensorVector] = 
 
 def canonical_basis(comp, eta) -> TensorVector:
     """The unique bar-invariant vector equal to v_eta plus a qZ[q]-linear
-    combination of standard vectors strictly below eta, found by peeling
-    the leading bar defect and correcting with lower canonical vectors."""
+    combination of standard vectors strictly below eta: the evaluated
+    canonical basis diagram, a chain of split intertwiners applied to one
+    standard vector."""
     comp = composition(comp)
     eta = _check_eta(comp, eta)
     key = (comp, eta)
     cached = _canonical_cache.get(key)
+    if cached is not None:
+        return cached
+    from . import webcat  # webcat imports this module
+
+    x = webcat.evaluate_canonical_diagram(webcat.canonical_basis_diagram(comp, eta))
+    _check_unitriangular(eta, x)
+    _canonical_cache[key] = x
+    return x
+
+
+_canonical_by_bar_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], TensorVector] = {}
+
+
+def canonical_basis_by_bar(comp, eta) -> TensorVector:
+    """The same vector by bar-fixing, the independent check route: peel
+    the leading bar defect and correct with lower canonical vectors."""
+    comp = composition(comp)
+    eta = _check_eta(comp, eta)
+    key = (comp, eta)
+    cached = _canonical_by_bar_cache.get(key)
     if cached is not None:
         return cached
     x = standard_vector(comp, eta)
@@ -361,9 +386,15 @@ def canonical_basis(comp, eta) -> TensorVector:
         if poly.bar() != -poly:
             raise ArithmeticError(f"bar defect at {gamma} is not antisymmetric: {poly}")
         pos = LaurentPoly({e: v for e, v in poly.terms.items() if e > 0})
-        lower = canonical_basis(comp, gamma)
+        lower = canonical_basis_by_bar(comp, gamma)
         x = x + lower.scale(pos)
         defect = defect - lower.scale(poly)
+    _check_unitriangular(eta, x)
+    _canonical_by_bar_cache[key] = x
+    return x
+
+
+def _check_unitriangular(eta, x: TensorVector) -> None:
     for gamma, c in x.support.items():
         p = c.as_laurent()
         if gamma == eta:
@@ -371,25 +402,28 @@ def canonical_basis(comp, eta) -> TensorVector:
                 raise ArithmeticError(f"diagonal coefficient {p} at {eta}")
         elif p.constant_term() != 0 or p.min_exp() < 1 or not eta_leq(gamma, eta):
             raise ArithmeticError(f"coefficient {p} at {gamma} breaks unitriangularity")
-    _canonical_cache[key] = x
-    return x
 
 
 def _beta(comp, eta) -> tuple[int, ...]:
     return tuple(a - e for a, e in zip(comp, eta))
 
 
+def standard_norm(comp, eta) -> LaurentPoly:
+    """The form value (v_eta, v_eta): the rescaled quantum multinomial of
+    (a_j - eta_j)."""
+    return quantum_multinom0(_beta(comp, eta))
+
+
 def bilinear_form(v: TensorVector, w: TensorVector) -> RationalFunction:
-    """Symmetric form, diagonal on the standard basis with value the
-    rescaled quantum multinomial of (a_j - eta_j)."""
+    """Symmetric form, diagonal on the standard basis with value
+    standard_norm."""
     if v.comp != w.comp:
         raise ValueError(f"composition mismatch: {v.comp} vs {w.comp}")
     out = RationalFunction.zero()
     for eta, c in v.support.items():
         d = w.support.get(eta)
         if d is not None:
-            value = quantum_multinom0(_beta(v.comp, eta))
-            out = out + c * d * RationalFunction.from_laurent(value)
+            out = out + c * d * RationalFunction.from_laurent(standard_norm(v.comp, eta))
     return out
 
 
@@ -397,16 +431,19 @@ def dual_standard(comp, eta) -> TensorVector:
     """The vector pairing to 1 with v_eta and to 0 with the others."""
     comp = composition(comp)
     eta = _check_eta(comp, eta)
-    norm = RationalFunction.from_laurent(quantum_multinom0(_beta(comp, eta)))
-    return standard_vector(comp, eta).scale(norm.inverse())
+    norm = standard_norm(comp, eta)
+    return TensorVector(comp, {eta: RationalFunction(LaurentPoly.one(), norm)})
 
 
 _dual_canonical_cache: dict[tuple, dict] = {}
 
 
 def dual_canonical(comp, eta) -> TensorVector:
-    """The basis dual to the canonical one, by inverting its Gram matrix
-    weight space by weight space."""
+    """The basis dual to the canonical one.  With c_h = sum_g U[h][g] v_g,
+    U unitriangular with Laurent entries, the dual vector is
+    d_g = sum_e (U^-1)[e][g] / (v_e, v_e) v_e; U^-1 comes from forward
+    substitution in weight_etas order, so the only division is one per
+    output coefficient."""
     comp = composition(comp)
     eta = _check_eta(comp, eta)
     k = weight_index(comp, eta)
@@ -414,43 +451,23 @@ def dual_canonical(comp, eta) -> TensorVector:
     table = _dual_canonical_cache.get(key)
     if table is None:
         etas = weight_etas(comp, k)
-        basis = [canonical_basis(comp, g) for g in etas]
-        size = len(etas)
-        gram = [
-            [bilinear_form(basis[r], basis[c]) for c in range(size)]
-            for r in range(size)
-        ]
-        inv = _invert_matrix(gram)
-        table = {}
-        for col, g in enumerate(etas):
-            table[g] = TensorVector.from_terms(comp, (
-                (gamma, d * inv[row][col])
-                for row in range(size)
-                for gamma, d in basis[row].support.items()
-            ))
+        # rows[h] = row h of U^-1 = v_h - sum_{e < h} U[h][e] rows[e]
+        rows = {}
+        for h in etas:
+            rows[h] = TensorVector.from_terms(comp, (
+                (g, -u * x)
+                for e, u in canonical_basis(comp, h).support.items()
+                if e != h
+                for g, x in rows[e].support.items()
+            ), {h: _ONE})
+        columns = {g: [] for g in etas}
+        for e, row in rows.items():
+            norm = standard_norm(comp, e)
+            for g, x in row.support.items():
+                columns[g].append((e, RationalFunction(x.as_laurent(), norm)))
+        table = {g: TensorVector.from_terms(comp, terms) for g, terms in columns.items()}
         _dual_canonical_cache[key] = table
     return table[eta]
-
-
-def _invert_matrix(rows):
-    """Gauss-Jordan inverse over the rational function field."""
-    size = len(rows)
-    aug = [
-        list(row) + [_ONE if r == c else RationalFunction.zero() for c in range(size)]
-        for r, row in enumerate(rows)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ArithmeticError(f"singular matrix: no pivot in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(size):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
 
 
 # -- Hecke action on tensor powers of the vector representation -----------

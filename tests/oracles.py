@@ -102,6 +102,64 @@ def _bar_basis_right(comp, eta) -> uqrep.TensorVector:
     return ext + correction.scale(shift)
 
 
+def invert_matrix(rows):
+    """Gauss-Jordan inverse over the rational function field; a singular
+    matrix raises ArithmeticError."""
+    size = len(rows)
+    one, zero = RationalFunction.one(), RationalFunction.zero()
+    aug = [
+        list(row) + [one if r == c else zero for c in range(size)]
+        for r, row in enumerate(rows)
+    ]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise ArithmeticError(f"singular matrix: no pivot in column {col}")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = aug[col][col].inverse()
+        aug[col] = [v * inv_p for v in aug[col]]
+        for r in range(size):
+            if r != col and not aug[r][col].is_zero():
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def dual_canonical_by_gram(comp, k: int) -> dict:
+    """The basis dual to the canonical one on the weight space k, by
+    inverting the Gram matrix of the canonical vectors: eta -> vector."""
+    etas = uqrep.weight_etas(comp, k)
+    basis = [uqrep.canonical_basis(comp, g) for g in etas]
+    gram = [[uqrep.bilinear_form(r, c) for c in basis] for r in basis]
+    inv = invert_matrix(gram)
+    return {
+        g: uqrep.TensorVector.from_terms(comp, (
+            (gamma, d * inv[row][col])
+            for row in range(len(etas))
+            for gamma, d in basis[row].support.items()
+        ))
+        for col, g in enumerate(etas)
+    }
+
+
+def tableaux_by_permutations(comp, k: int):
+    """Every hook tableau of type comp: walk all n! orderings of the type
+    sequence and keep the first occurrence of each arrangement."""
+    from itertools import permutations
+
+    from heckeweb.tabgroth import HookTableau, _type_sequence
+
+    n = sum(comp)
+    seen = set()
+    tabs = []
+    for arrangement in permutations(_type_sequence(comp)):
+        if arrangement in seen:
+            continue
+        seen.add(arrangement)
+        tabs.append(HookTableau(n, k, tuple(comp), arrangement[:k], arrangement[k:]))
+    return tabs
+
+
 def redistribution_targets(t, i, fine_comp):
     """All admissible refinements of a merged-type tableau: increment the
     entries above i, then hand the merged entries out to the values i and

@@ -8,6 +8,8 @@ from heckeweb import cli, inducedmod, uqrep, webcat
 from heckeweb.hecke import HeckeElement
 from heckeweb.qarith import RationalFunction
 
+from oracles import tableaux_by_permutations
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -110,6 +112,31 @@ def test_tableaux(capsys):
     assert len(lines) == 4
     assert all("admissible" in line for line in lines)
     assert any("row[1 3 4] col[4 3 2 2]" in line for line in lines)
+
+
+def test_tableaux_listing_matches_the_permutation_walk(capsys, monkeypatch):
+    from heckeweb import tabgroth
+
+    cases = [("1,2", "1"), ("2,1,1", "2"), ("1,2,2", "0"), ("3,1,2", "6"), ("1,1,1,1", "2")]
+    for fmt in ("text", "json"):
+        for comp, k in cases:
+            argv = ("--format", fmt, "tableaux", "--comp", comp, "--k", k)
+            with monkeypatch.context() as m:
+                m.setattr(tabgroth, "all_tableaux", tableaux_by_permutations)
+                want = run_cli(capsys, *argv)
+            assert run_cli(capsys, *argv) == want, (fmt, comp, k)
+            assert want[0] == 0
+
+
+def test_tableaux_size_bound(capsys):
+    code, out, _ = run_cli(capsys, "tableaux", "--comp", "13", "--k", "5")
+    assert code == 0 and out.startswith("row[1 1 1 1 1 1 1 1] col[1 1 1 1 1]  w=[1,2,")
+    assert len(out.splitlines()) == 1
+    code, out, err = run_cli(capsys, "tableaux", "--comp", "1,1,1,1,1,1,1,1,1", "--k", "4")
+    assert code == 2 and out == "" and "error:" in err and "362880" in err
+    code, out, _ = run_cli(capsys, "tableaux", "--comp", "1,1,1,1,1,1,1,1,1", "--k", "4",
+                           "--admissible-only")
+    assert code == 0 and len(out.splitlines()) == 126
 
 
 def test_translate(capsys):
@@ -239,6 +266,17 @@ def test_permutation_size_must_match_n(capsys):
     assert HeckeElement.from_json(2, [{"w": [2, 1], "coeff": one}]).n == 2
     with pytest.raises(ValueError):
         HeckeElement.from_json(3, [{"w": [2, 1], "coeff": one}])
+
+
+def test_nonpositive_n_is_a_usage_error(capsys):
+    for n in ("0", "-2"):
+        for argv in [
+            ("kl-basis", "--n", n, "--w", "e"),
+            ("mod-basis", "--n", n, "--w", "e"),
+            ("homdim", "--n", n, "--k", "0", "--w", "e", "--z", "e"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and "positive" in err, argv
 
 
 def test_translate_rejects_k_outside_the_weights(capsys):

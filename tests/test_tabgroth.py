@@ -174,6 +174,14 @@ def test_translation_matches_webs_all_compositions_n4():
                 assert tabgroth.theorem1_check(comp, i), (comp, i)
 
 
+def test_theorem1_check_detects_a_wrong_merge_scalar(monkeypatch):
+    merge = uqrep.phi_merge
+    monkeypatch.setattr(uqrep, "phi_merge", lambda v, i: merge(v, i).scale(Q(1)))
+    for comp in [(1, 1), (2, 1, 1), (1, 3)]:
+        for i in range(1, len(comp)):
+            assert not tabgroth.theorem1_check(comp, i), (comp, i)
+
+
 def test_translate_projective_examples():
     (src,) = tabgroth.enumerate_lambda((2,), 1)
     got = tabgroth.translate_projective((1, 1), 1, 1, src)

@@ -14,7 +14,7 @@ from heckeweb.symgrp import Permutation
 from heckeweb import inducedmod, uqrep
 from heckeweb.checks import compositions_of
 
-from oracles import bar_right_nested
+from oracles import bar_right_nested, dual_canonical_by_gram, invert_matrix
 
 Q = RationalFunction.q_power
 
@@ -211,6 +211,14 @@ def test_dual_canonical_defining_property():
                 )
 
 
+def test_dual_canonical_matches_gram_inversion():
+    for n in range(1, 6):
+        for comp in compositions_of(n):
+            for k in range(n - len(comp), n + 1):
+                for eta, want in dual_canonical_by_gram(comp, k).items():
+                    assert uqrep.dual_canonical(comp, eta) == want, (comp, eta)
+
+
 def test_eprime_examples_and_adjunction():
     assert uqrep.act_Eprime(v((1,), (0,))).is_zero()
     assert uqrep.act_Eprime(v((1,), (1,))) == v((1,), (0,))
@@ -340,6 +348,6 @@ def test_rendering_and_json():
 def test_singular_matrix_is_an_internal_error():
     zero, one = RationalFunction.zero(), RationalFunction.one()
     with pytest.raises(ArithmeticError, match="singular"):
-        uqrep._invert_matrix([[one, one], [one, one]])
+        invert_matrix([[one, one], [one, one]])
     with pytest.raises(ArithmeticError):
-        uqrep._invert_matrix([[zero]])
+        invert_matrix([[zero]])

@@ -158,7 +158,9 @@ def test_canonical_diagram_trivial_case():
 def test_canonical_diagram_single_join():
     d = webcat.canonical_basis_diagram((1, 1), (1, 0))
     assert d.web.source == (2,)
-    assert webcat.evaluate_canonical_diagram(d) == uqrep.canonical_basis((1, 1), (1, 0))
+    assert webcat.evaluate_canonical_diagram(d) == uqrep.canonical_basis_by_bar(
+        (1, 1), (1, 0)
+    )
 
 
 def test_canonical_diagram_seven_factors():
@@ -167,7 +169,7 @@ def test_canonical_diagram_seven_factors():
     d = webcat.canonical_basis_diagram(comp, eta)
     assert d.web.source == (3, 9, 3, 1)
     assert d.bottom == (0, 1, 1, 1)
-    assert webcat.evaluate_canonical_diagram(d) == uqrep.canonical_basis(comp, eta)
+    assert webcat.evaluate_canonical_diagram(d) == uqrep.canonical_basis_by_bar(comp, eta)
 
 
 def test_canonical_diagram_join_order_irrelevant():
@@ -193,9 +195,17 @@ def test_canonical_diagrams_match_bar_route():
         for comp in compositions_of(n):
             for eta in product((0, 1), repeat=len(comp)):
                 d = webcat.canonical_basis_diagram(comp, eta)
-                assert webcat.evaluate_canonical_diagram(d) == uqrep.canonical_basis(
-                    comp, eta
-                ), (comp, eta)
+                assert webcat.evaluate_canonical_diagram(
+                    d
+                ) == uqrep.canonical_basis_by_bar(comp, eta), (comp, eta)
+
+
+def test_canonical_routes_agree_on_a_nine_factor_listing():
+    comp = (2, 1, 3, 1, 4, 4, 4, 4, 2)
+    for eta in product((0, 1), repeat=len(comp)):
+        assert uqrep.canonical_basis(comp, eta) == uqrep.canonical_basis_by_bar(
+            comp, eta
+        ), eta
 
 
 def test_bundles_and_standard_inclusion():
