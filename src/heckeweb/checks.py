@@ -487,7 +487,7 @@ def check_kgroup(max_n: int = 4) -> None:
                         == uqrep.act_Eprime(uqrep.phi_merge(v, i)),
                         f"merge/E' do not commute at {comp}, i={i}, {eta}",
                     )
-                merged = comp[: i - 1] + (ai + aj,) + comp[i + 1 :]
+                merged = tabgroth.merged_type(comp, i)
                 for eta in product((0, 1), repeat=len(merged)):
                     v = uqrep.standard_vector(merged, eta)
                     _require(
@@ -542,7 +542,10 @@ SUITES = {
 
 def run_suite(name: str, max_n: int):
     """Run one suite or all of them; returns a list of (name, error) pairs
-    where error is None on success."""
+    where error is None on success.  A size bound below 1 would check
+    next to nothing, so it raises ValueError."""
+    if max_n < 1:
+        raise ValueError(f"size bound max_n={max_n} must be at least 1")
     names = list(SUITES) if name == "all" else [name]
     results = []
     for suite in names:

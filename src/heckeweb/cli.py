@@ -199,8 +199,7 @@ def _cmd_translate(args) -> int:
             raise ValueError("projective classes translate out of the wall only")
         if args.basis == "simple" and args.dir != "onto":
             raise ValueError("simple classes translate onto the wall only")
-        merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
-        src = merged if args.basis == "projective" else comp
+        src = tabgroth.merged_type(comp, i) if args.basis == "projective" else comp
         rows = []
         for w in tabgroth.enumerate_lambda(src, k):
             if args.basis == "projective":

@@ -7,13 +7,16 @@ A tableau of type a is a filling by 1 (a_1 times), 2 (a_2 times), ...;
 it is admissible when the row increases strictly and the column does not
 increase from bottom to top.  Admissible tableaux of type a biject with
 the index permutations of the classes at weight k, and with the 0/1
-sequences marking which values sit in the row.
+sequences eta marking which values sit in the row.  The tableaux are
+the definition and the `tableaux` listing; computations index a class by
+its eta, with `index_perm` and its inverse `class_eta` as the closed form
+of the bijection with index permutations.
 
 The four distinguished bases of each weight space (standard, proper
 standard, projective, simple) are realized as vectors: a standard
 vector, its form-normalized multiple, the canonical vector, the dual
 canonical vector.  Translation matrices across a merge position are
-computed from the tableau case analysis; an independent computation via
+computed from the case analysis on eta; an independent computation via
 the evaluated merge/split webs transported through the class
 isomorphism is exposed for the commutativity check, which the test
 suite requires to pass for every composition at desk scale.
@@ -22,6 +25,7 @@ suite requires to pass for every composition at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial, prod
 
 from .qarith import RationalFunction, quantum_binom0
@@ -42,8 +46,11 @@ __all__ = [
     "admissible_tableaux",
     "MAX_TABLEAUX",
     "all_tableaux",
+    "index_perm",
+    "class_eta",
     "enumerate_lambda",
     "class_vector",
+    "merged_type",
     "check_weight",
     "translate_onto_wall",
     "translate_out_of_wall",
@@ -233,9 +240,55 @@ def _multiset_permutations(seq):
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
+# -- the eta index ---------------------------------------------------------
+
+
+def index_perm(comp, k: int, eta) -> Permutation:
+    """The index permutation of the class eta at weight k, equal to
+    perm_from_tableau(tableau_of_eta(comp, k, eta)) in O(n): the block of
+    value j goes to its column boxes and then to its row box.  The column
+    holds the values that are not in the row, with the largest in box 1.
+
+    >>> print(index_perm((1, 2, 2, 2), 4, (0, 1, 1, 1)))
+    [4,3,5,2,6,1,7]
+    """
+    comp = composition(comp)
+    eta = tuple(int(e) for e in eta)
+    if len(eta) != len(comp) or sum(eta) != sum(comp) - k or not set(eta) <= {0, 1}:
+        raise ValueError(f"{eta} does not index the weight space k={k} of {comp}")
+    one_line = []
+    top, row = k, k  # column boxes above top and row boxes up to row are filled
+    for a, e in zip(comp, eta):
+        top -= a - e
+        one_line.extend(range(top + 1, top + 1 + a - e))
+        if e:
+            row += 1
+            one_line.append(row)
+    return Permutation(tuple(one_line))
+
+
+def class_eta(w: Permutation, comp, k: int) -> tuple[int, ...] | None:
+    """The eta with index_perm(comp, k, eta) == w, or None when w indexes
+    no class at weight k.  Value j is in the row exactly when the last
+    entry of its block of w is past box k.
+
+    >>> class_eta(Permutation((4, 3, 5, 2, 6, 1, 7)), (1, 2, 2, 2), 4)
+    (0, 1, 1, 1)
+    >>> class_eta(Permutation((1, 2, 3, 4, 5, 6, 7)), (1, 2, 2, 2), 4) is None
+    True
+    """
+    comp = composition(comp)
+    if w.n != sum(comp):
+        return None
+    eta = tuple(int(w(end) > k) for end in accumulate(comp))
+    if sum(eta) != w.n - k or index_perm(comp, k, eta) != w:
+        return None
+    return eta
+
+
 def enumerate_lambda(comp, k: int) -> list[Permutation]:
-    """Index permutations of the admissible tableaux, increasing order."""
-    perms = [perm_from_tableau(t) for t in admissible_tableaux(comp, k)]
+    """Index permutations of the classes at weight k, increasing order."""
+    perms = [index_perm(comp, k, eta) for eta in uqrep.weight_etas(comp, k)]
     perms.sort(key=lambda w: (w.length(), w.one_line))
     return perms
 
@@ -248,10 +301,9 @@ def class_vector(w: Permutation, comp, k: int, kind: str) -> TensorVector:
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     comp = composition(comp)
-    t = tableau_from_perm(w, comp, k)
-    if not is_admissible(t):
-        raise ValueError(f"{w} indexes no class at weight {k}: tableau inadmissible")
-    eta = eta_of_tableau(t)
+    eta = class_eta(w, comp, k)
+    if eta is None:
+        raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
     if kind == "standard":
         return uqrep.standard_vector(comp, eta)
     if kind == "proper_standard":
@@ -264,19 +316,12 @@ def class_vector(w: Permutation, comp, k: int, kind: str) -> TensorVector:
 # -- translation across a merge position ---------------------------------
 
 
-def _merge_pattern(t: HookTableau, i: int) -> tuple[int, int]:
-    eta = eta_of_tableau(t)
-    return eta[i - 1], eta[i]
-
-
-def _decrement_entries(t: HookTableau, i: int, new_comp) -> HookTableau:
-    """Merge values i and i+1 by decrementing everything above i."""
-    def dec(e):
-        return e - 1 if e > i else e
-
-    column = tuple(dec(e) for e in t.column)
-    row = tuple(dec(e) for e in t.row)
-    return HookTableau(t.n, t.k, composition(new_comp), column, row)
+def merged_type(comp, i: int) -> tuple[int, ...]:
+    """The type comp with its parts i and i+1 merged into one."""
+    comp = composition(comp)
+    if not 1 <= i <= len(comp) - 1:
+        raise ValueError(f"merge position {i} out of range for {comp} ({len(comp)} parts)")
+    return comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
 
 
 def check_weight(comp, k: int) -> None:
@@ -290,74 +335,46 @@ def check_weight(comp, k: int) -> None:
 def translate_onto_wall(comp, i: int, k: int) -> dict:
     """Matrix of the wall-crossing on proper standard classes, from type
     comp to the type with parts i, i+1 merged.  Keyed by source index
-    permutation; values map target index permutations to coefficients."""
+    permutation; values map target index permutations to coefficients.
+    Slots i, i+1 of eta merge into one slot, in the row when either was;
+    both in the row give zero."""
     comp = composition(comp)
     check_weight(comp, k)
-    if not 1 <= i <= len(comp) - 1:
-        raise ValueError(f"merge position {i} out of range for {comp}")
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
+    merged = merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
-    for w in enumerate_lambda(comp, k):
-        t = tableau_from_perm(w, comp, k)
-        pattern = _merge_pattern(t, i)
+    for eta in uqrep.weight_etas(comp, k):
+        w = index_perm(comp, k, eta)
+        pattern = eta[i - 1 : i + 1]
         if pattern == (1, 1):
             out[w] = {}
             continue
-        target = _decrement_entries(t, i, merged)
-        if not is_admissible(target):
-            raise ArithmeticError(f"merged tableau of {w} unexpectedly inadmissible")
-        wp = perm_from_tableau(target)
-        if pattern == (1, 0):
-            coeff = _Q(-aj) * _Q(-(ai - 1) * aj)
-        elif pattern == (0, 1):
-            coeff = _Q(-ai * (aj - 1))
-        else:
-            coeff = _Q(-ai * aj)
-        out[w] = {wp: coeff}
+        wp = index_perm(merged, k, eta[: i - 1] + (max(pattern),) + eta[i + 1 :])
+        # q^(-a_j) q^(-(a_i - 1) a_j) for (1, 0) is q^(-a_i a_j), as for (0, 0)
+        out[w] = {wp: _Q(-ai * (aj - 1)) if pattern == (0, 1) else _Q(-ai * aj)}
     return out
-
-
-def _out_targets(t: HookTableau, i: int, fine_comp) -> dict:
-    """Target tableaux of the out-of-wall translation, keyed by the 0/1
-    pattern the split produces at slots i, i+1.  Entries above i shift up
-    by one; the entries i redistribute between values i and i+1."""
-    eta = eta_of_tableau(t)
-    prefix, suffix = eta[: i - 1], eta[i:]
-    if eta[i - 1] == 1:
-        return {
-            (1, 0): tableau_of_eta(fine_comp, t.k, prefix + (1, 0) + suffix),
-            (0, 1): tableau_of_eta(fine_comp, t.k, prefix + (0, 1) + suffix),
-        }
-    return {(0, 0): tableau_of_eta(fine_comp, t.k, prefix + (0, 0) + suffix)}
 
 
 def translate_out_of_wall(comp, i: int, k: int) -> dict:
     """Matrix of the wall-crossing on proper standard classes, from the
-    merged type back to comp.  One row entry i splits two ways with
-    rescaled binomial coefficients; an all-in-column entry goes to the
-    single evenly split target."""
+    merged type back to comp.  A merged slot i in the row splits two ways
+    with rescaled binomial coefficients; one in the column goes to the
+    single target with both slots in the column."""
     comp = composition(comp)
     check_weight(comp, k)
-    if not 1 <= i <= len(comp) - 1:
-        raise ValueError(f"split position {i} out of range for {comp}")
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
+    merged = merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
-    for w in enumerate_lambda(merged, k):
-        t = tableau_from_perm(w, merged, k)
-        targets = _out_targets(t, i, comp)
-        row: dict[Permutation, RationalFunction] = {}
-        if (1, 0) in targets:
-            row[perm_from_tableau(targets[(1, 0)])] = RationalFunction.from_laurent(
-                quantum_binom0(ai - 1, aj)
-            )
-            row[perm_from_tableau(targets[(0, 1)])] = _Q(ai) * quantum_binom0(ai, aj - 1)
+    for eta in uqrep.weight_etas(merged, k):
+        split = lambda pair: index_perm(comp, k, eta[: i - 1] + pair + eta[i:])
+        if eta[i - 1] == 1:
+            row = {
+                split((1, 0)): RationalFunction.from_laurent(quantum_binom0(ai - 1, aj)),
+                split((0, 1)): _Q(ai) * quantum_binom0(ai, aj - 1),
+            }
         else:
-            row[perm_from_tableau(targets[(0, 0)])] = RationalFunction.from_laurent(
-                quantum_binom0(ai, aj)
-            )
-        out[w] = row
+            row = {split((0, 0)): RationalFunction.from_laurent(quantum_binom0(ai, aj))}
+        out[index_perm(merged, k, eta)] = row
     return out
 
 
@@ -367,7 +384,7 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     standard vector v_eta / (v_eta, v_eta): the web is applied to the
     plain standard vector and each entry divided once."""
     comp = composition(comp)
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
+    merged = merged_type(comp, i)
     if direction == "onto":
         src, dst = comp, merged
         apply_web = lambda v: uqrep.phi_merge(v, i)
@@ -378,12 +395,11 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     else:
         raise ValueError(f"direction must be 'onto' or 'out', got {direction!r}")
     out = {}
-    for w in enumerate_lambda(src, k):
-        eta = eta_of_tableau(tableau_from_perm(w, src, k))
+    for eta in uqrep.weight_etas(src, k):
         norm_src = uqrep.standard_norm(src, eta)
         image = apply_web(uqrep.standard_vector(src, eta))
-        out[w] = {
-            perm_from_tableau(tableau_of_eta(dst, k, gamma)): RationalFunction(
+        out[index_perm(src, k, eta)] = {
+            index_perm(dst, k, gamma): RationalFunction(
                 c.as_laurent() * uqrep.standard_norm(dst, gamma), norm_src
             )
             for gamma, c in image.support.items()
@@ -392,11 +408,10 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
 
 
 def theorem1_check(comp, i: int) -> bool:
-    """Tableau case analysis equals the web route, both directions, all
+    """The case analysis on eta equals the web route, both directions, all
     weights."""
     comp = composition(comp)
     n = sum(comp)
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
     for k in range(n - len(comp), n + 1):
         if translate_onto_wall(comp, i, k) != web_translation_matrix(comp, i, k, "onto"):
             return False
@@ -405,23 +420,16 @@ def theorem1_check(comp, i: int) -> bool:
     return True
 
 
-def _split_quotient_longest(comp, i: int) -> Permutation:
-    """Longest element of (S_merged / S_comp)^short for a merge at i."""
-    comp = composition(comp)
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
-    return longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
-
-
 def translate_projective(comp, i: int, k: int, w: Permutation) -> TensorVector:
     """Out-of-wall translation of an indecomposable projective class:
-    the projective indexed by w y_0 on the finer type."""
+    the projective indexed by w y_0 on the finer type, y_0 the longest
+    element of (S_merged / S_comp)^short."""
     comp = composition(comp)
     check_weight(comp, k)
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
-    t = tableau_from_perm(w, merged, k)
-    if not is_admissible(t):
+    merged = merged_type(comp, i)
+    if class_eta(w, merged, k) is None:
         raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
-    y0 = _split_quotient_longest(comp, i)
+    y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
     return class_vector(w * y0, comp, k, "projective")
 
 
@@ -430,20 +438,17 @@ def translate_simple(comp, i: int, k: int, w: Permutation) -> TensorVector:
     simple at z when w = z y_0 reduces through the wall, else zero."""
     comp = composition(comp)
     check_weight(comp, k)
-    merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
-    t = tableau_from_perm(w, comp, k)
-    if not is_admissible(t):
+    merged = merged_type(comp, i)
+    if class_eta(w, comp, k) is None:
         raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
-    y0 = _split_quotient_longest(comp, i)
+    y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
     z = w * y0.inverse()
     if w.length() != z.length() + y0.length():
         return uqrep.zero_vector(merged)
-    if not is_shortest_rep(z, comp_parabolic(merged), side="right"):
+    eta_z = class_eta(z, merged, k)
+    if eta_z is None:
         return uqrep.zero_vector(merged)
-    tz = tableau_from_perm(z, merged, k)
-    if not is_admissible(tz):
-        return uqrep.zero_vector(merged)
-    return class_vector(z, merged, k, "simple").scale(_Q(-y0.length()))
+    return uqrep.dual_canonical(merged, eta_z).scale(_Q(-y0.length()))
 
 
 # -- raising and lowering on the weight spaces -----------------------------
@@ -471,13 +476,10 @@ def lowering_rule_holds(comp, k: int) -> bool:
     """Lowering sends a projective class to the projective with the same
     index if that index survives, else to zero."""
     comp = composition(comp)
-    for w in enumerate_lambda(comp, k + 1):
-        image = uqrep.act_F(class_vector(w, comp, k + 1, "projective"))
-        t_low = tableau_from_perm(w, comp, k)
-        if is_admissible(t_low):
-            if image != class_vector(w, comp, k, "projective"):
-                return False
-        elif not image.is_zero():
+    for eta in uqrep.weight_etas(comp, k + 1):
+        low = class_eta(index_perm(comp, k + 1, eta), comp, k)
+        want = uqrep.zero_vector(comp) if low is None else uqrep.canonical_basis(comp, low)
+        if uqrep.act_F(uqrep.canonical_basis(comp, eta)) != want:
             return False
     return True
 
@@ -486,13 +488,10 @@ def raising_rule_holds(comp, k: int) -> bool:
     """Rescaled raising sends a simple class to the simple with the same
     index if that index survives, else to zero."""
     comp = composition(comp)
-    for w in enumerate_lambda(comp, k):
-        image = uqrep.act_Eprime(class_vector(w, comp, k, "simple"))
-        t_up = tableau_from_perm(w, comp, k + 1)
-        if is_admissible(t_up):
-            if image != class_vector(w, comp, k + 1, "simple"):
-                return False
-        elif not image.is_zero():
+    for eta in uqrep.weight_etas(comp, k):
+        up = class_eta(index_perm(comp, k, eta), comp, k + 1)
+        want = uqrep.zero_vector(comp) if up is None else uqrep.dual_canonical(comp, up)
+        if uqrep.act_Eprime(uqrep.dual_canonical(comp, eta)) != want:
             return False
     return True
 
@@ -505,16 +504,14 @@ def hom_dim(w: Permutation, z: Permutation, n: int, k: int) -> int:
     gives a nonzero value on both canonical diagrams; cross-checked
     against the specialized bilinear-form computation."""
     comp = uqrep.regular_composition(n)
-    members = enumerate_lambda(comp, k)
-    if w not in members or z not in members:
+    eta_w = class_eta(w, comp, k)
+    eta_z = class_eta(z, comp, k)
+    if eta_w is None or eta_z is None:
         raise ValueError("both indices must label classes at this weight")
-    eta_w = eta_of_tableau(tableau_from_perm(w, comp, k))
-    eta_z = eta_of_tableau(tableau_from_perm(z, comp, k))
     dw = webcat.canonical_basis_diagram(comp, eta_w)
     dz = webcat.canonical_basis_diagram(comp, eta_z)
     count = 0
-    for x in members:
-        eta_x = eta_of_tableau(tableau_from_perm(x, comp, k))
+    for eta_x in uqrep.weight_etas(comp, k):
         val_w = webcat.matrix_coefficient(
             webcat.LabeledWebDiagram(dw.web, dw.bottom, eta_x)
         )

@@ -183,3 +183,18 @@ def redistribution_targets(t, i, fine_comp):
         if is_admissible(cand):
             out.add(cand)
     return out
+
+
+def decrement_entries(t, i, merged_comp):
+    """Merge the values i and i+1 of a tableau by decrementing every entry
+    above i.  Reference oracle for the onto-wall translation targets: the
+    target is this tableau when it is admissible, and there is none when
+    it is not."""
+    from heckeweb.tabgroth import HookTableau
+
+    def dec(e):
+        return e - 1 if e > i else e
+
+    column = tuple(dec(e) for e in t.column)
+    row = tuple(dec(e) for e in t.row)
+    return HookTableau(t.n, t.k, tuple(merged_comp), column, row)

@@ -311,3 +311,22 @@ def test_broken_invariant_exits_3_not_1(capsys, monkeypatch):
         capsys, "homdim", "--n", "2", "--k", "1", "--w", "e", "--z", "s1"
     )
     assert code == 3 and err.startswith("internal error:")
+
+
+def test_translate_rejects_a_position_outside_the_parts(capsys):
+    # (1,1,1) has merge positions 1 and 2
+    for pos in ("0", "3"):
+        for direction, basis in [("out", "projective"), ("onto", "simple")]:
+            code, out, err = run_cli(
+                capsys,
+                "translate", "--comp", "1,1,1", "--pos", pos, "--k", "2",
+                "--dir", direction, "--basis", basis,
+            )
+            assert code == 2 and out == "", (pos, basis)
+            assert f"merge position {pos}" in err, (pos, basis)
+
+
+def test_check_rejects_a_size_bound_below_one(capsys):
+    for max_n in ("0", "-3"):
+        code, out, err = run_cli(capsys, "check", "--suite", "all", "--max-n", max_n)
+        assert code == 2 and out == "" and "max_n" in err, max_n

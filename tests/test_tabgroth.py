@@ -1,3 +1,4 @@
+import doctest
 from math import comb
 
 import pytest
@@ -7,7 +8,7 @@ from heckeweb.symgrp import Permutation, lambda_set, shortest_coset_reps
 from heckeweb import tabgroth, uqrep
 from heckeweb.checks import compositions_of
 
-from oracles import redistribution_targets
+from oracles import decrement_entries, redistribution_targets
 
 Q = RationalFunction.q_power
 E2 = Permutation.identity(2)
@@ -66,6 +67,32 @@ def test_action_compatibility():
     w = Permutation((2, 3, 1))
     t = tabgroth.tableau_from_perm(w, comp, 1)
     assert t == tabgroth.act_on_tableau(w, tabgroth.minimal_tableau(comp, 1))
+
+
+def test_eta_index_matches_the_tableau_definition():
+    for n in range(1, 7):
+        for comp in compositions_of(n):
+            reps = shortest_coset_reps(tabgroth.comp_parabolic(comp), side="right")
+            for k in range(0, n + 1):
+                for eta in uqrep.weight_etas(comp, k):
+                    want = tabgroth.perm_from_tableau(tabgroth.tableau_of_eta(comp, k, eta))
+                    assert tabgroth.index_perm(comp, k, eta) == want, (comp, k, eta)
+                for w in reps:
+                    t = tabgroth.tableau_from_perm(w, comp, k)
+                    want = tabgroth.eta_of_tableau(t) if tabgroth.is_admissible(t) else None
+                    assert tabgroth.class_eta(w, comp, k) == want, (comp, k, w)
+
+
+def test_class_eta_rejects_what_indexes_no_class():
+    comp, k = (2, 1, 1), 2
+    # not increasing on the block of value 1
+    assert tabgroth.class_eta(Permutation((2, 1, 3, 4)), comp, k) is None
+    # wrong size, and a k that is no weight of comp
+    assert tabgroth.class_eta(Permutation.identity(3), comp, k) is None
+    assert tabgroth.class_eta(Permutation.identity(4), comp, 9) is None
+    for eta in [(1, 1), (1, 1, 1), (2, 0, 0)]:
+        with pytest.raises(ValueError):
+            tabgroth.index_perm(comp, k, eta)
 
 
 def test_admissible_enumeration_counts():
@@ -158,13 +185,40 @@ def test_out_targets_match_redistribution_oracle():
     for comp in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 2), (3, 1)]:
         n = sum(comp)
         for i in range(1, len(comp)):
-            merged = comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
+            merged = tabgroth.merged_type(comp, i)
             for k in range(n - len(merged), n + 1):
-                for w in tabgroth.enumerate_lambda(merged, k):
+                matrix = tabgroth.translate_out_of_wall(comp, i, k)
+                assert set(matrix) == set(tabgroth.enumerate_lambda(merged, k))
+                for w, row in matrix.items():
                     t = tabgroth.tableau_from_perm(w, merged, k)
-                    got = set(tabgroth._out_targets(t, i, comp).values())
-                    want = redistribution_targets(t, i, comp)
-                    assert got == want, (comp, i, k, w)
+                    targets = redistribution_targets(t, i, comp)
+                    want = {tabgroth.perm_from_tableau(u) for u in targets}
+                    assert set(row) == want, (comp, i, k, w)
+
+
+def test_onto_targets_match_decrement_oracle():
+    for n in range(2, 6):
+        for comp in compositions_of(n):
+            for i in range(1, len(comp)):
+                merged = tabgroth.merged_type(comp, i)
+                for k in range(n - len(comp), n + 1):
+                    matrix = tabgroth.translate_onto_wall(comp, i, k)
+                    assert set(matrix) == set(tabgroth.enumerate_lambda(comp, k))
+                    for w, row in matrix.items():
+                        t = tabgroth.tableau_from_perm(w, comp, k)
+                        target = decrement_entries(t, i, merged)
+                        if tabgroth.is_admissible(target):
+                            want = {tabgroth.perm_from_tableau(target)}
+                        else:
+                            want = set()
+                        assert set(row) == want, (comp, i, k, w)
+
+
+def test_merged_type_rejects_positions_outside_the_parts():
+    assert tabgroth.merged_type((1, 2, 3), 2) == (1, 5)
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"merge position {i}"):
+            tabgroth.merged_type((1, 2, 3), i)
 
 
 def test_translation_matches_webs_all_compositions_n4():
@@ -316,3 +370,8 @@ def test_translations_reject_k_outside_the_weights():
             tabgroth.translate_simple((1, 1), 1, k, Permutation.identity(2))
     # weight 0 of (1,1) exists, so out of the wall it is the empty map
     assert tabgroth.translate_out_of_wall((1, 1), 1, 0) == {}
+
+
+def test_module_doctests():
+    result = doctest.testmod(tabgroth)
+    assert result.attempted > 0 and result.failed == 0
