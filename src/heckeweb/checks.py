@@ -13,7 +13,6 @@ from itertools import product
 
 from .qarith import (
     LaurentPoly,
-    RationalFunction,
     quantum_binom,
     quantum_factorial0,
     quantum_int,
@@ -28,7 +27,7 @@ from . import hecke, inducedmod, uqrep, webcat, tabgroth
 
 __all__ = ["CheckFailure", "SUITES", "run_suite", "compositions_of"]
 
-_Q = RationalFunction.q_power
+_Q = LaurentPoly.q
 
 
 class CheckFailure(AssertionError):
@@ -101,13 +100,11 @@ def kl_bruteforce(w: Permutation) -> hecke.HeckeElement:
             continue
         rhs = LaurentPoly.zero()
         for v, p_v in coeffs.items():
-            rhs = rhs + p_v.bar() * bar_mat[v].coeff(y).as_laurent()
+            rhs = rhs + p_v.bar() * bar_mat[v].coeff(y)
         if rhs.bar() != -rhs:
             raise CheckFailure(f"defect at {y} below {w} is not antisymmetric: {rhs}")
         coeffs[y] = LaurentPoly({e: c for e, c in rhs.terms.items() if e > 0})
-    support = {
-        v: RationalFunction.from_laurent(p) for v, p in coeffs.items() if not p.is_zero()
-    }
+    support = {v: p for v, p in coeffs.items() if not p.is_zero()}
     out = hecke.HeckeElement(inducedmod.InducedModule.of(n), support)
     if hecke.bar(out) != out:
         raise CheckFailure(f"brute-force element at {w} is not bar invariant")
@@ -205,7 +202,7 @@ def check_induced_maps(max_n: int = 4) -> None:
             # shrink the sign wall
             for p_sub in _subsets(p_gens):
                 dst = inducedmod.InducedModule.of(n, p_sub, q_gens)
-                scale = RationalFunction.zero()
+                scale = LaurentPoly.zero()
                 big = ParabolicSubgroup.of(n, p_gens)
                 small = ParabolicSubgroup.of(n, p_sub)
                 for x_elt in big.elements():

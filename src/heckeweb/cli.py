@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .qarith import coeff_to_json
 from .symgrp import Permutation
 from . import checks, hecke, inducedmod, tabgroth, uqrep, webcat
 
@@ -143,7 +144,7 @@ def _cmd_web_coeff(args) -> int:
     if len(top) != len(web.target):
         raise ValueError(f"top bitstring length {len(top)} != arity {len(web.target)}")
     value = webcat.matrix_coefficient(webcat.LabeledWebDiagram(web, bottom, top))
-    _emit(args, [str(value)], {"web": web.to_json(), "coeff": value.to_json()})
+    _emit(args, [str(value)], {"web": web.to_json(), "coeff": coeff_to_json(value)})
     return 0
 
 
@@ -189,7 +190,7 @@ def _cmd_translate(args) -> int:
                 {
                     "w": list(w.one_line),
                     "image": [
-                        {"w": list(wp.one_line), "coeff": c.to_json()} for wp, c in terms
+                        {"w": list(wp.one_line), "coeff": coeff_to_json(c)} for wp, c in terms
                     ],
                 }
             )

@@ -15,7 +15,7 @@ basis vectors as H[...] and has its own JSON form.
 
 from __future__ import annotations
 
-from .qarith import RationalFunction
+from .qarith import LaurentPoly
 from .symgrp import Permutation
 from . import inducedmod
 from .inducedmod import InducedModule, ModuleElement
@@ -30,7 +30,7 @@ __all__ = [
     "bilinear_form",
 ]
 
-_ONE = RationalFunction.one()
+_ONE = LaurentPoly.one()
 
 
 class HeckeElement(ModuleElement):

@@ -2,23 +2,30 @@
 
 A Laurent polynomial is stored as a dict mapping integer exponents to
 nonzero integer coefficients (arbitrary precision).  The zero polynomial
-is the empty dict.  A rational function is a reduced fraction of two
-Laurent polynomials; after normalization the denominator is an honest
-polynomial in q with positive leading coefficient, all negative powers
-of q having been pushed into the numerator, and the gcd (including the
-shared integer content) has been cancelled.  Structural equality of the
-normalized pair therefore coincides with mathematical equality.
-SparseVector is the finite linear combination of labelled basis vectors
-over that field which the Hecke algebra, its induced modules and the
-tensor representations all use.
+is the empty dict.  Every value in Z[q,q^-1] is a LaurentPoly, and the
+ring operations keep it one.  A RationalFunction exists only when a
+division leaves a denominator: it is a reduced fraction whose
+denominator is an honest polynomial in q of positive degree with
+positive leading coefficient, all negative powers of q having been
+pushed into the numerator, and the gcd (including the shared integer
+content) cancelled.  Every operation that can cancel the denominator
+(`/`, `inverse`, `bar`, the field operations on fractions and
+`RationalFunction.from_json`) returns a LaurentPoly when it does, so
+each value has exactly one representation and structural equality
+coincides with mathematical equality.  SparseVector is the finite
+linear combination of labelled basis vectors with these coefficients
+which the Hecke algebra, its induced modules and the tensor
+representations all use.
 
 >>> str(quantum_int(3))
 'q^-2 + 1 + q^2'
 >>> str(quantum_binom(2, 1))
 'q^-1 + q'
->>> one_over = RationalFunction(LaurentPoly.one(), quantum_int0(2))
+>>> one_over = 1 / quantum_int0(2)
 >>> str(one_over.bar())
 '(q^2)/(1 + q^2)'
+>>> type(quantum_int(2) * quantum_int(3) / quantum_int(2)).__name__
+'LaurentPoly'
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "RationalFunction",
     "SparseVector",
     "bar",
+    "coeff_to_json",
     "quantum_int",
     "quantum_factorial",
     "quantum_binom",
@@ -105,27 +113,33 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------
 
+    # An operand that is neither a LaurentPoly nor an int gives
+    # NotImplemented, so a RationalFunction operand is handled by its class.
+
     def __add__(self, other):
-        other = _as_laurent(other)
+        other = _to_laurent(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_as_laurent(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _as_laurent(other)
+        other = _to_laurent(other)
+        if other is NotImplemented:
+            return other
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -133,8 +147,23 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """The reduced fraction: a LaurentPoly when other divides self."""
+        other = _to_laurent(other)
+        if other is NotImplemented:
+            return other
+        return _fraction(self, other)
+
+    def __rtruediv__(self, other):
+        other = _to_laurent(other)
+        if other is NotImplemented:
+            return other
+        return _fraction(other, self)
+
+    def inverse(self):
+        return _fraction(LaurentPoly.one(), self)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -243,17 +272,13 @@ class LaurentPoly:
         return LaurentPoly({int(e): int(c) for e, c in data.items()})
 
 
-# the shared denominator of every Laurent RationalFunction; nothing mutates
-# a LaurentPoly after construction
-_LAURENT_ONE = LaurentPoly.one()
-
-
-def _as_laurent(x) -> LaurentPoly:
+def _to_laurent(x):
+    """x as a LaurentPoly if it is one or an int, else NotImplemented."""
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, int):
         return LaurentPoly.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
+    return NotImplemented
 
 
 # -- polynomial gcd over Z[q] (inputs with valuation 0) ----------------
@@ -289,135 +314,105 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * g
 
 
+def _fraction(num: LaurentPoly, den: LaurentPoly):
+    """num/den in normal form: the LaurentPoly it equals when den divides
+    num, else a RationalFunction."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero Laurent polynomial")
+    if num.is_zero():
+        return num
+    vn, vd = num.min_exp(), den.min_exp()
+    p = num.shift(-vn)
+    d = den.shift(-vd)
+    if not d.is_one():
+        g = _poly_gcd(p, d)
+        if not g.is_one():
+            p = p.divexact(g)
+            d = d.divexact(g)
+    if d.leading_coeff() < 0:
+        p, d = -p, -d
+    p = p.shift(vn - vd)
+    if d.is_one():
+        return p
+    return RationalFunction(p, d)
+
+
+def _num_den(x) -> tuple[LaurentPoly, LaurentPoly]:
+    """x as a (numerator, denominator) pair."""
+    if isinstance(x, RationalFunction):
+        return x.num, x.den
+    p = _to_laurent(x)
+    if p is NotImplemented:
+        raise TypeError(f"unsupported operand type {type(x).__name__}")
+    return p, LaurentPoly.one()
+
+
 class RationalFunction:
-    """Reduced fraction of integer Laurent polynomials."""
+    """Reduced fraction of integer Laurent polynomials whose denominator
+    is not 1.  Built by `/` (or `inverse`), never directly: the
+    constructor stores a pair already in normal form."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, _normalized=False):
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        vn, vd = num.min_exp(), den.min_exp()
-        p = num.shift(-vn)
-        d = den.shift(-vd)
-        if not d.is_one():
-            g = _poly_gcd(p, d)
-            if not g.is_one():
-                p = p.divexact(g)
-                d = d.divexact(g)
-        if d.leading_coeff() < 0:
-            p, d = -p, -d
-        self.num = p.shift(vn - vd)
-        self.den = d
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        self.num = num
+        self.den = den
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p, _LAURENT_ONE, _normalized=True)
-
-    @staticmethod
-    def from_int(c: int) -> "RationalFunction":
-        return RationalFunction.from_laurent(LaurentPoly.const(c))
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction.from_int(0)
-
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction.from_int(1)
-
-    @staticmethod
-    def q_power(k: int) -> "RationalFunction":
-        return RationalFunction.from_laurent(LaurentPoly.q(k))
-
-    # -- predicates ---------------------------------------------------
+    # a zero or a Laurent value is a LaurentPoly, never a RationalFunction
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return False
 
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
-    def as_laurent(self) -> LaurentPoly:
-        if not self.den.is_one():
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return self.num
+    def __bool__(self):
+        return True
 
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _as_rational(other)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction.from_laurent(self.num + other.num)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        num, den = _num_den(other)
+        return _fraction(self.num * den + num * self.den, self.den * den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _normalized=True)
+        return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-_as_rational(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _as_rational(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _as_rational(other)
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunction.from_laurent(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        num, den = _num_den(other)
+        return _fraction(self.num * num, self.den * den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_rational(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        num, den = _num_den(other)
+        return _fraction(self.num * den, self.den * num)
 
     def __rtruediv__(self, other):
-        return _as_rational(other).__truediv__(self)
+        num, den = _num_den(other)
+        return _fraction(num * self.den, den * self.num)
 
-    def inverse(self) -> "RationalFunction":
-        return RationalFunction(self.den, self.num)
+    def inverse(self):
+        return _fraction(self.den, self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = _as_rational(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a Laurent polynomial hashes as the LaurentPoly (or int) it equals
-        if self.den.is_one():
-            return hash(self.num)
         return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.is_zero()
 
     # -- q-specific operations ------------------------------------------
 
-    def bar(self) -> "RationalFunction":
+    def bar(self):
         """Substitute q -> q^-1 in numerator and denominator."""
-        return RationalFunction(self.num.bar(), self.den.bar())
+        return _fraction(self.num.bar(), self.den.bar())
 
     def at_one(self):
         """Exact evaluation at q = 1 as a Fraction."""
@@ -431,46 +426,41 @@ class RationalFunction:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
         return f"({self.num})/({self.den})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
     @staticmethod
-    def from_json(data: dict) -> "RationalFunction":
-        return RationalFunction(
+    def from_json(data: dict):
+        """The coefficient written by coeff_to_json: a LaurentPoly when
+        the reduced denominator is 1."""
+        return _fraction(
             LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"])
         )
 
 
-def _as_rational(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFunction.from_laurent(x)
-    if isinstance(x, int):
-        return RationalFunction.from_int(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
+def coeff_to_json(c) -> dict:
+    """The JSON of a coefficient: always a fraction, with denominator
+    {"0": 1} for a LaurentPoly."""
+    num, den = _num_den(c)
+    return {"num": num.to_json(), "den": den.to_json()}
 
 
-def bar(x: RationalFunction) -> RationalFunction:
+def bar(x):
     """The involution q -> q^-1."""
     return x.bar()
 
 
-# -- finite linear combinations over the rational function field -------
+# -- finite linear combinations ------------------------------------------
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SparseVector:
     """A finite linear combination of labelled basis vectors of the space
-    `parent`, stored as a dict from label to nonzero RationalFunction; no
-    zero coefficient is ever stored, so equal vectors have equal dicts.
+    `parent`, stored as a dict from label to nonzero coefficient (a
+    LaurentPoly, or a RationalFunction after a division); no zero
+    coefficient is ever stored, so equal vectors have equal dicts.
 
     Subclasses fix only the format: `_sort_key(label)` orders the terms
     (leading terms first), `_label(label)` renders a basis vector, and
@@ -478,7 +468,7 @@ class SparseVector:
     printed in parentheses."""
 
     parent: object
-    support: dict  # label -> nonzero RationalFunction
+    support: dict  # label -> nonzero LaurentPoly or RationalFunction
 
     PARENTHESIZE_FRACTIONS = False
 
@@ -491,13 +481,13 @@ class SparseVector:
             prev = out.get(label)
             if prev is not None:
                 c = prev + c
-            if c.is_zero():
+            if not c:
                 out.pop(label, None)
             else:
                 out[label] = c
         return cls(parent, out)
 
-    def coeff(self, label) -> RationalFunction:
+    def coeff(self, label):
         return self.support.get(label, _ZERO)
 
     def is_zero(self) -> bool:
@@ -523,9 +513,11 @@ class SparseVector:
         return self.from_terms(self.parent, negated, self.support)
 
     def scale(self, c):
-        c = _as_rational(c)
-        if c.is_zero():
+        """c times the vector, for c an int, LaurentPoly or RationalFunction."""
+        if not c:
             return type(self)(self.parent, {})
+        if isinstance(c, int):
+            c = LaurentPoly.const(c)
         return type(self)(self.parent, {k: v * c for k, v in self.support.items()})
 
     def __eq__(self, other):
@@ -535,7 +527,7 @@ class SparseVector:
             and other.support == self.support
         )
 
-    def bilinear_form(self, other) -> RationalFunction:
+    def bilinear_form(self, other):
         """The form making the labelled basis orthonormal."""
         self._check_same_space(other)
         small, big = sorted((self.support, other.support), key=len)
@@ -557,18 +549,34 @@ class SparseVector:
         parts = []
         for k, c in self.terms_sorted():
             label = self._label(k)
-            if c.is_one():
-                parts.append(label)
-                continue
-            text = str(c)
-            if (len(c.num.terms) > 1) if c.is_laurent() else self.PARENTHESIZE_FRACTIONS:
-                text = f"({text})"
-            parts.append(f"{text}*{label}")
+            if isinstance(c, LaurentPoly):
+                if c.is_one():
+                    parts.append(label)
+                    continue
+                parenthesize = len(c.terms) > 1
+            else:
+                parenthesize = self.PARENTHESIZE_FRACTIONS
+            parts.append(f"({c})*{label}" if parenthesize else f"{c}*{label}")
         return " + ".join(parts)
+
+    def check_unitriangular(self, top, below=None) -> None:
+        """Raise ArithmeticError unless the coefficient at `top` is 1 and
+        every other one lies in qZ[q], at a label with below(label, top)
+        when `below` is given: the shape of a canonical basis element."""
+        if top not in self.support:
+            raise ArithmeticError(f"no diagonal coefficient at {top}")
+        for label, c in self.support.items():
+            if not isinstance(c, LaurentPoly):
+                raise ArithmeticError(f"coefficient {c} at {label} is not a Laurent polynomial")
+            if label == top:
+                if not c.is_one():
+                    raise ArithmeticError(f"diagonal coefficient {c} at {top}")
+            elif c.min_exp() < 1 or (below is not None and not below(label, top)):
+                raise ArithmeticError(f"coefficient {c} at {label} breaks unitriangularity")
 
     def _support_json(self, key: str, label_json) -> list:
         return [
-            {key: label_json(k), "coeff": c.to_json()} for k, c in self.terms_sorted()
+            {key: label_json(k), "coeff": coeff_to_json(c)} for k, c in self.terms_sorted()
         ]
 
     @classmethod
@@ -580,7 +588,7 @@ class SparseVector:
         return cls.from_terms(parent, terms)
 
 
-_ZERO = RationalFunction.zero()
+_ZERO = LaurentPoly.zero()
 
 
 # -- quantum integers, factorials, binomials ---------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial, prod
 
-from .qarith import RationalFunction, quantum_binom0
+from .qarith import LaurentPoly, quantum_binom0
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, longest_quotient_rep
 from . import uqrep, webcat
 from .uqrep import TensorVector, bilinear_form, composition
@@ -64,7 +64,7 @@ __all__ = [
     "hom_dim_form_route",
 ]
 
-_Q = RationalFunction.q_power
+_Q = LaurentPoly.q
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +195,10 @@ def tableau_of_eta(comp, k: int, eta) -> HookTableau:
 
 
 def admissible_tableaux(comp, k: int) -> list[HookTableau]:
+    """The admissible tableaux of the weight space k, one per eta;
+    raises ValueError unless k is a weight of comp."""
     comp = composition(comp)
+    check_weight(comp, k)
     return [tableau_of_eta(comp, k, eta) for eta in uqrep.weight_etas(comp, k)]
 
 
@@ -369,11 +372,11 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
         split = lambda pair: index_perm(comp, k, eta[: i - 1] + pair + eta[i:])
         if eta[i - 1] == 1:
             row = {
-                split((1, 0)): RationalFunction.from_laurent(quantum_binom0(ai - 1, aj)),
+                split((1, 0)): quantum_binom0(ai - 1, aj),
                 split((0, 1)): _Q(ai) * quantum_binom0(ai, aj - 1),
             }
         else:
-            row = {split((0, 0)): RationalFunction.from_laurent(quantum_binom0(ai, aj))}
+            row = {split((0, 0)): quantum_binom0(ai, aj)}
         out[index_perm(merged, k, eta)] = row
     return out
 
@@ -399,9 +402,7 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
         norm_src = uqrep.standard_norm(src, eta)
         image = apply_web(uqrep.standard_vector(src, eta))
         out[index_perm(src, k, eta)] = {
-            index_perm(dst, k, gamma): RationalFunction(
-                c.as_laurent() * uqrep.standard_norm(dst, gamma), norm_src
-            )
+            index_perm(dst, k, gamma): c * uqrep.standard_norm(dst, gamma) / norm_src
             for gamma, c in image.support.items()
         }
     return out

@@ -22,7 +22,6 @@ from itertools import combinations
 
 from .qarith import (
     LaurentPoly,
-    RationalFunction,
     SparseVector,
     quantum_binom,
     quantum_int,
@@ -58,8 +57,8 @@ __all__ = [
     "eta_leq",
 ]
 
-_Q = RationalFunction.q_power
-_ONE = RationalFunction.one()
+_Q = LaurentPoly.q
+_ONE = LaurentPoly.one()
 
 
 def composition(parts) -> tuple[int, ...]:
@@ -188,11 +187,7 @@ def act_E(v: TensorVector) -> TensorVector:
         odd = 0
         for r, e in enumerate(eta):
             if e == 1:
-                coeff = (
-                    c
-                    * RationalFunction.from_laurent(quantum_int(comp[r]))
-                    * _Q(-tail[r + 1])
-                )
+                coeff = c * quantum_int(comp[r]) * _Q(-tail[r + 1])
                 if odd % 2:
                     coeff = -coeff
                 terms.append((eta[:r] + (0,) + eta[r + 1 :], coeff))
@@ -245,7 +240,7 @@ def act_Eprime(v: TensorVector) -> TensorVector:
     if len(weights) > 1:
         raise ValueError("input mixes weight spaces")
     m = weights.pop()
-    scalar = _Q(n - 1) / RationalFunction.from_laurent(quantum_int0(n - m + 1))
+    scalar = _Q(n - 1) / quantum_int0(n - m + 1)
     return act_E(v).scale(scalar)
 
 
@@ -266,13 +261,13 @@ def phi_merge(v: TensorVector, i: int) -> TensorVector:
         if pair == (1, 1):
             continue
         if pair == (1, 0):
-            coeff = c * _Q(-b) * RationalFunction.from_laurent(quantum_binom(a + b - 1, b))
+            coeff = c * _Q(-b) * quantum_binom(a + b - 1, b)
             new_eta = rest[: i - 1] + (1,) + rest[i - 1 :]
         elif pair == (0, 1):
-            coeff = c * RationalFunction.from_laurent(quantum_binom(a + b - 1, a))
+            coeff = c * quantum_binom(a + b - 1, a)
             new_eta = rest[: i - 1] + (1,) + rest[i - 1 :]
         else:
-            coeff = c * RationalFunction.from_laurent(quantum_binom(a + b, a))
+            coeff = c * quantum_binom(a + b, a)
             new_eta = rest[: i - 1] + (0,) + rest[i - 1 :]
         terms.append((new_eta, coeff))
     return TensorVector.from_terms(new_comp, terms)
@@ -359,7 +354,7 @@ def canonical_basis(comp, eta) -> TensorVector:
     from . import webcat  # webcat imports this module
 
     x = webcat.evaluate_canonical_diagram(webcat.canonical_basis_diagram(comp, eta))
-    _check_unitriangular(eta, x)
+    x.check_unitriangular(eta, eta_leq)
     _canonical_cache[key] = x
     return x
 
@@ -382,26 +377,15 @@ def canonical_basis_by_bar(comp, eta) -> TensorVector:
         gamma, c = max(
             defect.support.items(), key=lambda item: (_inversions(item[0]), item[0])
         )
-        poly = c.as_laurent()
-        if poly.bar() != -poly:
-            raise ArithmeticError(f"bar defect at {gamma} is not antisymmetric: {poly}")
-        pos = LaurentPoly({e: v for e, v in poly.terms.items() if e > 0})
+        if not isinstance(c, LaurentPoly) or c.bar() != -c:
+            raise ArithmeticError(f"bar defect at {gamma} is not antisymmetric: {c}")
+        pos = LaurentPoly({e: v for e, v in c.terms.items() if e > 0})
         lower = canonical_basis_by_bar(comp, gamma)
         x = x + lower.scale(pos)
-        defect = defect - lower.scale(poly)
-    _check_unitriangular(eta, x)
+        defect = defect - lower.scale(c)
+    x.check_unitriangular(eta, eta_leq)
     _canonical_by_bar_cache[key] = x
     return x
-
-
-def _check_unitriangular(eta, x: TensorVector) -> None:
-    for gamma, c in x.support.items():
-        p = c.as_laurent()
-        if gamma == eta:
-            if not p.is_one():
-                raise ArithmeticError(f"diagonal coefficient {p} at {eta}")
-        elif p.constant_term() != 0 or p.min_exp() < 1 or not eta_leq(gamma, eta):
-            raise ArithmeticError(f"coefficient {p} at {gamma} breaks unitriangularity")
 
 
 def _beta(comp, eta) -> tuple[int, ...]:
@@ -414,16 +398,16 @@ def standard_norm(comp, eta) -> LaurentPoly:
     return quantum_multinom0(_beta(comp, eta))
 
 
-def bilinear_form(v: TensorVector, w: TensorVector) -> RationalFunction:
+def bilinear_form(v: TensorVector, w: TensorVector):
     """Symmetric form, diagonal on the standard basis with value
     standard_norm."""
     if v.comp != w.comp:
         raise ValueError(f"composition mismatch: {v.comp} vs {w.comp}")
-    out = RationalFunction.zero()
+    out = LaurentPoly.zero()
     for eta, c in v.support.items():
         d = w.support.get(eta)
         if d is not None:
-            out = out + c * d * RationalFunction.from_laurent(standard_norm(v.comp, eta))
+            out = out + c * d * standard_norm(v.comp, eta)
     return out
 
 
@@ -431,8 +415,7 @@ def dual_standard(comp, eta) -> TensorVector:
     """The vector pairing to 1 with v_eta and to 0 with the others."""
     comp = composition(comp)
     eta = _check_eta(comp, eta)
-    norm = standard_norm(comp, eta)
-    return TensorVector(comp, {eta: RationalFunction(LaurentPoly.one(), norm)})
+    return TensorVector(comp, {eta: 1 / standard_norm(comp, eta)})
 
 
 _dual_canonical_cache: dict[tuple, dict] = {}
@@ -464,7 +447,7 @@ def dual_canonical(comp, eta) -> TensorVector:
         for e, row in rows.items():
             norm = standard_norm(comp, e)
             for g, x in row.support.items():
-                columns[g].append((e, RationalFunction(x.as_laurent(), norm)))
+                columns[g].append((e, x / norm))
         table = {g: TensorVector.from_terms(comp, terms) for g, terms in columns.items()}
         _dual_canonical_cache[key] = table
     return table[eta]

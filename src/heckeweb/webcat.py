@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qarith import RationalFunction, quantum_binom, quantum_factorial
+from .qarith import LaurentPoly, quantum_binom, quantum_factorial
 from . import uqrep
 from .uqrep import TensorVector, composition, standard_vector
 
@@ -44,7 +44,7 @@ __all__ = [
     "parse_word",
 ]
 
-_Q = RationalFunction.q_power
+_Q = LaurentPoly.q
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,13 +217,13 @@ class LabeledWebDiagram:
             raise ValueError("top labeling does not match the web target")
 
 
-def matrix_coefficient(d: LabeledWebDiagram) -> RationalFunction:
+def matrix_coefficient(d: LabeledWebDiagram) -> LaurentPoly:
     """Sum of products of local vertex values over all internal labelings.
     Merges propagate deterministically; a split of a 1-label branches."""
     if d.top is None:
         raise ValueError("matrix coefficient needs a top labeling")
-    total = RationalFunction.zero()
-    stack = [(0, d.bottom, RationalFunction.one())]
+    total = LaurentPoly.zero()
+    stack = [(0, d.bottom, LaurentPoly.one())]
     slices = d.web.slices
     while stack:
         depth, labels, coeff = stack.pop()
@@ -244,10 +244,10 @@ def matrix_coefficient(d: LabeledWebDiagram) -> RationalFunction:
                 value = _Q(-b) * quantum_binom(a + b - 1, b)
                 new = rest[:j] + (1,) + rest[j:]
             elif pair == (0, 1):
-                value = RationalFunction.from_laurent(quantum_binom(a + b - 1, a))
+                value = quantum_binom(a + b - 1, a)
                 new = rest[:j] + (1,) + rest[j:]
             else:
-                value = RationalFunction.from_laurent(quantum_binom(a + b, a))
+                value = quantum_binom(a + b, a)
                 new = rest[:j] + (0,) + rest[j:]
             stack.append((depth + 1, new, coeff * value))
         else:
@@ -266,9 +266,7 @@ def canonical_basis_diagram(comp, eta) -> LabeledWebDiagram:
     each join as a split generator; the result carries the minimal
     labeling (ups then downs) on its coarsened bottom line."""
     comp = composition(comp)
-    eta = tuple(int(e) for e in eta)
-    if len(eta) != len(comp) or any(e not in (0, 1) for e in eta):
-        raise ValueError(f"bad 0/1 sequence {eta} for composition {comp}")
+    eta = uqrep._check_eta(comp, eta)
     items = list(zip(comp, eta))
     joins = []  # (position, left size, right size) in join order
     while True:
@@ -341,7 +339,7 @@ def _c_web(comp, i: int) -> Web:
     return compose(split_web(merged.target, i, a, b), merged)
 
 
-def _scaled_identity_matrix(comp, scalar: RationalFunction) -> dict:
+def _scaled_identity_matrix(comp, scalar: LaurentPoly) -> dict:
     from itertools import product
 
     return {
@@ -359,7 +357,7 @@ def check_relation(rel: str, **params) -> bool:
     if rel == "O53":
         a, b = params["a"], params["b"]
         loop = compose(merge_web((a, b), 1), split_web((a + b,), 1, a, b))
-        scalar = RationalFunction.from_laurent(quantum_binom(a + b, a))
+        scalar = quantum_binom(a + b, a)
         return matrices_equal(
             evaluate_matrix(loop), _scaled_identity_matrix((a + b,), scalar)
         )
@@ -387,7 +385,7 @@ def check_relation(rel: str, **params) -> bool:
     if rel == "eq66":
         n = params["n"]
         loop = compose(merge_bundle(n), split_bundle(n))
-        scalar = RationalFunction.from_laurent(quantum_factorial(n))
+        scalar = quantum_factorial(n)
         return matrices_equal(
             evaluate_matrix(loop), _scaled_identity_matrix((n,), scalar)
         )

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from heckeweb.qarith import RationalFunction
+from heckeweb.qarith import LaurentPoly
 from heckeweb.symgrp import (
     ParabolicSubgroup,
     Permutation,
@@ -31,7 +31,7 @@ def act_generator_by_products(mod, w: Permutation, i: int):
     representative the index moves (with an extra term when the length
     drops); otherwise w s_i w^-1 is a simple reflection s_j of one of the
     walls, and H_i acts by that wall's eigenvalue."""
-    Q = RationalFunction.q_power
+    Q = LaurentPoly.q
     n = mod.n
     wsi = w * Permutation.simple(n, i)
     if is_shortest_rep(wsi, mod.parabolic_pq(), side="left"):
@@ -49,7 +49,7 @@ def act_generator_by_products(mod, w: Permutation, i: int):
 def hecke_generator_inverse(n: int, i: int):
     """H_i^-1 = H_i + (q - q^-1), read off the quadratic relation
     H_i^2 = (q^-1 - q) H_i + 1; it is also bar(H_i)."""
-    Q = RationalFunction.q_power
+    Q = LaurentPoly.q
     return hecke.standard_basis_element(Permutation.simple(n, i)) + hecke.unit(n).scale(
         Q(1) - Q(-1)
     )
@@ -65,7 +65,7 @@ def generator_times_closed_form(mod, w: Permutation):
     len_p = x_p.length()
     len_q = x.length() - len_p
     return mod.standard(short).scale(
-        RationalFunction.q_power(len_p - len_q) * (-1) ** len_p
+        LaurentPoly.q(len_p - len_q) * (-1) ** len_p
     )
 
 
@@ -98,7 +98,7 @@ def _bar_basis_right(comp, eta) -> uqrep.TensorVector:
                 correction = correction + uqrep.TensorVector(
                     comp, {ge + gf: ce * cf * c * (-1)}
                 )
-    shift = RationalFunction.q_power(-1) - RationalFunction.q_power(1)
+    shift = LaurentPoly.q(-1) - LaurentPoly.q(1)
     return ext + correction.scale(shift)
 
 
@@ -106,7 +106,7 @@ def invert_matrix(rows):
     """Gauss-Jordan inverse over the rational function field; a singular
     matrix raises ArithmeticError."""
     size = len(rows)
-    one, zero = RationalFunction.one(), RationalFunction.zero()
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
     aug = [
         list(row) + [one if r == c else zero for c in range(size)]
         for r, row in enumerate(rows)

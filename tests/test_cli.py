@@ -6,7 +6,7 @@ import pytest
 
 from heckeweb import cli, inducedmod, uqrep, webcat
 from heckeweb.hecke import HeckeElement
-from heckeweb.qarith import RationalFunction
+from heckeweb.qarith import LaurentPoly, coeff_to_json
 
 from oracles import tableaux_by_permutations
 
@@ -262,7 +262,7 @@ def test_permutation_size_must_match_n(capsys):
         capsys, "homdim", "--n", "3", "--k", "1", "--w", "e", "--z", "[2,1]"
     )
     assert code == 2 and out == "" and "error:" in err
-    one = RationalFunction.one().to_json()
+    one = coeff_to_json(LaurentPoly.one())
     assert HeckeElement.from_json(2, [{"w": [2, 1], "coeff": one}]).n == 2
     with pytest.raises(ValueError):
         HeckeElement.from_json(3, [{"w": [2, 1], "coeff": one}])
@@ -330,3 +330,76 @@ def test_check_rejects_a_size_bound_below_one(capsys):
     for max_n in ("0", "-3"):
         code, out, err = run_cli(capsys, "check", "--suite", "all", "--max-n", max_n)
         assert code == 2 and out == "" and "max_n" in err, max_n
+
+
+def test_admissible_listing_rejects_k_outside_the_weights(capsys):
+    from heckeweb import tabgroth
+
+    # (2,) has weights k = 1, 2
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "tableaux", "--comp", "2", "--k", "0", "--admissible-only"
+        )
+        assert code == 2 and out == "" and "k=0 is not a weight of (2,)" in err, fmt
+    with pytest.raises(ValueError):
+        tabgroth.admissible_tableaux((2,), 0)
+    # the full listing still takes every k in 0..n
+    code, out, _ = run_cli(capsys, "tableaux", "--comp", "2", "--k", "0")
+    assert code == 0 and out == "row[1 1] col[]  w=[1,2]  not admissible\n"
+
+
+def test_fractional_canonical_coefficient_is_an_internal_error(capsys, monkeypatch):
+    built = webcat.evaluate_canonical_diagram
+
+    def with_a_fraction(diagram):
+        return built(diagram).scale(1 / LaurentPoly({0: 1, 2: 1}))
+
+    monkeypatch.setattr(webcat, "evaluate_canonical_diagram", with_a_fraction)
+    monkeypatch.setattr(uqrep, "_canonical_cache", {})
+    code, out, err = run_cli(capsys, "canonical", "--comp", "1,1", "--eta", "10")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and "not a Laurent polynomial" in err
+
+
+# SHA-256 of the `--format json` stdout of each command: the JSON output is
+# pinned byte for byte, Laurent coefficients (den {"0": 1}) and fractions alike.
+JSON_DIGESTS = [
+    (("kl-basis", "--n", "4", "--w", "[4,2,3,1]"),
+     "cf92d7f63e69f3d6498adf6c8a80fe0d372b621e818251ac86b0a876c9c38a45"),
+    (("mod-basis", "--n", "4", "--p", "3", "--q", "1", "--w", "s2*s1*s3*s2"),
+     "ac783b6ed48f8b303e6a3bfffdd0045c3cf121582982c749ff70423f611039b3"),
+    (("canonical", "--comp", "3,1,4,4,2,1,1", "--eta", "0100101"),
+     "25983929badb1cc6749d495331275e4b492703dfa5651f2135582ee67361dfcd"),
+    (("canonical", "--comp", "2,1,2,1"),
+     "6ba0776c6062e127eb22222d0a875e138f2b45d35fd8f95ccd39b70c07264538"),
+    (("web-eval", "--comp", "1,1,1", "--word", "m1.m1.s1:1,2"),
+     "69b0f4838d087e07aea4bc8214dc73d2a7b18d601c9a26fc5c503a9af8b14d8d"),
+    (("web-coeff", "--comp", "1,1,1", "--word", "m1.m1.s1:1,2",
+      "--bottom", "001", "--top", "10"),
+     "1062a8f06f2f6eb041d9e2afddb6183d281e9de4208ba14f235db0b18d8e0d72"),
+    (("homdim", "--n", "3", "--k", "1", "--w", "e", "--z", "s1"),
+     "929dfb8887eb161ccda4a7877ed26d3010cd8a0a96947ea9c982e1c8395d8e8d"),
+    (("translate", "--comp", "2,1,2", "--pos", "1", "--k", "3",
+      "--dir", "out", "--basis", "proper"),
+     "7a28c998542bd3f672521176209ed4af992950319c62ca0b3a4862db93ad68ad"),
+    (("translate", "--comp", "2,1,2", "--pos", "1", "--k", "3",
+      "--dir", "onto", "--basis", "proper"),
+     "9538964a11eb9b3282519a7b4ee8c176502f649d0dd03f3abd164d633014696b"),
+    (("translate", "--comp", "2,1,2", "--pos", "1", "--k", "3",
+      "--dir", "out", "--basis", "projective"),
+     "a87311c34dfd870814991d36e86e91be2fed5a9a6f67d699a39ca6d78e1b8b59"),
+    (("translate", "--comp", "2,1,2", "--pos", "1", "--k", "4",
+      "--dir", "onto", "--basis", "simple"),
+     "b2ca69901e314204d99624d15e5851cd2d4f684edd886e7561e1f73b0b1f8c00"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", JSON_DIGESTS, ids=[" ".join(argv) for argv, _ in JSON_DIGESTS]
+)
+def test_json_output_is_pinned(capsys, argv, digest):
+    import hashlib
+
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

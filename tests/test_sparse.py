@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckeweb import uqrep
-from heckeweb.qarith import LaurentPoly, RationalFunction, SparseVector
+from heckeweb.qarith import LaurentPoly, SparseVector, coeff_to_json
 
-ZERO = RationalFunction.zero()
+ZERO = LaurentPoly.zero()
 
 laurent = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3).map(LaurentPoly)
-coeffs = laurent.map(RationalFunction.from_laurent)  # zero included
+nonzero = laurent.filter(bool)
+# Laurent coefficients (zero included) and quotients, some of them fractions
+coeffs = st.one_of(laurent, st.builds(lambda p, d: p / d, laurent, nonzero))
 terms = st.lists(st.tuples(st.sampled_from("abcd"), coeffs), max_size=8)
 
 examples = settings(max_examples=150, deadline=None)
@@ -82,7 +84,7 @@ def test_bilinear_form_is_the_orthonormal_dot_product(a, b):
 
 
 def test_different_spaces_do_not_mix():
-    one = RationalFunction.one()
+    one = LaurentPoly.one()
     x = SparseVector.from_terms("V", [("a", one)])
     y = SparseVector.from_terms("W", [("a", one)])
     assert x != y
@@ -96,7 +98,25 @@ def test_different_spaces_do_not_mix():
 
 def test_json_input_stores_no_zero():
     data = {"comp": [1, 1], "support": [
-        {"eta": "10", "coeff": ZERO.to_json()},
-        {"eta": "01", "coeff": RationalFunction.one().to_json()},
+        {"eta": "10", "coeff": coeff_to_json(ZERO)},
+        {"eta": "01", "coeff": coeff_to_json(LaurentPoly.one())},
     ]}
     assert uqrep.TensorVector.from_json(data) == uqrep.standard_vector((1, 1), (0, 1))
+
+
+def test_unitriangular_shape_check():
+    one, q = LaurentPoly.one(), LaurentPoly.q()
+    good = SparseVector.from_terms("V", [("a", one), ("b", q + q * q)])
+    good.check_unitriangular("a")
+    bad = [
+        [("a", one), ("b", q / (one + q * q))],  # a fraction
+        [("a", one), ("b", one + q)],  # constant term off the diagonal
+        [("a", one), ("b", LaurentPoly.q(-1))],  # negative power
+        [("a", q), ("b", q)],  # diagonal not 1
+        [("b", q)],  # no diagonal
+    ]
+    for terms in bad:
+        with pytest.raises(ArithmeticError):
+            SparseVector.from_terms("V", terms).check_unitriangular("a")
+    with pytest.raises(ArithmeticError):
+        good.check_unitriangular("a", below=lambda label, top: label < top)

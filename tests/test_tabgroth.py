@@ -3,14 +3,14 @@ from math import comb
 
 import pytest
 
-from heckeweb.qarith import LaurentPoly, RationalFunction, quantum_factorial0, quantum_int0
+from heckeweb.qarith import LaurentPoly, quantum_factorial0, quantum_int0
 from heckeweb.symgrp import Permutation, lambda_set, shortest_coset_reps
 from heckeweb import tabgroth, uqrep
 from heckeweb.checks import compositions_of
 
 from oracles import decrement_entries, redistribution_targets
 
-Q = RationalFunction.q_power
+Q = LaurentPoly.q
 E2 = Permutation.identity(2)
 S1 = Permutation.simple(2, 1)
 
@@ -154,7 +154,7 @@ def test_proper_standard_spans_weight_space():
 def test_translate_onto_wall_examples():
     m = tabgroth.translate_onto_wall((1, 1), 1, 1)
     target = tabgroth.enumerate_lambda((2,), 1)[0]
-    assert m[E2] == {target: RationalFunction.one()}
+    assert m[E2] == {target: LaurentPoly.one()}
     assert m[S1] == {target: Q(-1)}
     # the (2,1) case at the top weight crosses with exponent -2
     m4 = tabgroth.translate_onto_wall((2, 1), 1, 3)
@@ -174,11 +174,11 @@ def test_translate_onto_wall_kills_double_row():
 def test_translate_out_of_wall_examples():
     src = tabgroth.enumerate_lambda((2,), 1)[0]
     m = tabgroth.translate_out_of_wall((1, 1), 1, 1)
-    assert m[src] == {S1: RationalFunction.one(), E2: Q(1)}
+    assert m[src] == {S1: LaurentPoly.one(), E2: Q(1)}
     src2 = tabgroth.enumerate_lambda((2,), 2)[0]
     m2 = tabgroth.translate_out_of_wall((1, 1), 1, 2)
     (target2,) = tabgroth.enumerate_lambda((1, 1), 2)
-    assert m2[src2] == {target2: RationalFunction.from_laurent(quantum_int0(2))}
+    assert m2[src2] == {target2: quantum_int0(2)}
 
 
 def test_out_targets_match_redistribution_oracle():
@@ -306,7 +306,7 @@ def test_dual_pairings():
             members = tabgroth.enumerate_lambda(comp, k)
             for w in members:
                 for z in members:
-                    delta = RationalFunction.one() if w == z else RationalFunction.zero()
+                    delta = LaurentPoly.one() if w == z else LaurentPoly.zero()
                     assert (
                         uqrep.bilinear_form(
                             tabgroth.class_vector(w, comp, k, "projective"),
