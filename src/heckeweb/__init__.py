@@ -11,9 +11,24 @@ Modules:
     checks      the desk-scale verification battery
     cli         command line entry point
 
-All values are immutable after construction and all operations are pure;
-the canonical-basis caches only memoize pure recomputations, so everything
-can be shared freely across threads or test workers.
+All values are immutable after construction and all operations are pure.
+Every cache is a `functools.cache` on a pure function: the caches grow
+without bound, are safe under concurrent readers (at worst two threads
+compute the same value), and `clear_caches()` empties them all.
 """
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the library: call `cache_clear()` on each
+    module-level object of a heckeweb module that has one."""
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(__path__):
+        module = importlib.import_module(f"{__name__}.{info.name}")
+        for obj in vars(module).values():
+            clear = getattr(obj, "cache_clear", None)
+            if clear is not None:
+                clear()

@@ -93,7 +93,7 @@ def kl_bruteforce(w: Permutation) -> hecke.HeckeElement:
     construction."""
     n = w.n
     elems = [v for v in all_permutations(n) if v.bruhat_leq(w)]
-    bar_mat = {v: hecke.bar_of_standard(n, v) for v in elems}
+    bar_mat = {v: hecke.bar(hecke.standard_basis_element(v)) for v in elems}
     coeffs: dict[Permutation, LaurentPoly] = {w: LaurentPoly.one()}
     for y in sorted(elems, key=lambda v: (v.length(), v.one_line), reverse=True):
         if y == w:

@@ -67,15 +67,15 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, text_lines, json_payload) -> None:
-    if args.format == "json":
-        payload = json.dumps(json_payload, indent=2, sort_keys=True)
-        out = payload + "\n"
-    else:
-        out = "\n".join(text_lines) + "\n"
+    if args.format == "json" or args.out:
+        payload = json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(json_payload, indent=2, sort_keys=True) + "\n")
-    sys.stdout.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    sys.stdout.write(payload if args.format == "json" else "\n".join(text_lines) + "\n")
 
 
 def _cmd_kl_basis(args) -> int:

@@ -22,12 +22,9 @@ from .inducedmod import InducedModule, ModuleElement
 
 __all__ = [
     "HeckeElement",
-    "unit",
     "standard_basis_element",
-    "multiply_by_generator",
     "bar",
     "kl_basis_element",
-    "bilinear_form",
 ]
 
 _ONE = LaurentPoly.one()
@@ -46,11 +43,9 @@ class HeckeElement(ModuleElement):
         return f"H{w}"
 
     def times_generator(self, i: int) -> "HeckeElement":
-        return multiply_by_generator(self, i)
-
-    def times(self, other: "HeckeElement") -> "HeckeElement":
-        """Product, expanding the right factor through reduced words."""
-        return self.act_hecke(other)
+        """Right multiplication by H_i: H_w H_i = H_{w s_i} if the length
+        goes up, and H_{w s_i} + (q^-1 - q) H_w otherwise."""
+        return inducedmod.act_generator(self, i)
 
     def to_json(self):
         return self._support_json("w", lambda w: list(w.one_line))
@@ -63,28 +58,8 @@ class HeckeElement(ModuleElement):
         )
 
 
-bilinear_form = HeckeElement.bilinear_form
-
-
-def unit(n: int) -> HeckeElement:
-    return standard_basis_element(Permutation.identity(n))
-
-
 def standard_basis_element(w: Permutation) -> HeckeElement:
     return HeckeElement(InducedModule.of(w.n), {w: _ONE})
-
-
-def multiply_by_generator(x: HeckeElement, i: int) -> HeckeElement:
-    """Right multiplication by H_i: H_w H_i = H_{w s_i} if the length goes
-    up, and H_{w s_i} + (q^-1 - q) H_w otherwise."""
-    return inducedmod.act_generator(x, i)
-
-
-def bar_of_standard(n: int, w: Permutation) -> HeckeElement:
-    """bar(H_w) = H_{w^-1}^-1."""
-    if w.n != n:
-        raise ValueError(f"{w} is not an element of S_{n}")
-    return bar(standard_basis_element(w))
 
 
 def bar(x: HeckeElement) -> HeckeElement:

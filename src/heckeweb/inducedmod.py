@@ -22,7 +22,7 @@ constructors that take outside input check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .qarith import LaurentPoly, SparseVector
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
@@ -142,9 +142,6 @@ class ModuleElement(SparseVector):
         )
 
 
-bilinear_form = ModuleElement.bilinear_form
-
-
 def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     """Right action of H_i by the four-case rule."""
     mod = x.parent
@@ -171,80 +168,60 @@ def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
     return w
 
 
-def _along_reduced_word(cache: dict, mod: InducedModule, w: Permutation, step) -> ModuleElement:
-    """N_e . X_{i1} ... X_{ik} for the reduced word i1..ik of w, where
-    step(x, i) = x . X_i, cached per (mod, w).  The reduced word of w is
-    that of w s_i followed by i, for i the last right descent of w."""
-    key = (mod, w)
-    out = cache.get(key)
-    if out is None:
-        descents = w.right_descents()
-        if descents:
-            i = descents[-1]
-            out = step(_along_reduced_word(cache, mod, w.times_simple(i), step), i)
-        else:
-            out = mod.generator()
-        cache[key] = out
-    return out
-
-
-_image_cache: dict[tuple[InducedModule, Permutation], ModuleElement] = {}
-_bar_cache: dict[tuple[InducedModule, Permutation], ModuleElement] = {}
-
-
+@cache
 def _generator_times(mod: InducedModule, w: Permutation) -> ModuleElement:
-    """N_e . H_w, for any w in S_n."""
-    return _along_reduced_word(_image_cache, mod, w, act_generator)
+    """N_e . H_w, for any w in S_n.  The reduced word of w is that of
+    w s_i followed by i, for i the last right descent of w."""
+    descents = w.right_descents()
+    if not descents:
+        return mod.generator()
+    i = descents[-1]
+    return act_generator(_generator_times(mod, w.times_simple(i)), i)
 
 
-def _bar_step(x: ModuleElement, i: int) -> ModuleElement:
+@cache
+def _bar_of_standard(mod: InducedModule, w: Permutation) -> ModuleElement:
+    """bar(N_w) = N_e . bar(H_w) = N_e . H_{i1}^-1 ... H_{ik}^-1, with
+    H_i^-1 = H_i + (q - q^-1), along the same reduced word."""
+    descents = w.right_descents()
+    if not descents:
+        return mod.generator()
+    i = descents[-1]
+    x = _bar_of_standard(mod, w.times_simple(i))
     return act_generator(x, i) + x.scale(_INVERSE_SHIFT)
 
 
-def _bar_of_standard(mod: InducedModule, w: Permutation) -> ModuleElement:
-    """bar(N_w) = N_e . bar(H_w) = N_e . H_{i1}^-1 ... H_{ik}^-1."""
-    return _along_reduced_word(_bar_cache, mod, w, _bar_step)
-
-
-_canonical_cache: dict[tuple[InducedModule, Permutation], ModuleElement] = {}
-
-
+@cache
 def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement:
     """The unique bar-invariant element N_w + (qZ[q]-combination of lower
     N_w'), built by multiplying a shorter canonical element by the
     canonical generator and correcting by constant terms."""
-    key = (mod, w)
-    cached = _canonical_cache.get(key)
-    if cached is not None:
-        return cached
     _check_index(mod, w)
     descents = w.right_descents()
     if not descents:
-        result = mod.standard(w)
-    else:
-        i = descents[-1]
-        shorter = canonical_basis_element(mod, w.times_simple(i))
-        product = shorter.act_generator(i) + shorter.scale(_Q(1))
-        corrections = [
-            y
-            for y, c in product.support.items()
-            if y != w and c.constant_term() != 0
-        ]
-        corrections.sort(key=ModuleElement._sort_key, reverse=True)
-        result = product
-        for y in corrections:
-            m = result.coeff(y).constant_term()
-            if m:
-                result = result - canonical_basis_element(mod, y).scale(m)
-        result.check_unitriangular(w)
-    _canonical_cache[key] = result
+        return mod.standard(w)
+    i = descents[-1]
+    shorter = canonical_basis_element(mod, w.times_simple(i))
+    product = shorter.act_generator(i) + shorter.scale(_Q(1))
+    corrections = [
+        y
+        for y, c in product.support.items()
+        if y != w and c.constant_term() != 0
+    ]
+    corrections.sort(key=ModuleElement._sort_key, reverse=True)
+    result = product
+    for y in corrections:
+        m = result.coeff(y).constant_term()
+        if m:
+            result = result - canonical_basis_element(mod, y).scale(m)
+    result.check_unitriangular(w)
     return result
 
 
 # -- maps between modules with nested parabolic data --------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def _short_reps_inside(outer: ParabolicSubgroup, inner_gens: frozenset) -> tuple:
     """Shortest representatives r for (inner \\ outer), as elements of
     outer, each paired with its length."""
@@ -254,7 +231,7 @@ def _short_reps_inside(outer: ParabolicSubgroup, inner_gens: frozenset) -> tuple
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def _quotient_scale(outer: ParabolicSubgroup, inner_gens: frozenset):
     """1 / sum_r q^(top - 2 l(r)) over the representatives r above,
     where top is the largest l(r)."""

@@ -31,14 +31,13 @@ representations all use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import gcd as _int_gcd
 
 __all__ = [
     "LaurentPoly",
     "RationalFunction",
     "SparseVector",
-    "bar",
     "coeff_to_json",
     "quantum_int",
     "quantum_factorial",
@@ -447,11 +446,6 @@ def coeff_to_json(c) -> dict:
     return {"num": num.to_json(), "den": den.to_json()}
 
 
-def bar(x):
-    """The involution q -> q^-1."""
-    return x.bar()
-
-
 # -- finite linear combinations ------------------------------------------
 
 
@@ -604,7 +598,7 @@ def quantum_int(k: int) -> LaurentPoly:
     return LaurentPoly({k - 1 - 2 * i: 1 for i in range(k)})
 
 
-@lru_cache(maxsize=None)
+@cache
 def quantum_factorial(k: int) -> LaurentPoly:
     """[k]! = [k][k-1]...[1]."""
     if k < 0:
@@ -615,7 +609,7 @@ def quantum_factorial(k: int) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def quantum_binom(n: int, k: int) -> LaurentPoly:
     """[n]!/([k]![n-k]!); symmetric in k <-> n-k."""
     if k < 0 or k > n:
@@ -658,16 +652,10 @@ def quantum_multinom0(parts) -> LaurentPoly:
     return _quantum_multinom0(tuple(parts))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _quantum_multinom0(parts: tuple[int, ...]) -> LaurentPoly:
     exp = 0
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             exp += parts[i] * parts[j]
     return quantum_multinom(parts).shift(exp)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -17,7 +17,7 @@ word, left multiplication swaps the values i, i+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import permutations as _itperms
 
 __all__ = [
@@ -145,7 +145,7 @@ def seq_act_right(eta, w: Permutation):
     return tuple(eta[w(i) - 1] for i in range(1, w.n + 1))
 
 
-@lru_cache(maxsize=None)
+@cache
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     """All of S_n sorted by (length, one-line word)."""
     perms = [Permutation(p) for p in _itperms(range(1, n + 1))]
@@ -336,9 +336,3 @@ def lemma10_completion(
     if found is None:
         raise ValueError(f"no completion of {w} inside W_q = {q}")
     return found
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

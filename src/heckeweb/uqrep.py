@@ -18,6 +18,7 @@ independent check route.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .qarith import (
@@ -28,7 +29,7 @@ from .qarith import (
     quantum_int0,
     quantum_multinom0,
 )
-from .symgrp import Permutation, seq_act_right
+from .symgrp import seq_act_right
 from .inducedmod import ModuleElement
 
 __all__ = [
@@ -294,37 +295,28 @@ def phi_split(v: TensorVector, i: int, a: int, b: int) -> TensorVector:
 
 # -- bar involution -------------------------------------------------------
 
-_bar_basis_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], TensorVector] = {}
-
-
+@cache
 def _bar_basis(comp, eta) -> TensorVector:
     """Bar of a standard basis vector, by the left-nested recursion
     bar(w x w') = Theta'(bar w x bar w')."""
-    key = (comp, eta)
-    cached = _bar_basis_cache.get(key)
-    if cached is not None:
-        return cached
     if len(comp) <= 1:
-        result = standard_vector(comp, eta)
-    else:
-        prefix = _bar_basis(comp[:-1], eta[:-1])
-        last = eta[-1]
-        ext = TensorVector(
-            comp, {g + (last,): c for g, c in prefix.support.items()}
-        )
-        correction = []
-        if last == 0:
-            # (E x F) acts only when the last factor is v_0; F turns it
-            # into v_1 and E hits the prefix with a sign per odd prefix
-            shift = _Q(-1) - _Q(1)
-            for g, c in ext.support.items():
-                sign = -1 if sum(g[:-1]) % 2 else 1
-                e_part = act_E(standard_vector(comp[:-1], g[:-1]))
-                for ge, ce in e_part.support.items():
-                    correction.append((ge + (1,), ce * c * sign * shift))
-        result = TensorVector.from_terms(comp, correction, ext.support)
-    _bar_basis_cache[key] = result
-    return result
+        return standard_vector(comp, eta)
+    prefix = _bar_basis(comp[:-1], eta[:-1])
+    last = eta[-1]
+    ext = TensorVector(
+        comp, {g + (last,): c for g, c in prefix.support.items()}
+    )
+    correction = []
+    if last == 0:
+        # (E x F) acts only when the last factor is v_0; F turns it
+        # into v_1 and E hits the prefix with a sign per odd prefix
+        shift = _Q(-1) - _Q(1)
+        for g, c in ext.support.items():
+            sign = -1 if sum(g[:-1]) % 2 else 1
+            e_part = act_E(standard_vector(comp[:-1], g[:-1]))
+            for ge, ce in e_part.support.items():
+                correction.append((ge + (1,), ce * c * sign * shift))
+    return TensorVector.from_terms(comp, correction, ext.support)
 
 
 def bar(v: TensorVector) -> TensorVector:
@@ -337,40 +329,33 @@ def bar(v: TensorVector) -> TensorVector:
 
 # -- canonical and dual bases ---------------------------------------------
 
-_canonical_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], TensorVector] = {}
-
-
 def canonical_basis(comp, eta) -> TensorVector:
     """The unique bar-invariant vector equal to v_eta plus a qZ[q]-linear
     combination of standard vectors strictly below eta: the evaluated
     canonical basis diagram, a chain of split intertwiners applied to one
     standard vector."""
     comp = composition(comp)
-    eta = _check_eta(comp, eta)
-    key = (comp, eta)
-    cached = _canonical_cache.get(key)
-    if cached is not None:
-        return cached
+    return _canonical_basis(comp, _check_eta(comp, eta))
+
+
+@cache
+def _canonical_basis(comp, eta) -> TensorVector:
     from . import webcat  # webcat imports this module
 
     x = webcat.evaluate_canonical_diagram(webcat.canonical_basis_diagram(comp, eta))
     x.check_unitriangular(eta, eta_leq)
-    _canonical_cache[key] = x
     return x
-
-
-_canonical_by_bar_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], TensorVector] = {}
 
 
 def canonical_basis_by_bar(comp, eta) -> TensorVector:
     """The same vector by bar-fixing, the independent check route: peel
     the leading bar defect and correct with lower canonical vectors."""
     comp = composition(comp)
-    eta = _check_eta(comp, eta)
-    key = (comp, eta)
-    cached = _canonical_by_bar_cache.get(key)
-    if cached is not None:
-        return cached
+    return _canonical_basis_by_bar(comp, _check_eta(comp, eta))
+
+
+@cache
+def _canonical_basis_by_bar(comp, eta) -> TensorVector:
     x = standard_vector(comp, eta)
     defect = bar(x) - x
     while not defect.is_zero():
@@ -380,11 +365,10 @@ def canonical_basis_by_bar(comp, eta) -> TensorVector:
         if not isinstance(c, LaurentPoly) or c.bar() != -c:
             raise ArithmeticError(f"bar defect at {gamma} is not antisymmetric: {c}")
         pos = LaurentPoly({e: v for e, v in c.terms.items() if e > 0})
-        lower = canonical_basis_by_bar(comp, gamma)
+        lower = _canonical_basis_by_bar(comp, gamma)
         x = x + lower.scale(pos)
         defect = defect - lower.scale(c)
     x.check_unitriangular(eta, eta_leq)
-    _canonical_by_bar_cache[key] = x
     return x
 
 
@@ -418,9 +402,6 @@ def dual_standard(comp, eta) -> TensorVector:
     return TensorVector(comp, {eta: 1 / standard_norm(comp, eta)})
 
 
-_dual_canonical_cache: dict[tuple, dict] = {}
-
-
 def dual_canonical(comp, eta) -> TensorVector:
     """The basis dual to the canonical one.  With c_h = sum_g U[h][g] v_g,
     U unitriangular with Laurent entries, the dual vector is
@@ -429,28 +410,28 @@ def dual_canonical(comp, eta) -> TensorVector:
     output coefficient."""
     comp = composition(comp)
     eta = _check_eta(comp, eta)
-    k = weight_index(comp, eta)
-    key = (comp, k)
-    table = _dual_canonical_cache.get(key)
-    if table is None:
-        etas = weight_etas(comp, k)
-        # rows[h] = row h of U^-1 = v_h - sum_{e < h} U[h][e] rows[e]
-        rows = {}
-        for h in etas:
-            rows[h] = TensorVector.from_terms(comp, (
-                (g, -u * x)
-                for e, u in canonical_basis(comp, h).support.items()
-                if e != h
-                for g, x in rows[e].support.items()
-            ), {h: _ONE})
-        columns = {g: [] for g in etas}
-        for e, row in rows.items():
-            norm = standard_norm(comp, e)
-            for g, x in row.support.items():
-                columns[g].append((e, x / norm))
-        table = {g: TensorVector.from_terms(comp, terms) for g, terms in columns.items()}
-        _dual_canonical_cache[key] = table
-    return table[eta]
+    return _dual_canonical_space(comp, weight_index(comp, eta))[eta]
+
+
+@cache
+def _dual_canonical_space(comp, k: int) -> dict:
+    """The dual canonical vectors of the weight space of index k, by eta."""
+    etas = weight_etas(comp, k)
+    # rows[h] = row h of U^-1 = v_h - sum_{e < h} U[h][e] rows[e]
+    rows = {}
+    for h in etas:
+        rows[h] = TensorVector.from_terms(comp, (
+            (g, -u * x)
+            for e, u in canonical_basis(comp, h).support.items()
+            if e != h
+            for g, x in rows[e].support.items()
+        ), {h: _ONE})
+    columns = {g: [] for g in etas}
+    for e, row in rows.items():
+        norm = standard_norm(comp, e)
+        for g, x in row.support.items():
+            columns[g].append((e, x / norm))
+    return {g: TensorVector.from_terms(comp, terms) for g, terms in columns.items()}
 
 
 # -- Hecke action on tensor powers of the vector representation -----------
@@ -503,20 +484,3 @@ def psi_iso(x: ModuleElement, k: int) -> TensorVector:
     return TensorVector.from_terms(
         comp, ((seq_act_right(eta_min, w), c) for w, c in x.support.items())
     )
-
-
-def eta_to_perm(eta, k: int) -> Permutation:
-    """The shortest coset representative w with eta_min . w = eta."""
-    n = len(eta)
-    eta_min = (0,) * k + (1,) * (n - k)
-    if sum(eta) != n - k:
-        raise ValueError(f"{eta} is not in the weight space of index {k}")
-    zeros = [i + 1 for i, e in enumerate(eta) if e == 0]
-    ones = [i + 1 for i, e in enumerate(eta) if e == 1]
-    # the zero slots of eta receive the values 1..k in increasing order
-    one_line = [0] * n
-    for val, pos in zip(range(1, k + 1), zeros):
-        one_line[pos - 1] = val
-    for val, pos in zip(range(k + 1, n + 1), ones):
-        one_line[pos - 1] = val
-    return Permutation(tuple(one_line))

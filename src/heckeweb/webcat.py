@@ -33,7 +33,6 @@ __all__ = [
     "tensor",
     "evaluate",
     "evaluate_matrix",
-    "matrices_equal",
     "matrix_coefficient",
     "canonical_basis_diagram",
     "split_bundle",
@@ -62,7 +61,7 @@ class Slice:
         return c[: self.i - 1] + (a, b) + c[self.i :]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class Web:
     source: tuple[int, ...]
     slices: tuple[Slice, ...]
@@ -80,16 +79,6 @@ class Web:
         for s in self.slices:
             comp = s.target()
         return comp
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Web)
-            and self.source == other.source
-            and self.slices == other.slices
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.slices))
 
     def word_str(self) -> str:
         toks = []
@@ -196,12 +185,6 @@ def evaluate_matrix(web: Web) -> dict:
     for eta in product((0, 1), repeat=ell):
         out[eta] = evaluate(web, standard_vector(web.source, eta))
     return out
-
-
-def matrices_equal(m1: dict, m2: dict) -> bool:
-    if m1.keys() != m2.keys():
-        return False
-    return all(m1[k] == m2[k] for k in m1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,19 +341,17 @@ def check_relation(rel: str, **params) -> bool:
         a, b = params["a"], params["b"]
         loop = compose(merge_web((a, b), 1), split_web((a + b,), 1, a, b))
         scalar = quantum_binom(a + b, a)
-        return matrices_equal(
-            evaluate_matrix(loop), _scaled_identity_matrix((a + b,), scalar)
-        )
+        return evaluate_matrix(loop) == _scaled_identity_matrix((a + b,), scalar)
     if rel == "assoc44":
         a, b, c = params["a"], params["b"], params["c"]
         src = (a, b, c)
         left = compose(merge_web((a + b, c), 1), merge_web(src, 1))
         right = compose(merge_web((a, b + c), 1), merge_web(src, 2))
-        merges = matrices_equal(evaluate_matrix(left), evaluate_matrix(right))
+        merges = evaluate_matrix(left) == evaluate_matrix(right)
         tot = (a + b + c,)
         sleft = compose(split_web((a + b, c), 1, a, b), split_web(tot, 1, a + b, c))
         sright = compose(split_web((a, b + c), 2, b, c), split_web(tot, 1, a, b + c))
-        splits = matrices_equal(evaluate_matrix(sleft), evaluate_matrix(sright))
+        splits = evaluate_matrix(sleft) == evaluate_matrix(sright)
         return merges and splits
     if rel == "stl54":
         comp = (1, 1, 1)
@@ -381,14 +362,12 @@ def check_relation(rel: str, **params) -> bool:
         rhs = _matrix_sum(
             evaluate_matrix(compose(c2, compose(c1, c2))), evaluate_matrix(c1)
         )
-        return matrices_equal(lhs, rhs)
+        return lhs == rhs
     if rel == "eq66":
         n = params["n"]
         loop = compose(merge_bundle(n), split_bundle(n))
         scalar = quantum_factorial(n)
-        return matrices_equal(
-            evaluate_matrix(loop), _scaled_identity_matrix((n,), scalar)
-        )
+        return evaluate_matrix(loop) == _scaled_identity_matrix((n,), scalar)
     raise ValueError(f"unknown relation {rel!r}")
 
 

@@ -50,9 +50,9 @@ def hecke_generator_inverse(n: int, i: int):
     """H_i^-1 = H_i + (q - q^-1), read off the quadratic relation
     H_i^2 = (q^-1 - q) H_i + 1; it is also bar(H_i)."""
     Q = LaurentPoly.q
-    return hecke.standard_basis_element(Permutation.simple(n, i)) + hecke.unit(n).scale(
-        Q(1) - Q(-1)
-    )
+    return hecke.standard_basis_element(Permutation.simple(n, i)) + hecke.standard_basis_element(
+        Permutation.identity(n)
+    ).scale(Q(1) - Q(-1))
 
 
 def generator_times_closed_form(mod, w: Permutation):
@@ -198,3 +198,19 @@ def decrement_entries(t, i, merged_comp):
     column = tuple(dec(e) for e in t.column)
     row = tuple(dec(e) for e in t.row)
     return HookTableau(t.n, t.k, tuple(merged_comp), column, row)
+
+
+def eta_to_perm(eta, k: int) -> Permutation:
+    """The shortest coset representative w with eta_min . w = eta."""
+    n = len(eta)
+    if sum(eta) != n - k:
+        raise ValueError(f"{eta} is not in the weight space of index {k}")
+    zeros = [i + 1 for i, e in enumerate(eta) if e == 0]
+    ones = [i + 1 for i, e in enumerate(eta) if e == 1]
+    # the zero slots of eta receive the values 1..k in increasing order
+    one_line = [0] * n
+    for val, pos in zip(range(1, k + 1), zeros):
+        one_line[pos - 1] = val
+    for val, pos in zip(range(k + 1, n + 1), ones):
+        one_line[pos - 1] = val
+    return Permutation(tuple(one_line))

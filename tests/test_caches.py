@@ -1,0 +1,73 @@
+"""The library's memo tables: each is a functools.cache on a module-level
+function, and heckeweb.clear_caches() empties every one of them."""
+
+import importlib
+import pkgutil
+
+import heckeweb
+from heckeweb import hecke, inducedmod, uqrep
+from heckeweb.symgrp import Permutation
+
+
+def _modules():
+    return [
+        importlib.import_module(f"heckeweb.{info.name}")
+        for info in pkgutil.iter_modules(heckeweb.__path__)
+    ]
+
+
+def _cached_callables():
+    return {
+        f"{module.__name__}.{name}": obj
+        for module in _modules()
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+    }
+
+
+def _compute():
+    w = Permutation((3, 4, 1, 2))
+    mod = inducedmod.InducedModule.of(4, p_gens=(3,), q_gens=(1,))
+    top = mod.basis_index()[-1]
+    small = inducedmod.InducedModule.of(4, q_gens=(1,))
+    big = inducedmod.InducedModule.of(4, q_gens=(1, 2))
+    comp = (2, 1, 2, 1)
+    return [
+        hecke.kl_basis_element(w),
+        inducedmod.canonical_basis_element(mod, top),
+        mod.standard(top).bar(),
+        inducedmod.map_Q(small, big, small.standard(small.basis_index()[-1])),
+        uqrep.canonical_basis(comp, (1, 0, 1, 0)),
+        uqrep.canonical_basis_by_bar(list(comp), [1, 0, 1, 0]),
+        uqrep.dual_canonical(comp, (0, 1, 1, 0)),
+    ]
+
+
+def test_clear_caches_empties_every_cache_and_changes_no_value():
+    before = _compute()
+    cached = _cached_callables()
+    filled = {name for name, fn in cached.items() if fn.cache_info().currsize}
+    assert filled >= {
+        "heckeweb.inducedmod.canonical_basis_element",
+        "heckeweb.inducedmod._generator_times",
+        "heckeweb.inducedmod._bar_of_standard",
+        "heckeweb.uqrep._canonical_basis",
+        "heckeweb.uqrep._canonical_basis_by_bar",
+        "heckeweb.uqrep._bar_basis",
+        "heckeweb.uqrep._dual_canonical_space",
+    }
+    heckeweb.clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in cached.items()} == {
+        name: 0 for name in cached
+    }
+    assert _compute() == before
+
+
+def test_no_hand_rolled_memo_table():
+    tables = [
+        f"{module.__name__}.{name}"
+        for module in _modules()
+        for name, obj in vars(module).items()
+        if name.endswith("_cache") and isinstance(obj, dict)
+    ]
+    assert tables == []

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import heckeweb
 from heckeweb import cli, inducedmod, uqrep, webcat
 from heckeweb.hecke import HeckeElement
 from heckeweb.qarith import LaurentPoly, coeff_to_json
@@ -245,6 +246,23 @@ def test_out_file(tmp_path, capsys):
     assert uqrep.TensorVector.from_json(payload) == uqrep.canonical_basis((1, 1), (1, 0))
 
 
+def test_out_path_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(
+                capsys, "--format", fmt, "--out", str(target),
+                "canonical", "--comp", "1,1", "--eta", "10",
+            )
+            assert code == 2 and out == "", (target, fmt)
+            assert err.startswith("error: cannot write --out"), err
+    # a writable path gets the same bytes as JSON stdout
+    target = tmp_path / "payload.json"
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "--out", str(target), "canonical", "--comp", "1,1"
+    )
+    assert code == 0 and target.read_text() == out
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heckeweb.cli", "canonical", "--comp", "1,1", "--eta", "10"],
@@ -355,7 +373,7 @@ def test_fractional_canonical_coefficient_is_an_internal_error(capsys, monkeypat
         return built(diagram).scale(1 / LaurentPoly({0: 1, 2: 1}))
 
     monkeypatch.setattr(webcat, "evaluate_canonical_diagram", with_a_fraction)
-    monkeypatch.setattr(uqrep, "_canonical_cache", {})
+    heckeweb.clear_caches()
     code, out, err = run_cli(capsys, "canonical", "--comp", "1,1", "--eta", "10")
     assert code == 3 and out == ""
     assert err.startswith("internal error:") and "not a Laurent polynomial" in err

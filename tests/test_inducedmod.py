@@ -195,7 +195,7 @@ def test_bar_matches_action_of_algebra_bar():
     for mod in commuting_modules(4):
         gen = mod.generator()
         for w in mod.basis_index():
-            want = gen.act_hecke(hecke.bar_of_standard(mod.n, w))
+            want = gen.act_hecke(hecke.bar(hecke.standard_basis_element(w)))
             assert mod.standard(w).bar() == want, (mod, w)
 
 

@@ -320,20 +320,20 @@ def test_lemma19_form_transport():
                     lhs = uqrep.bilinear_form(
                         uqrep.psi_iso(mod.standard(w), k), uqrep.psi_iso(mod.standard(z), k)
                     )
-                    rhs = inducedmod.bilinear_form(mod.standard(w), mod.standard(z)) * scal
+                    rhs = mod.standard(w).bilinear_form(mod.standard(z)) * scal
                     assert lhs == rhs
 
 
 def test_eta_order_matches_bruhat():
-    from oracles import subword_bruhat_leq
+    from oracles import eta_to_perm, subword_bruhat_leq
 
     for ell in range(2, 5):
         for k in range(0, ell + 1):
             etas = uqrep.weight_etas((1,) * ell, ell - k)
             for e1 in etas:
                 for e2 in etas:
-                    w1 = uqrep.eta_to_perm(e1, ell - sum(e1))
-                    w2 = uqrep.eta_to_perm(e2, ell - sum(e2))
+                    w1 = eta_to_perm(e1, ell - sum(e1))
+                    w2 = eta_to_perm(e2, ell - sum(e2))
                     assert uqrep.eta_leq(e1, e2) == subword_bruhat_leq(w1, w2)
 
 
