@@ -141,7 +141,7 @@ def _subsets(s: frozenset):
 def _longest_rep_between(n: int, outer: frozenset, inner: frozenset) -> Permutation:
     big = ParabolicSubgroup.of(n, outer)
     small = ParabolicSubgroup.of(n, inner)
-    reps = [x for x in big.elements() if is_shortest_rep(x, small, side="left")]
+    reps = [x for x in big.elements() if is_shortest_rep(x, small)]
     return max(reps, key=lambda x: x.length())
 
 
@@ -206,7 +206,7 @@ def check_induced_maps(max_n: int = 4) -> None:
                 big = ParabolicSubgroup.of(n, p_gens)
                 small = ParabolicSubgroup.of(n, p_sub)
                 for x_elt in big.elements():
-                    if is_shortest_rep(x_elt, small, side="left"):
+                    if is_shortest_rep(x_elt, small):
                         scale = scale + _Q(2 * x_elt.length())
                 for w in basis:
                     x = mod.standard(w)
@@ -524,16 +524,16 @@ def check_homdim(max_n: int = 4) -> None:
 # -- suite registry ----------------------------------------------------------
 
 SUITES = {
-    "examples": lambda max_n: check_examples(max_n),
+    "examples": check_examples,
     "hecke": lambda max_n: check_hecke(min(max_n, 4)),
     "induced": lambda max_n: check_induced_maps(min(max_n, 4)),
-    "adjunction": lambda max_n: check_rep_identities(max_n, max_ab=4),
-    "stl": lambda max_n: check_schur_weyl_stl(max_n),
-    "webs": lambda max_n: check_web_relations(max_n),
-    "triple": lambda max_n: check_canonical_triple(min(max_n, 4)),
-    "theorem1": lambda max_n: check_theorem1(max_n),
-    "efm": lambda max_n: check_kgroup(min(max_n, 4)),
-    "homdim": lambda max_n: check_homdim(min(max_n, 4)),
+    "adjunction": check_rep_identities,
+    "stl": check_schur_weyl_stl,
+    "webs": check_web_relations,
+    "triple": check_canonical_triple,
+    "theorem1": check_theorem1,
+    "efm": check_kgroup,
+    "homdim": check_homdim,
 }
 
 

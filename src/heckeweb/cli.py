@@ -21,7 +21,7 @@ __all__ = ["main"]
 
 def _parse_comp(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(",") if p.strip() != "")
+        parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"malformed composition {text!r}")
     return uqrep.composition(parts)

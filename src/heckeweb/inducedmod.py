@@ -65,7 +65,7 @@ class InducedModule:
 
     def basis_index(self) -> list[Permutation]:
         """Shortest coset representatives, sorted by (length, one-line)."""
-        return shortest_coset_reps(self.parabolic_pq(), side="left")
+        return shortest_coset_reps(self.parabolic_pq())
 
     def __str__(self):
         return f"M(n={self.n}, p={sorted(self.p_gens)}, q={sorted(self.q_gens)})"
@@ -163,7 +163,7 @@ def act_generator(x: ModuleElement, i: int) -> ModuleElement:
 
 
 def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
-    if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq(), side="left"):
+    if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq()):
         raise ValueError(f"{w} does not index a basis element of {mod}")
     return w
 
@@ -227,7 +227,7 @@ def _short_reps_inside(outer: ParabolicSubgroup, inner_gens: frozenset) -> tuple
     outer, each paired with its length."""
     inner = ParabolicSubgroup(outer.n, frozenset(inner_gens))
     return tuple(
-        (x, x.length()) for x in outer.elements() if is_shortest_rep(x, inner, side="left")
+        (x, x.length()) for x in outer.elements() if is_shortest_rep(x, inner)
     )
 
 

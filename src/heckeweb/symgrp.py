@@ -25,12 +25,7 @@ __all__ = [
     "ParabolicSubgroup",
     "all_permutations",
     "shortest_coset_reps",
-    "longest_coset_reps",
     "is_shortest_rep",
-    "factor_through_wall",
-    "lambda_set",
-    "lemma10_completion",
-    "longest_quotient_rep",
     "seq_act_right",
 ]
 
@@ -177,23 +172,6 @@ class ParabolicSubgroup:
                 start = p + 1
         return out
 
-    def order(self) -> int:
-        from math import factorial
-
-        size = 1
-        for b in self.blocks():
-            size *= factorial(len(b))
-        return size
-
-    def contains(self, w: Permutation) -> bool:
-        if w.n != self.n:
-            return False
-        for block in self.blocks():
-            lo, hi = block[0], block[-1]
-            if any(not lo <= w(p) <= hi for p in block):
-                return False
-        return True
-
     def elements(self) -> list[Permutation]:
         """All elements, as permutations of the ambient S_n."""
         out = [Permutation.identity(self.n)]
@@ -211,13 +189,6 @@ class ParabolicSubgroup:
         out.sort(key=lambda w: (w.length(), w.one_line))
         return out
 
-    def longest_element(self) -> Permutation:
-        base = list(range(1, self.n + 1))
-        for block in self.blocks():
-            for k, pos in enumerate(block):
-                base[pos - 1] = block[-1] - k
-        return Permutation(tuple(base))
-
     def commutes_elementwise_with(self, other: "ParabolicSubgroup") -> bool:
         return all(abs(i - j) >= 2 for i in self.generators for j in other.generators)
 
@@ -226,113 +197,13 @@ class ParabolicSubgroup:
         return f"<{gens}>" if gens else "<>"
 
 
-def is_shortest_rep(w: Permutation, p: ParabolicSubgroup, side: str = "left") -> bool:
-    """Shortest representative of W_p w (side="left") or w W_p (side="right")."""
-    if side == "left":
-        # l(s_i w) > l(w) for all generators  <=>  w^-1(i) < w^-1(i+1)
-        wi = w.inverse()
-        return all(wi(i) < wi(i + 1) for i in p.generators)
-    if side == "right":
-        return all(w(i) < w(i + 1) for i in p.generators)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def is_shortest_rep(w: Permutation, p: ParabolicSubgroup) -> bool:
+    """Shortest representative of the coset W_p w."""
+    # l(s_i w) > l(w) for all generators  <=>  w^-1(i) < w^-1(i+1)
+    wi = w.inverse()
+    return all(wi(i) < wi(i + 1) for i in p.generators)
 
 
-def shortest_coset_reps(p: ParabolicSubgroup, side: str = "left") -> list[Permutation]:
-    """Shortest coset representatives for W_p\\S_n (left) or S_n/W_p (right)."""
-    return [w for w in all_permutations(p.n) if is_shortest_rep(w, p, side)]
-
-
-def longest_coset_reps(p: ParabolicSubgroup, side: str = "left") -> list[Permutation]:
-    """Longest coset representatives (w_p times the shortest ones, on the left)."""
-    if side == "left":
-        wi_test = lambda w: all(w.inverse()(i) > w.inverse()(i + 1) for i in p.generators)
-    elif side == "right":
-        wi_test = lambda w: all(w(i) > w(i + 1) for i in p.generators)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return [w for w in all_permutations(p.n) if wi_test(w)]
-
-
-def shortest_rep_of_coset(w: Permutation, p: ParabolicSubgroup, side: str = "right") -> Permutation:
-    """The shortest element of w W_p (side="right") or W_p w (side="left")."""
-    if side == "right":
-        word = list(w.one_line)
-        for block in p.blocks():
-            vals = sorted(word[block[0] - 1 : block[-1]])
-            word[block[0] - 1 : block[-1]] = vals
-        return Permutation(tuple(word))
-    if side == "left":
-        return shortest_rep_of_coset(w.inverse(), p, side="right").inverse()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def factor_through_wall(
-    w: Permutation, lam: ParabolicSubgroup, mu: ParabolicSubgroup
-) -> tuple[Permutation, Permutation]:
-    """Factor w = w' x with w' shortest for S_n/S_mu and x in S_mu shortest
-    for S_mu/S_lam, with additive lengths.  Requires S_lam <= S_mu and w a
-    shortest representative for S_n/S_lam."""
-    if not lam.generators <= mu.generators:
-        raise ValueError("inner parabolic is not contained in the outer one")
-    if not is_shortest_rep(w, lam, side="right"):
-        raise ValueError(f"{w} is not a shortest coset representative for S_n/S_lam")
-    wp = shortest_rep_of_coset(w, mu, side="right")
-    x = wp.inverse() * w
-    assert mu.contains(x)
-    assert is_shortest_rep(x, lam, side="right")
-    assert w.length() == wp.length() + x.length()
-    return wp, x
-
-
-def longest_quotient_rep(mu: ParabolicSubgroup, lam: ParabolicSubgroup) -> Permutation:
-    """Longest element of (S_mu/S_lam)^short, namely w_mu w_lam."""
-    if not lam.generators <= mu.generators:
-        raise ValueError("inner parabolic is not contained in the outer one")
-    return mu.longest_element() * lam.longest_element()
-
-
-def lambda_set(
-    n: int,
-    p_gens,
-    q_gens,
-    lam_gens,
-) -> list[Permutation]:
-    """The index set of shortest representatives w for S_n/S_lam with
-    w S_lam inside W^p and w S_lam meeting the longest representatives
-    of W_q\\S_n, sorted by (length, one-line word)."""
-    p = ParabolicSubgroup.of(n, p_gens)
-    q = ParabolicSubgroup.of(n, q_gens)
-    lam = ParabolicSubgroup.of(n, lam_gens)
-    lam_elements = lam.elements()
-    out = []
-    for w in shortest_coset_reps(lam, side="right"):
-        coset = [w * y for y in lam_elements]
-        if not all(is_shortest_rep(u, p, side="left") for u in coset):
-            continue
-        wi_longest = lambda u: all(u.inverse()(i) > u.inverse()(i + 1) for i in q.generators)
-        if not any(wi_longest(u) for u in coset):
-            continue
-        out.append(w)
-    out.sort(key=lambda w: (w.length(), w.one_line))
-    return out
-
-
-def lemma10_completion(
-    w: Permutation,
-    q: ParabolicSubgroup,
-    p: ParabolicSubgroup,
-    lam_gens=(),
-) -> Permutation:
-    """The unique x in W_q with x w in the lambda set for (p, q) and
-    additive lengths l(xw) = l(x) + l(w)."""
-    members = set(lambda_set(w.n, p.generators, q.generators, lam_gens))
-    found = None
-    for x in q.elements():
-        xw = x * w
-        if xw in members and xw.length() == x.length() + w.length():
-            if found is not None:
-                raise ValueError(f"completion of {w} is not unique")
-            found = x
-    if found is None:
-        raise ValueError(f"no completion of {w} inside W_q = {q}")
-    return found
+def shortest_coset_reps(p: ParabolicSubgroup) -> list[Permutation]:
+    """Shortest coset representatives for W_p\\S_n."""
+    return [w for w in all_permutations(p.n) if is_shortest_rep(w, p)]

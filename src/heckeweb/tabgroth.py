@@ -16,10 +16,13 @@ The four distinguished bases of each weight space (standard, proper
 standard, projective, simple) are realized as vectors: a standard
 vector, its form-normalized multiple, the canonical vector, the dual
 canonical vector.  Translation matrices across a merge position are
-computed from the case analysis on eta; an independent computation via
-the evaluated merge/split webs transported through the class
-isomorphism is exposed for the commutativity check, which the test
-suite requires to pass for every composition at desk scale.
+computed from the case analysis on eta, and the translations of
+projective and simple classes and the raising/lowering rules, which the
+paper states through coset representatives, are closed forms on eta
+too.  An independent computation of the matrices via the evaluated
+merge/split webs transported through the class isomorphism is exposed
+for the commutativity check, which the test suite requires to pass for
+every composition at desk scale.
 """
 
 from __future__ import annotations
@@ -29,19 +32,14 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .qarith import LaurentPoly, quantum_binom0
-from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, longest_quotient_rep
+from .symgrp import Permutation
 from . import uqrep, webcat
 from .uqrep import TensorVector, bilinear_form, composition
 
 __all__ = [
     "HookTableau",
-    "comp_parabolic",
-    "minimal_tableau",
-    "tableau_from_perm",
     "perm_from_tableau",
-    "act_on_tableau",
     "is_admissible",
-    "eta_of_tableau",
     "tableau_of_eta",
     "admissible_tableaux",
     "MAX_TABLEAUX",
@@ -111,43 +109,9 @@ def _type_sequence(comp) -> tuple[int, ...]:
     return tuple(out)
 
 
-def comp_parabolic(comp) -> ParabolicSubgroup:
-    """The stabilizer of the minimal tableau: block subgroup of type comp."""
-    comp = composition(comp)
-    n = sum(comp)
-    gens = set(range(1, n))
-    total = 0
-    for a in comp[:-1]:
-        total += a
-        gens.discard(total)
-    return ParabolicSubgroup.of(n, gens)
-
-
-def minimal_tableau(comp, k: int) -> HookTableau:
-    comp = composition(comp)
-    n = sum(comp)
-    if not 0 <= k <= n:
-        raise ValueError(f"hook parameter k={k} out of range for n={n}")
-    seq = _type_sequence(comp)
-    return HookTableau(n, k, comp, seq[:k], seq[k:])
-
-
-def tableau_from_perm(w: Permutation, comp, k: int) -> HookTableau:
-    """T(box b) = minimal entry at box w^-1(b)."""
-    comp = composition(comp)
-    n = sum(comp)
-    if w.n != n:
-        raise ValueError(f"permutation size {w.n} does not match n={n}")
-    if not is_shortest_rep(w, comp_parabolic(comp), side="right"):
-        raise ValueError(f"{w} is not a shortest representative for the type stabilizer")
-    seq = _type_sequence(comp)
-    wi = w.inverse()
-    entries = tuple(seq[wi(b) - 1] for b in range(1, n + 1))
-    return HookTableau(n, k, comp, entries[:k], entries[k:])
-
-
 def perm_from_tableau(t: HookTableau) -> Permutation:
-    """The shortest-representative inverse of tableau_from_perm."""
+    """The index permutation of a tableau: the i-th smallest box holding
+    the value j is the image of the i-th position of the block of j."""
     seq = _type_sequence(t.comp)
     entries = t.entries()
     positions: dict[int, list[int]] = {}
@@ -159,24 +123,10 @@ def perm_from_tableau(t: HookTableau) -> Permutation:
     return Permutation(tuple(one_line))
 
 
-def act_on_tableau(w: Permutation, t: HookTableau) -> HookTableau:
-    """Left action permuting boxes: (w.T)(b) = T(w^-1(b))."""
-    wi = w.inverse()
-    entries = t.entries()
-    moved = tuple(entries[wi(b) - 1] for b in range(1, t.n + 1))
-    return HookTableau(t.n, t.k, t.comp, moved[: t.k], moved[t.k :])
-
-
 def is_admissible(t: HookTableau) -> bool:
     row_ok = all(a < b for a, b in zip(t.row, t.row[1:]))
     col_ok = all(a >= b for a, b in zip(t.column, t.column[1:]))
     return row_ok and col_ok
-
-
-def eta_of_tableau(t: HookTableau) -> tuple[int, ...]:
-    """1 at the values appearing in the row."""
-    in_row = set(t.row)
-    return tuple(1 if value in in_row else 0 for value in range(1, len(t.comp) + 1))
 
 
 def tableau_of_eta(comp, k: int, eta) -> HookTableau:
@@ -422,34 +372,31 @@ def theorem1_check(comp, i: int) -> bool:
 
 
 def translate_projective(comp, i: int, k: int, w: Permutation) -> TensorVector:
-    """Out-of-wall translation of an indecomposable projective class:
-    the projective indexed by w y_0 on the finer type, y_0 the longest
-    element of (S_merged / S_comp)^short."""
+    """Out-of-wall translation of an indecomposable projective class: the
+    projective whose eta splits slot i of w's eta as (eta_i, 0), the
+    paper's w y_0 with y_0 longest in (S_merged / S_comp)^short."""
     comp = composition(comp)
     check_weight(comp, k)
-    merged = merged_type(comp, i)
-    if class_eta(w, merged, k) is None:
+    eta = class_eta(w, merged_type(comp, i), k)
+    if eta is None:
         raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
-    y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
-    return class_vector(w * y0, comp, k, "projective")
+    return uqrep.canonical_basis(comp, eta[:i] + (0,) + eta[i:])
 
 
 def translate_simple(comp, i: int, k: int, w: Permutation) -> TensorVector:
-    """Onto-wall translation of a simple class: q^(-l(y_0)) times the
-    simple at z when w = z y_0 reduces through the wall, else zero."""
+    """Onto-wall translation of a simple class: zero when slot i+1 of w's
+    eta is in the row, else q^(-a_i a_(i+1)) = q^(-l(y_0)) times the
+    simple whose eta drops that slot, the paper's z with w = z y_0."""
     comp = composition(comp)
     check_weight(comp, k)
     merged = merged_type(comp, i)
-    if class_eta(w, comp, k) is None:
+    eta = class_eta(w, comp, k)
+    if eta is None:
         raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
-    y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
-    z = w * y0.inverse()
-    if w.length() != z.length() + y0.length():
+    if eta[i]:
         return uqrep.zero_vector(merged)
-    eta_z = class_eta(z, merged, k)
-    if eta_z is None:
-        return uqrep.zero_vector(merged)
-    return uqrep.dual_canonical(merged, eta_z).scale(_Q(-y0.length()))
+    simple = uqrep.dual_canonical(merged, eta[:i] + eta[i + 1 :])
+    return simple.scale(_Q(-comp[i - 1] * comp[i]))
 
 
 # -- raising and lowering on the weight spaces -----------------------------
@@ -475,11 +422,14 @@ def kgroup_E(comp, k: int) -> dict:
 
 def lowering_rule_holds(comp, k: int) -> bool:
     """Lowering sends a projective class to the projective with the same
-    index if that index survives, else to zero."""
+    index if that index survives, else to zero.  It survives exactly when
+    slot 1 of eta is in the column, and then moves slot 1 to the row."""
     comp = composition(comp)
     for eta in uqrep.weight_etas(comp, k + 1):
-        low = class_eta(index_perm(comp, k + 1, eta), comp, k)
-        want = uqrep.zero_vector(comp) if low is None else uqrep.canonical_basis(comp, low)
+        if eta[0]:
+            want = uqrep.zero_vector(comp)
+        else:
+            want = uqrep.canonical_basis(comp, (1,) + eta[1:])
         if uqrep.act_F(uqrep.canonical_basis(comp, eta)) != want:
             return False
     return True
@@ -487,11 +437,14 @@ def lowering_rule_holds(comp, k: int) -> bool:
 
 def raising_rule_holds(comp, k: int) -> bool:
     """Rescaled raising sends a simple class to the simple with the same
-    index if that index survives, else to zero."""
+    index if that index survives, else to zero.  It survives exactly when
+    slot 1 of eta is in the row, and then moves slot 1 to the column."""
     comp = composition(comp)
     for eta in uqrep.weight_etas(comp, k):
-        up = class_eta(index_perm(comp, k, eta), comp, k + 1)
-        want = uqrep.zero_vector(comp) if up is None else uqrep.dual_canonical(comp, up)
+        if eta[0]:
+            want = uqrep.dual_canonical(comp, (0,) + eta[1:])
+        else:
+            want = uqrep.zero_vector(comp)
         if uqrep.act_Eprime(uqrep.dual_canonical(comp, eta)) != want:
             return False
     return True
@@ -539,8 +492,8 @@ def hom_dim_form_route(w: Permutation, z: Permutation, n: int, k: int) -> int:
     cw = class_vector(w, comp, k, "projective")
     cz = class_vector(z, comp, k, "projective")
     total = 0
-    for x in enumerate_lambda(comp, k):
-        vx = class_vector(x, comp, k, "standard")
+    for eta in uqrep.weight_etas(comp, k):
+        vx = uqrep.standard_vector(comp, eta)
         total += bilinear_form(cw, vx).at_one() * bilinear_form(cz, vx).at_one()
     value, remainder = divmod(total, factorial(k))
     if remainder:

@@ -1,15 +1,17 @@
 """Independent reference computations used only by the tests."""
 
 from itertools import combinations
+from math import factorial
 
 from heckeweb.qarith import LaurentPoly
 from heckeweb.symgrp import (
     ParabolicSubgroup,
     Permutation,
+    all_permutations,
     is_shortest_rep,
-    shortest_rep_of_coset,
 )
-from heckeweb import hecke, uqrep
+from heckeweb import hecke, tabgroth, uqrep
+from heckeweb.uqrep import composition
 
 
 def subword_bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -34,7 +36,7 @@ def act_generator_by_products(mod, w: Permutation, i: int):
     Q = LaurentPoly.q
     n = mod.n
     wsi = w * Permutation.simple(n, i)
-    if is_shortest_rep(wsi, mod.parabolic_pq(), side="left"):
+    if is_shortest_rep(wsi, mod.parabolic_pq()):
         if wsi.length() > w.length():
             return mod.standard(wsi)
         return mod.standard(wsi) + mod.standard(w).scale(Q(-1) - Q(1))
@@ -214,3 +216,214 @@ def eta_to_perm(eta, k: int) -> Permutation:
     for val, pos in zip(range(k + 1, n + 1), ones):
         one_line[pos - 1] = val
     return Permutation(tuple(one_line))
+
+
+# -- parabolic cosets: the paper's factorization lemmas ---------------------
+
+
+def parabolic_order(p: ParabolicSubgroup) -> int:
+    size = 1
+    for b in p.blocks():
+        size *= factorial(len(b))
+    return size
+
+
+def parabolic_contains(p: ParabolicSubgroup, w: Permutation) -> bool:
+    if w.n != p.n:
+        return False
+    for block in p.blocks():
+        lo, hi = block[0], block[-1]
+        if any(not lo <= w(pos) <= hi for pos in block):
+            return False
+    return True
+
+
+def parabolic_longest_element(p: ParabolicSubgroup) -> Permutation:
+    base = list(range(1, p.n + 1))
+    for block in p.blocks():
+        for k, pos in enumerate(block):
+            base[pos - 1] = block[-1] - k
+    return Permutation(tuple(base))
+
+
+def is_shortest_right_rep(w: Permutation, p: ParabolicSubgroup) -> bool:
+    """Shortest representative of the coset w W_p."""
+    return all(w(i) < w(i + 1) for i in p.generators)
+
+
+def shortest_right_coset_reps(p: ParabolicSubgroup) -> list[Permutation]:
+    """Shortest coset representatives for S_n/W_p."""
+    return [w for w in all_permutations(p.n) if is_shortest_right_rep(w, p)]
+
+
+def longest_coset_reps(p: ParabolicSubgroup) -> list[Permutation]:
+    """Longest coset representatives for W_p\\S_n."""
+    return [
+        w for w in all_permutations(p.n)
+        if all(w.inverse()(i) > w.inverse()(i + 1) for i in p.generators)
+    ]
+
+
+def shortest_rep_of_coset(w: Permutation, p: ParabolicSubgroup, side: str = "right") -> Permutation:
+    """The shortest element of w W_p (side="right") or W_p w (side="left")."""
+    if side == "right":
+        word = list(w.one_line)
+        for block in p.blocks():
+            vals = sorted(word[block[0] - 1 : block[-1]])
+            word[block[0] - 1 : block[-1]] = vals
+        return Permutation(tuple(word))
+    if side == "left":
+        return shortest_rep_of_coset(w.inverse(), p, side="right").inverse()
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def factor_through_wall(
+    w: Permutation, lam: ParabolicSubgroup, mu: ParabolicSubgroup
+) -> tuple[Permutation, Permutation]:
+    """Factor w = w' x with w' shortest for S_n/S_mu and x in S_mu shortest
+    for S_mu/S_lam, with additive lengths.  Requires S_lam <= S_mu and w a
+    shortest representative for S_n/S_lam."""
+    if not lam.generators <= mu.generators:
+        raise ValueError("inner parabolic is not contained in the outer one")
+    if not is_shortest_right_rep(w, lam):
+        raise ValueError(f"{w} is not a shortest coset representative for S_n/S_lam")
+    wp = shortest_rep_of_coset(w, mu, side="right")
+    x = wp.inverse() * w
+    assert parabolic_contains(mu, x)
+    assert is_shortest_right_rep(x, lam)
+    assert w.length() == wp.length() + x.length()
+    return wp, x
+
+
+def longest_quotient_rep(mu: ParabolicSubgroup, lam: ParabolicSubgroup) -> Permutation:
+    """Longest element of (S_mu/S_lam)^short, namely w_mu w_lam."""
+    if not lam.generators <= mu.generators:
+        raise ValueError("inner parabolic is not contained in the outer one")
+    return parabolic_longest_element(mu) * parabolic_longest_element(lam)
+
+
+def lambda_set(n: int, p_gens, q_gens, lam_gens) -> list[Permutation]:
+    """The index set of shortest representatives w for S_n/S_lam with
+    w S_lam inside W^p and w S_lam meeting the longest representatives
+    of W_q\\S_n, sorted by (length, one-line word)."""
+    p = ParabolicSubgroup.of(n, p_gens)
+    q = ParabolicSubgroup.of(n, q_gens)
+    lam = ParabolicSubgroup.of(n, lam_gens)
+    lam_elements = lam.elements()
+    out = []
+    for w in shortest_right_coset_reps(lam):
+        coset = [w * y for y in lam_elements]
+        if not all(is_shortest_rep(u, p) for u in coset):
+            continue
+        wi_longest = lambda u: all(u.inverse()(i) > u.inverse()(i + 1) for i in q.generators)
+        if not any(wi_longest(u) for u in coset):
+            continue
+        out.append(w)
+    out.sort(key=lambda w: (w.length(), w.one_line))
+    return out
+
+
+def lemma10_completion(
+    w: Permutation,
+    q: ParabolicSubgroup,
+    p: ParabolicSubgroup,
+    lam_gens=(),
+) -> Permutation:
+    """The unique x in W_q with x w in the lambda set for (p, q) and
+    additive lengths l(xw) = l(x) + l(w)."""
+    members = set(lambda_set(w.n, p.generators, q.generators, lam_gens))
+    found = None
+    for x in q.elements():
+        xw = x * w
+        if xw in members and xw.length() == x.length() + w.length():
+            if found is not None:
+                raise ValueError(f"completion of {w} is not unique")
+            found = x
+    if found is None:
+        raise ValueError(f"no completion of {w} inside W_q = {q}")
+    return found
+
+
+# -- tableaux as permuted boxes ----------------------------------------------
+
+
+def comp_parabolic(comp) -> ParabolicSubgroup:
+    """The stabilizer of the minimal tableau: block subgroup of type comp."""
+    comp = composition(comp)
+    n = sum(comp)
+    gens = set(range(1, n))
+    total = 0
+    for a in comp[:-1]:
+        total += a
+        gens.discard(total)
+    return ParabolicSubgroup.of(n, gens)
+
+
+def minimal_tableau(comp, k: int):
+    comp = composition(comp)
+    n = sum(comp)
+    if not 0 <= k <= n:
+        raise ValueError(f"hook parameter k={k} out of range for n={n}")
+    seq = tabgroth._type_sequence(comp)
+    return tabgroth.HookTableau(n, k, comp, seq[:k], seq[k:])
+
+
+def tableau_from_perm(w: Permutation, comp, k: int):
+    """T(box b) = minimal entry at box w^-1(b)."""
+    comp = composition(comp)
+    n = sum(comp)
+    if w.n != n:
+        raise ValueError(f"permutation size {w.n} does not match n={n}")
+    if not is_shortest_right_rep(w, comp_parabolic(comp)):
+        raise ValueError(f"{w} is not a shortest representative for the type stabilizer")
+    seq = tabgroth._type_sequence(comp)
+    wi = w.inverse()
+    entries = tuple(seq[wi(b) - 1] for b in range(1, n + 1))
+    return tabgroth.HookTableau(n, k, comp, entries[:k], entries[k:])
+
+
+def act_on_tableau(w: Permutation, t):
+    """Left action permuting boxes: (w.T)(b) = T(w^-1(b))."""
+    wi = w.inverse()
+    entries = t.entries()
+    moved = tuple(entries[wi(b) - 1] for b in range(1, t.n + 1))
+    return tabgroth.HookTableau(t.n, t.k, t.comp, moved[: t.k], moved[t.k :])
+
+
+def eta_of_tableau(t) -> tuple[int, ...]:
+    """1 at the values appearing in the row."""
+    in_row = set(t.row)
+    return tuple(1 if value in in_row else 0 for value in range(1, len(t.comp) + 1))
+
+
+# -- translations through y_0, as the paper states them ----------------------
+
+
+def translate_projective_by_y0(comp, i: int, k: int, w: Permutation):
+    """The projective indexed by w y_0 on the finer type, y_0 the longest
+    element of (S_merged / S_comp)^short."""
+    comp = composition(comp)
+    tabgroth.check_weight(comp, k)
+    merged = tabgroth.merged_type(comp, i)
+    if tabgroth.class_eta(w, merged, k) is None:
+        raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
+    y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
+    return tabgroth.class_vector(w * y0, comp, k, "projective")
+
+
+def translate_simple_by_y0(comp, i: int, k: int, w: Permutation):
+    """q^(-l(y_0)) times the simple at z when w = z y_0 reduces through
+    the wall, else zero."""
+    comp = composition(comp)
+    tabgroth.check_weight(comp, k)
+    merged = tabgroth.merged_type(comp, i)
+    if tabgroth.class_eta(w, comp, k) is None:
+        raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
+    y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
+    z = w * y0.inverse()
+    if w.length() != z.length() + y0.length():
+        return uqrep.zero_vector(merged)
+    eta_z = tabgroth.class_eta(z, merged, k)
+    if eta_z is None:
+        return uqrep.zero_vector(merged)
+    return uqrep.dual_canonical(merged, eta_z).scale(LaurentPoly.q(-y0.length()))

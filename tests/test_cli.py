@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import heckeweb
-from heckeweb import cli, inducedmod, uqrep, webcat
+from heckeweb import cli, inducedmod, tabgroth, uqrep, webcat
 from heckeweb.hecke import HeckeElement
 from heckeweb.qarith import LaurentPoly, coeff_to_json
 
@@ -348,6 +348,43 @@ def test_check_rejects_a_size_bound_below_one(capsys):
     for max_n in ("0", "-3"):
         code, out, err = run_cli(capsys, "check", "--suite", "all", "--max-n", max_n)
         assert code == 2 and out == "" and "max_n" in err, max_n
+
+
+def test_empty_composition_part_is_a_usage_error(capsys):
+    commands = [
+        ("canonical",),
+        ("web-eval", "--word", "id"),
+        ("web-coeff", "--word", "id", "--bottom", "", "--top", ""),
+        ("tableaux", "--k", "0"),
+        ("translate", "--pos", "1", "--k", "0", "--dir", "onto", "--basis", "proper"),
+    ]
+    for comp in (",", "", "1,,1", "1,1,", ",1"):
+        for command, *rest in commands:
+            code, out, err = run_cli(capsys, command, "--comp", comp, *rest)
+            assert code == 2 and out == "", (command, comp)
+            assert "malformed composition" in err, (command, comp)
+
+
+@pytest.mark.parametrize(
+    "suite,module,name,size",
+    [
+        ("triple", uqrep, "canonical_basis_by_bar", lambda comp, eta: len(comp)),
+        ("efm", tabgroth, "lowering_rule_holds", lambda comp, k: sum(comp)),
+        ("homdim", tabgroth, "hom_dim", lambda w, z, n, k: n),
+    ],
+)
+def test_check_reaches_the_size_bound(capsys, monkeypatch, suite, module, name, size):
+    sizes = set()
+    original = getattr(module, name)
+
+    def spy(*args):
+        sizes.add(size(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    code, out, _ = run_cli(capsys, "check", "--suite", suite, "--max-n", "5")
+    assert code == 0 and out == f"{suite}: PASS\n"
+    assert max(sizes) == 5
 
 
 def test_admissible_listing_rejects_k_outside_the_weights(capsys):

@@ -11,6 +11,7 @@ from oracles import (
     act_generator_by_products,
     generator_times_closed_form,
     hecke_generator_inverse,
+    parabolic_order,
 )
 
 Q = LaurentPoly.q
@@ -37,7 +38,7 @@ def test_commuting_validation():
 def test_basis_size():
     for n, p, q in [(3, (1,), ()), (4, (1,), (3,)), (4, (), (1, 2))]:
         mod = inducedmod.InducedModule.of(n, p, q)
-        order = ParabolicSubgroup.of(n, set(p) | set(q)).order()
+        order = parabolic_order(ParabolicSubgroup.of(n, set(p) | set(q)))
         assert len(mod.basis_index()) * order == factorial(n)
 
 

@@ -4,11 +4,23 @@ from math import comb
 import pytest
 
 from heckeweb.qarith import LaurentPoly, quantum_factorial0, quantum_int0
-from heckeweb.symgrp import Permutation, lambda_set, shortest_coset_reps
+from heckeweb.symgrp import Permutation
 from heckeweb import tabgroth, uqrep
 from heckeweb.checks import compositions_of
 
-from oracles import decrement_entries, redistribution_targets
+from oracles import (
+    act_on_tableau,
+    comp_parabolic,
+    decrement_entries,
+    eta_of_tableau,
+    lambda_set,
+    minimal_tableau,
+    redistribution_targets,
+    shortest_right_coset_reps,
+    tableau_from_perm,
+    translate_projective_by_y0,
+    translate_simple_by_y0,
+)
 
 Q = LaurentPoly.q
 E2 = Permutation.identity(2)
@@ -16,7 +28,7 @@ S1 = Permutation.simple(2, 1)
 
 
 def test_minimal_tableau_figure():
-    t = tabgroth.minimal_tableau((1, 2, 2, 2), 4)
+    t = minimal_tableau((1, 2, 2, 2), 4)
     assert t.column == (1, 2, 2, 3)
     assert t.row == (3, 4, 4)
     assert not tabgroth.is_admissible(t)
@@ -44,19 +56,19 @@ def test_minimal_is_identity_image():
     for comp in [(1, 1, 1), (2, 1), (1, 2, 2)]:
         n = sum(comp)
         for k in range(0, n + 1):
-            t = tabgroth.tableau_from_perm(Permutation.identity(n), comp, k)
-            assert t == tabgroth.minimal_tableau(comp, k)
+            t = tableau_from_perm(Permutation.identity(n), comp, k)
+            assert t == minimal_tableau(comp, k)
 
 
 def test_bijection_round_trip():
     for comp in [(1, 1, 1), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1)]:
         n = sum(comp)
-        stab = tabgroth.comp_parabolic(comp)
+        stab = comp_parabolic(comp)
         for k in range(0, n + 1):
-            reps = shortest_coset_reps(stab, side="right")
+            reps = shortest_right_coset_reps(stab)
             seen = set()
             for w in reps:
-                t = tabgroth.tableau_from_perm(w, comp, k)
+                t = tableau_from_perm(w, comp, k)
                 assert tabgroth.perm_from_tableau(t) == w
                 seen.add(t)
             assert len(seen) == len(reps)
@@ -65,21 +77,21 @@ def test_bijection_round_trip():
 def test_action_compatibility():
     comp = (1, 1, 1)
     w = Permutation((2, 3, 1))
-    t = tabgroth.tableau_from_perm(w, comp, 1)
-    assert t == tabgroth.act_on_tableau(w, tabgroth.minimal_tableau(comp, 1))
+    t = tableau_from_perm(w, comp, 1)
+    assert t == act_on_tableau(w, minimal_tableau(comp, 1))
 
 
 def test_eta_index_matches_the_tableau_definition():
     for n in range(1, 7):
         for comp in compositions_of(n):
-            reps = shortest_coset_reps(tabgroth.comp_parabolic(comp), side="right")
+            reps = shortest_right_coset_reps(comp_parabolic(comp))
             for k in range(0, n + 1):
                 for eta in uqrep.weight_etas(comp, k):
                     want = tabgroth.perm_from_tableau(tabgroth.tableau_of_eta(comp, k, eta))
                     assert tabgroth.index_perm(comp, k, eta) == want, (comp, k, eta)
                 for w in reps:
-                    t = tabgroth.tableau_from_perm(w, comp, k)
-                    want = tabgroth.eta_of_tableau(t) if tabgroth.is_admissible(t) else None
+                    t = tableau_from_perm(w, comp, k)
+                    want = eta_of_tableau(t) if tabgroth.is_admissible(t) else None
                     assert tabgroth.class_eta(w, comp, k) == want, (comp, k, w)
 
 
@@ -111,7 +123,7 @@ def test_admissible_enumeration_counts():
 def test_lambda_agrees_with_group_theoretic_set():
     for comp in [(1, 1), (1, 1, 1), (2, 1), (1, 2), (2, 1, 1), (1, 1, 1, 1)]:
         n = sum(comp)
-        stab = tabgroth.comp_parabolic(comp).generators
+        stab = comp_parabolic(comp).generators
         for k in range(0, n + 1):
             via_tableaux = tabgroth.enumerate_lambda(comp, k)
             via_cosets = lambda_set(n, range(k + 1, n), range(1, k), stab)
@@ -190,7 +202,7 @@ def test_out_targets_match_redistribution_oracle():
                 matrix = tabgroth.translate_out_of_wall(comp, i, k)
                 assert set(matrix) == set(tabgroth.enumerate_lambda(merged, k))
                 for w, row in matrix.items():
-                    t = tabgroth.tableau_from_perm(w, merged, k)
+                    t = tableau_from_perm(w, merged, k)
                     targets = redistribution_targets(t, i, comp)
                     want = {tabgroth.perm_from_tableau(u) for u in targets}
                     assert set(row) == want, (comp, i, k, w)
@@ -205,7 +217,7 @@ def test_onto_targets_match_decrement_oracle():
                     matrix = tabgroth.translate_onto_wall(comp, i, k)
                     assert set(matrix) == set(tabgroth.enumerate_lambda(comp, k))
                     for w, row in matrix.items():
-                        t = tabgroth.tableau_from_perm(w, comp, k)
+                        t = tableau_from_perm(w, comp, k)
                         target = decrement_entries(t, i, merged)
                         if tabgroth.is_admissible(target):
                             want = {tabgroth.perm_from_tableau(target)}
@@ -240,9 +252,34 @@ def test_translate_projective_examples():
     (src,) = tabgroth.enumerate_lambda((2,), 1)
     got = tabgroth.translate_projective((1, 1), 1, 1, src)
     assert got == uqrep.canonical_basis((1, 1), (1, 0))
-    # identity wall change
-    for w in tabgroth.enumerate_lambda((1, 1), 1):
-        pass  # nothing to translate when no merge happens; covered by theorem1
+
+
+def test_translations_match_the_y0_routes():
+    for n in range(2, 7):
+        for comp in compositions_of(n):
+            for i in range(1, len(comp)):
+                merged = tabgroth.merged_type(comp, i)
+                for k in range(n - len(comp), n + 1):
+                    for w in tabgroth.enumerate_lambda(merged, k):
+                        got = tabgroth.translate_projective(comp, i, k, w)
+                        assert got == translate_projective_by_y0(comp, i, k, w), (comp, i, k, w)
+                    for w in tabgroth.enumerate_lambda(comp, k):
+                        got = tabgroth.translate_simple(comp, i, k, w)
+                        assert got == translate_simple_by_y0(comp, i, k, w), (comp, i, k, w)
+
+
+def test_survival_flips_match_the_index_permutations():
+    # the index permutation of eta at one weight indexes a class at the
+    # next one exactly when moving slot 1 across the hook gives its eta
+    for n in range(1, 9):
+        for comp in compositions_of(n):
+            for k in range(n - len(comp), n):
+                for eta in uqrep.weight_etas(comp, k + 1):
+                    low = None if eta[0] else (1,) + eta[1:]
+                    assert tabgroth.class_eta(tabgroth.index_perm(comp, k + 1, eta), comp, k) == low
+                for eta in uqrep.weight_etas(comp, k):
+                    up = (0,) + eta[1:] if eta[0] else None
+                    assert tabgroth.class_eta(tabgroth.index_perm(comp, k, eta), comp, k + 1) == up
 
 
 def test_translate_simple_examples():
@@ -352,7 +389,7 @@ def test_homdim_symmetric():
 
 
 def test_tableau_rendering_and_json():
-    t = tabgroth.minimal_tableau((2, 1), 1)
+    t = minimal_tableau((2, 1), 1)
     assert str(t) == "row[1 2] col[1]"
     back = tabgroth.HookTableau.from_json(t.to_json())
     assert back == t

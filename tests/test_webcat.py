@@ -235,3 +235,23 @@ def test_json_round_trip():
     web = webcat.parse_word((1, 1, 1), "m1.s1:1,1.m2")
     back = webcat.Web.from_json(web.to_json())
     assert back == web
+
+
+def test_json_parser_rejects_what_it_cannot_read():
+    merge = {"kind": "merge", "i": 1, "comp": [1, 1]}
+    split = {"kind": "split", "i": 1, "comp": [2], "left": 1, "right": 1}
+    bad = [
+        ([2], {**split, "kind": "Merge"}, "unknown kind 'Merge'"),
+        ([1, 1], {**merge, "comp": [5, 5]}, r"recorded at \[5, 5\]"),
+        ([1, 1], {"kind": "merge", "comp": [1, 1]}, "has no 'i'"),
+        ([1, 1], {"kind": "merge", "i": 1}, "has no 'comp'"),
+        ([2], {key: v for key, v in split.items() if key != "right"}, "has no 'right'"),
+        ([1, 1], {**merge, "i": 3}, "merge position 3"),
+    ]
+    for source, item, message in bad:
+        with pytest.raises(ValueError, match=f"web slice 1.*{message}"):
+            webcat.Web.from_json({"source": source, "slices": [item]})
+    # the second slice is named, not the first
+    data = {"source": [1, 1], "slices": [merge, {**merge, "comp": [1, 1]}]}
+    with pytest.raises(ValueError, match=r"web slice 2: recorded at \[1, 1\], reached at \(2,\)"):
+        webcat.Web.from_json(data)
