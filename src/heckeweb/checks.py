@@ -252,7 +252,7 @@ def check_induced_maps(max_n: int = 4) -> None:
 # -- criterion 4: representation identities --------------------------------
 
 
-def check_rep_identities(max_n: int = 5, max_ab: int = 4) -> None:
+def check_rep_identities(max_n: int = 5) -> None:
     for n in range(1, max_n + 1):
         for comp in compositions_of(n):
             for eta in product((0, 1), repeat=len(comp)):
@@ -264,8 +264,8 @@ def check_rep_identities(max_n: int = 5, max_ab: int = 4) -> None:
                     anti == v.scale(quantum_int(n)),
                     f"EF+FE != [n] id on {comp} at {eta}",
                 )
-    for a in range(1, max_ab + 1):
-        for b in range(1, max_ab + 1):
+    for a in range(1, 5):
+        for b in range(1, 5):
             comp = (a, b)
             merged = (a + b,)
             for eta in product((0, 1), repeat=2):
@@ -288,8 +288,8 @@ def check_rep_identities(max_n: int = 5, max_ab: int = 4) -> None:
                     loop == v.scale(quantum_binom(a + b, a)),
                     f"merge(split) != binomial at a={a}, b={b}",
                 )
-    for a in range(1, min(max_ab, 3) + 1):
-        for b in range(1, min(max_ab, 3) + 1):
+    for a in range(1, 4):
+        for b in range(1, 4):
             for eta in product((0, 1), repeat=2):
                 for gamma in product((0, 1), repeat=1):
                     v = uqrep.standard_vector((a, b), eta)

@@ -108,19 +108,17 @@ class Web:
         web = identity_web(composition(data["source"]))
         for number, item in enumerate(data["slices"], start=1):
             try:
-                if tuple(item["comp"]) != web.target:
-                    raise ValueError(f"recorded at {item['comp']}, reached at {web.target}")
                 if item["kind"] == "merge":
-                    step = merge_web(web.target, item["i"])
+                    step = merge_web(item["comp"], item["i"])
                 elif item["kind"] == "split":
-                    step = split_web(web.target, item["i"], item["left"], item["right"])
+                    step = split_web(item["comp"], item["i"], item["left"], item["right"])
                 else:
                     raise ValueError(f"unknown kind {item['kind']!r}")
+                web = compose(step, web)
             except KeyError as exc:
                 raise ValueError(f"web slice {number} has no {exc.args[0]!r}") from None
             except ValueError as exc:
                 raise ValueError(f"web slice {number}: {exc}") from None
-            web = compose(step, web)
         return web
 
 

@@ -58,7 +58,7 @@ def test_criterion_03_induced_module_maps(capsys):
 
 def test_criterion_04_representation_identities(capsys):
     with capsys.disabled():
-        _timed(4, "representation identities, n<=5", 30, checks.check_rep_identities, 5, 4)
+        _timed(4, "representation identities, n<=5", 30, checks.check_rep_identities, 5)
 
 
 def test_criterion_05_schur_weyl_stl(capsys):

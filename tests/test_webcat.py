@@ -242,7 +242,7 @@ def test_json_parser_rejects_what_it_cannot_read():
     split = {"kind": "split", "i": 1, "comp": [2], "left": 1, "right": 1}
     bad = [
         ([2], {**split, "kind": "Merge"}, "unknown kind 'Merge'"),
-        ([1, 1], {**merge, "comp": [5, 5]}, r"recorded at \[5, 5\]"),
+        ([1, 1], {**merge, "comp": [5, 5]}, r"upper source \(5, 5\)"),
         ([1, 1], {"kind": "merge", "comp": [1, 1]}, "has no 'i'"),
         ([1, 1], {"kind": "merge", "i": 1}, "has no 'comp'"),
         ([2], {key: v for key, v in split.items() if key != "right"}, "has no 'right'"),
@@ -253,5 +253,5 @@ def test_json_parser_rejects_what_it_cannot_read():
             webcat.Web.from_json({"source": source, "slices": [item]})
     # the second slice is named, not the first
     data = {"source": [1, 1], "slices": [merge, {**merge, "comp": [1, 1]}]}
-    with pytest.raises(ValueError, match=r"web slice 2: recorded at \[1, 1\], reached at \(2,\)"):
+    with pytest.raises(ValueError, match=r"web slice 2: .*target \(2,\) vs upper source \(1, 1\)"):
         webcat.Web.from_json(data)
