@@ -484,7 +484,7 @@ def check_kgroup(max_n: int = 4) -> None:
                         == uqrep.act_Eprime(uqrep.phi_merge(v, i)),
                         f"merge/E' do not commute at {comp}, i={i}, {eta}",
                     )
-                merged = tabgroth.merged_type(comp, i)
+                merged = uqrep.merged_type(comp, i)
                 for eta in product((0, 1), repeat=len(merged)):
                     v = uqrep.standard_vector(merged, eta)
                     _require(

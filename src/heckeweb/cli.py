@@ -100,19 +100,15 @@ def _cmd_canonical(args) -> int:
         vec = uqrep.canonical_basis(comp, eta)
         _emit(args, [str(vec)], vec.to_json())
         return 0
-    from itertools import product
-
     lines = []
     payload = []
-    etas = sorted(
-        product((0, 1), repeat=len(comp)),
-        key=lambda e: (sum(e), uqrep._inversions(e), e),
-    )
-    for eta in etas:
-        vec = uqrep.canonical_basis(comp, eta)
-        bits = "".join(str(b) for b in eta)
-        lines.append(f"{bits}: {vec}")
-        payload.append({"eta": bits, "vector": vec.to_json()})
+    n = sum(comp)
+    for k in range(n, n - len(comp) - 1, -1):
+        for eta in uqrep.weight_etas(comp, k):
+            vec = uqrep.canonical_basis(comp, eta)
+            bits = "".join(str(b) for b in eta)
+            lines.append(f"{bits}: {vec}")
+            payload.append({"eta": bits, "vector": vec.to_json()})
     _emit(args, lines, payload)
     return 0
 
@@ -200,7 +196,7 @@ def _cmd_translate(args) -> int:
             raise ValueError("projective classes translate out of the wall only")
         if args.basis == "simple" and args.dir != "onto":
             raise ValueError("simple classes translate onto the wall only")
-        src = tabgroth.merged_type(comp, i) if args.basis == "projective" else comp
+        src = uqrep.merged_type(comp, i) if args.basis == "projective" else comp
         rows = []
         for w in tabgroth.enumerate_lambda(src, k):
             if args.basis == "projective":

@@ -15,7 +15,7 @@ basis vectors as H[...] and has its own JSON form.
 
 from __future__ import annotations
 
-from .qarith import LaurentPoly
+from .qarith import LaurentPoly, json_parser
 from .symgrp import Permutation
 from . import inducedmod
 from .inducedmod import InducedModule, ModuleElement
@@ -51,6 +51,7 @@ class HeckeElement(ModuleElement):
         return self._support_json("w", lambda w: list(w.one_line))
 
     @staticmethod
+    @json_parser
     def from_json(n: int, data) -> "HeckeElement":
         mod = InducedModule.of(n)
         return HeckeElement._from_support_json(

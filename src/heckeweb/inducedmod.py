@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .qarith import LaurentPoly, SparseVector
+from .qarith import LaurentPoly, SparseVector, json_parser
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
 
 __all__ = ["InducedModule", "ModuleElement", "map_i", "map_Q", "map_j", "map_z"]
@@ -87,6 +87,7 @@ class InducedModule:
         }
 
     @staticmethod
+    @json_parser
     def from_json(data) -> "InducedModule":
         return InducedModule.of(data["n"], data["p_generators"], data["q_generators"])
 
@@ -135,6 +136,7 @@ class ModuleElement(SparseVector):
         }
 
     @staticmethod
+    @json_parser
     def from_json(data) -> "ModuleElement":
         mod = InducedModule.from_json(data["module"])
         return ModuleElement._from_support_json(

@@ -31,7 +31,7 @@ representations all use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "RationalFunction",
     "SparseVector",
     "coeff_to_json",
+    "json_parser",
     "quantum_int",
     "quantum_factorial",
     "quantum_binom",
@@ -346,6 +347,19 @@ def _num_den(x) -> tuple[LaurentPoly, LaurentPoly]:
     return p, LaurentPoly.one()
 
 
+def json_parser(parse):
+    """Make a missing field in a from_json parser's input a ValueError naming it."""
+
+    @wraps(parse)
+    def parse_or_name_the_field(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except KeyError as exc:
+            raise ValueError(f"JSON input has no field {exc.args[0]!r}") from None
+
+    return parse_or_name_the_field
+
+
 class RationalFunction:
     """Reduced fraction of integer Laurent polynomials whose denominator
     is not 1.  Built by `/` (or `inverse`), never directly: the
@@ -431,6 +445,7 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
     @staticmethod
+    @json_parser
     def from_json(data: dict):
         """The coefficient written by coeff_to_json: a LaurentPoly when
         the reduced denominator is 1."""

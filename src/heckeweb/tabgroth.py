@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial, prod
 
-from .qarith import LaurentPoly, quantum_binom0
+from .qarith import LaurentPoly, json_parser, quantum_binom0
 from .symgrp import Permutation
 from . import uqrep, webcat
 from .uqrep import TensorVector, bilinear_form, composition
@@ -48,7 +48,6 @@ __all__ = [
     "class_eta",
     "enumerate_lambda",
     "class_vector",
-    "merged_type",
     "check_weight",
     "translate_onto_wall",
     "translate_out_of_wall",
@@ -95,6 +94,7 @@ class HookTableau:
         return {"row": list(self.row), "column": list(self.column), "type": list(self.comp)}
 
     @staticmethod
+    @json_parser
     def from_json(data):
         comp = composition(data["type"])
         column = tuple(data["column"])
@@ -132,16 +132,13 @@ def is_admissible(t: HookTableau) -> bool:
 def tableau_of_eta(comp, k: int, eta) -> HookTableau:
     """The admissible tableau whose row holds exactly the marked values."""
     comp = composition(comp)
-    n = sum(comp)
-    eta = tuple(int(e) for e in eta)
-    if len(eta) != len(comp) or sum(eta) != n - k:
-        raise ValueError(f"{eta} does not index the weight space k={k} of {comp}")
+    eta = _check_class(comp, k, eta)
     row = tuple(i + 1 for i, e in enumerate(eta) if e == 1)
     column_multiset = list(_type_sequence(comp))
     for value in row:
         column_multiset.remove(value)
     column = tuple(sorted(column_multiset, reverse=True))
-    return HookTableau(n, k, comp, column, row)
+    return HookTableau(sum(comp), k, comp, column, row)
 
 
 def admissible_tableaux(comp, k: int) -> list[HookTableau]:
@@ -196,6 +193,14 @@ def _multiset_permutations(seq):
 # -- the eta index ---------------------------------------------------------
 
 
+def _check_class(comp, k: int, eta) -> tuple[int, ...]:
+    """eta as a 0/1 tuple, or ValueError unless it indexes a class at weight k."""
+    eta = uqrep._check_eta(comp, eta)
+    if sum(eta) != sum(comp) - k:
+        raise ValueError(f"{eta} does not index the weight space k={k} of {comp}")
+    return eta
+
+
 def index_perm(comp, k: int, eta) -> Permutation:
     """The index permutation of the class eta at weight k, equal to
     perm_from_tableau(tableau_of_eta(comp, k, eta)) in O(n): the block of
@@ -206,9 +211,7 @@ def index_perm(comp, k: int, eta) -> Permutation:
     [4,3,5,2,6,1,7]
     """
     comp = composition(comp)
-    eta = tuple(int(e) for e in eta)
-    if len(eta) != len(comp) or sum(eta) != sum(comp) - k or not set(eta) <= {0, 1}:
-        raise ValueError(f"{eta} does not index the weight space k={k} of {comp}")
+    eta = _check_class(comp, k, eta)
     one_line = []
     top, row = k, k  # column boxes above top and row boxes up to row are filled
     for a, e in zip(comp, eta):
@@ -269,14 +272,6 @@ def class_vector(w: Permutation, comp, k: int, kind: str) -> TensorVector:
 # -- translation across a merge position ---------------------------------
 
 
-def merged_type(comp, i: int) -> tuple[int, ...]:
-    """The type comp with its parts i and i+1 merged into one."""
-    comp = composition(comp)
-    if not 1 <= i <= len(comp) - 1:
-        raise ValueError(f"merge position {i} out of range for {comp} ({len(comp)} parts)")
-    return comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
-
-
 def check_weight(comp, k: int) -> None:
     """Raise ValueError unless k is a weight index of the tensor product
     of type comp, that is unless uqrep.weight_etas(comp, k) is nonempty."""
@@ -293,7 +288,7 @@ def translate_onto_wall(comp, i: int, k: int) -> dict:
     both in the row give zero."""
     comp = composition(comp)
     check_weight(comp, k)
-    merged = merged_type(comp, i)
+    merged = uqrep.merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
     for eta in uqrep.weight_etas(comp, k):
@@ -315,7 +310,7 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
     single target with both slots in the column."""
     comp = composition(comp)
     check_weight(comp, k)
-    merged = merged_type(comp, i)
+    merged = uqrep.merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
     for eta in uqrep.weight_etas(merged, k):
@@ -337,7 +332,7 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     standard vector v_eta / (v_eta, v_eta): the web is applied to the
     plain standard vector and each entry divided once."""
     comp = composition(comp)
-    merged = merged_type(comp, i)
+    merged = uqrep.merged_type(comp, i)
     if direction == "onto":
         src, dst = comp, merged
         apply_web = lambda v: uqrep.phi_merge(v, i)
@@ -377,7 +372,7 @@ def translate_projective(comp, i: int, k: int, w: Permutation) -> TensorVector:
     paper's w y_0 with y_0 longest in (S_merged / S_comp)^short."""
     comp = composition(comp)
     check_weight(comp, k)
-    eta = class_eta(w, merged_type(comp, i), k)
+    eta = class_eta(w, uqrep.merged_type(comp, i), k)
     if eta is None:
         raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
     return uqrep.canonical_basis(comp, eta[:i] + (0,) + eta[i:])
@@ -389,7 +384,7 @@ def translate_simple(comp, i: int, k: int, w: Permutation) -> TensorVector:
     simple whose eta drops that slot, the paper's z with w = z y_0."""
     comp = composition(comp)
     check_weight(comp, k)
-    merged = merged_type(comp, i)
+    merged = uqrep.merged_type(comp, i)
     eta = class_eta(w, comp, k)
     if eta is None:
         raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")

@@ -24,6 +24,7 @@ from itertools import combinations
 from .qarith import (
     LaurentPoly,
     SparseVector,
+    json_parser,
     quantum_binom,
     quantum_int,
     quantum_int0,
@@ -41,6 +42,8 @@ __all__ = [
     "act_K",
     "act_qh",
     "act_Eprime",
+    "merged_type",
+    "split_type",
     "phi_merge",
     "phi_split",
     "bar",
@@ -64,6 +67,8 @@ _ONE = LaurentPoly.one()
 
 def composition(parts) -> tuple[int, ...]:
     """Validated composition: a tuple of strictly positive integers."""
+    if isinstance(parts, str):
+        raise ValueError(f"composition must be a sequence of parts, not {parts!r}")
     comp = tuple(int(p) for p in parts)
     if not all(p >= 1 for p in comp):
         raise ValueError(f"composition parts must be strictly positive: {comp}")
@@ -104,6 +109,7 @@ class TensorVector(SparseVector):
         return {"comp": list(self.comp), "support": self._support_json("eta", _bits)}
 
     @staticmethod
+    @json_parser
     def from_json(data) -> "TensorVector":
         comp = composition(data["comp"])
         return TensorVector._from_support_json(
@@ -169,7 +175,7 @@ def weight_etas(comp, k: int) -> list[tuple[int, ...]]:
         for i in ones:
             eta[i] = 1
         out.append(tuple(eta))
-    out.sort(key=lambda eta: (_inversions(eta), eta))
+    out.sort(key=TensorVector._sort_key)
     return out
 
 
@@ -248,13 +254,28 @@ def act_Eprime(v: TensorVector) -> TensorVector:
 # -- merge and split intertwiners ----------------------------------------
 
 
+def merged_type(comp, i: int) -> tuple[int, ...]:
+    """The type comp with its parts i and i+1 (1-based) merged into one."""
+    if not (type(i) is int and 1 <= i <= len(comp) - 1):
+        raise ValueError(f"merge position {i!r} out of range for {comp}")
+    return comp[: i - 1] + (comp[i - 1] + comp[i],) + comp[i + 1 :]
+
+
+def split_type(comp, i: int, a: int, b: int) -> tuple[int, ...]:
+    """The type comp with its part i (1-based) split into the pair (a, b)."""
+    if not (type(i) is int and 1 <= i <= len(comp)):
+        raise ValueError(f"split position {i!r} out of range for {comp}")
+    label = comp[i - 1]
+    if not (type(a) is type(b) is int and 1 <= a < label and a + b == label):
+        raise ValueError(f"cannot split label {label} as {a!r}+{b!r}")
+    return comp[: i - 1] + (a, b) + comp[i:]
+
+
 def phi_merge(v: TensorVector, i: int) -> TensorVector:
     """Project the adjacent factors i, i+1 (1-based) onto their merge."""
     comp = v.comp
-    if not 1 <= i <= len(comp) - 1:
-        raise ValueError(f"merge position {i} out of range for {comp}")
+    new_comp = merged_type(comp, i)
     a, b = comp[i - 1], comp[i]
-    new_comp = comp[: i - 1] + (a + b,) + comp[i + 1 :]
     terms = []
     for eta, c in v.support.items():
         pair = (eta[i - 1], eta[i])
@@ -276,12 +297,7 @@ def phi_merge(v: TensorVector, i: int) -> TensorVector:
 
 def phi_split(v: TensorVector, i: int, a: int, b: int) -> TensorVector:
     """Embed the factor i of type a+b into a pair of factors (a, b)."""
-    comp = v.comp
-    if not 1 <= i <= len(comp):
-        raise ValueError(f"split position {i} out of range for {comp}")
-    if comp[i - 1] != a + b or a < 1 or b < 1:
-        raise ValueError(f"factor {i} of {comp} does not split as {a}+{b}")
-    new_comp = comp[: i - 1] + (a, b) + comp[i:]
+    new_comp = split_type(v.comp, i, a, b)
     terms = []
     for eta, c in v.support.items():
         head, tail = eta[: i - 1], eta[i:]
@@ -359,9 +375,7 @@ def _canonical_basis_by_bar(comp, eta) -> TensorVector:
     x = standard_vector(comp, eta)
     defect = bar(x) - x
     while not defect.is_zero():
-        gamma, c = max(
-            defect.support.items(), key=lambda item: (_inversions(item[0]), item[0])
-        )
+        gamma, c = max(defect.support.items(), key=lambda item: TensorVector._sort_key(item[0]))
         if not isinstance(c, LaurentPoly) or c.bar() != -c:
             raise ArithmeticError(f"bar defect at {gamma} is not antisymmetric: {c}")
         pos = LaurentPoly({e: v for e, v in c.terms.items() if e > 0})

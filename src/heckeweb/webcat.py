@@ -8,6 +8,15 @@ an exact matrix between standard bases.  A second, independent
 evaluation sums local vertex values over all internal edge labelings;
 the two routes are compared entry by entry in the tests.
 
+A web records only its source type and its word; its intermediate types
+follow by the merge/split type rule of uqrep that the intertwiners use:
+
+>>> web = parse_word((1, 1, 2), "m1.s2:1,1")
+>>> web.types
+((1, 1, 2), (2, 2), (2, 1, 1))
+>>> [item["comp"] for item in web.to_json()["slices"]]
+[[1, 1, 2], [2, 2]]
+
 Words are never normalized: equality of morphisms is always decided by
 comparing evaluations, which is faithful on the objects used here.
 Whether two specific words are equal before imposing the defining
@@ -16,9 +25,11 @@ relations is deliberately not decided by this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 
-from .qarith import LaurentPoly, quantum_binom, quantum_factorial
+from .qarith import LaurentPoly, json_parser, quantum_binom, quantum_factorial
 from . import uqrep
 from .uqrep import TensorVector, composition, standard_vector
 
@@ -51,34 +62,30 @@ class Slice:
     kind: str  # "merge" or "split"
     i: int  # 1-based position
     parts: tuple[int, int] | None  # split only: (left, right)
-    comp: tuple[int, ...]  # composition this slice acts on
 
-    def target(self) -> tuple[int, ...]:
-        c = self.comp
+    def target(self, comp) -> tuple[int, ...]:
+        """The type this slice reaches from comp; ValueError if it cannot act there."""
         if self.kind == "merge":
-            return c[: self.i - 1] + (c[self.i - 1] + c[self.i],) + c[self.i + 1 :]
-        a, b = self.parts
-        return c[: self.i - 1] + (a, b) + c[self.i :]
+            return uqrep.merged_type(comp, self.i)
+        return uqrep.split_type(comp, self.i, *self.parts)
 
 
 @dataclass(frozen=True, slots=True)
 class Web:
     source: tuple[int, ...]
     slices: tuple[Slice, ...]
+    # types[j] is the type slice j acts on; types[-1] is the target
+    types: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comp = self.source
+        types = [self.source]
         for s in self.slices:
-            if s.comp != comp:
-                raise ValueError(f"slice {s} does not chain at {comp}")
-            comp = s.target()
+            types.append(s.target(types[-1]))
+        object.__setattr__(self, "types", tuple(types))
 
     @property
     def target(self) -> tuple[int, ...]:
-        comp = self.source
-        for s in self.slices:
-            comp = s.target()
-        return comp
+        return self.types[-1]
 
     def word_str(self) -> str:
         toks = []
@@ -96,16 +103,17 @@ class Web:
 
     def to_json(self):
         out = []
-        for s in self.slices:
-            item = {"kind": s.kind, "i": s.i, "comp": list(s.comp)}
+        for s, comp in zip(self.slices, self.types):
+            item = {"kind": s.kind, "i": s.i, "comp": list(comp)}
             if s.kind == "split":
                 item["left"], item["right"] = s.parts
             out.append(item)
         return {"source": list(self.source), "slices": out}
 
     @staticmethod
+    @json_parser
     def from_json(data) -> "Web":
-        web = identity_web(composition(data["source"]))
+        web = identity_web(data["source"])
         for number, item in enumerate(data["slices"], start=1):
             try:
                 if item["kind"] == "merge":
@@ -127,19 +135,11 @@ def identity_web(comp) -> Web:
 
 
 def merge_web(comp, i: int) -> Web:
-    comp = composition(comp)
-    if not 1 <= i <= len(comp) - 1:
-        raise ValueError(f"merge position {i} out of range for {comp}")
-    return Web(comp, (Slice("merge", i, None, comp),))
+    return Web(composition(comp), (Slice("merge", i, None),))
 
 
 def split_web(comp, i: int, a: int, b: int) -> Web:
-    comp = composition(comp)
-    if not 1 <= i <= len(comp):
-        raise ValueError(f"split position {i} out of range for {comp}")
-    if a < 1 or b < 1 or a + b != comp[i - 1]:
-        raise ValueError(f"cannot split label {comp[i-1]} as {a}+{b}")
-    return Web(comp, (Slice("split", i, (a, b), comp),))
+    return Web(composition(comp), (Slice("split", i, (a, b)),))
 
 
 def compose(upper: Web, lower: Web) -> Web:
@@ -152,22 +152,11 @@ def compose(upper: Web, lower: Web) -> Web:
 
 
 def tensor(left: Web, right: Web) -> Web:
-    """Horizontal concatenation; the right factor's indices shift by the
-    current arity of the left factor."""
-    source = left.source + right.source
-    slices = []
-    comp = source
-    # left slices act on (left stage, right source)
-    for s in left.slices:
-        ns = Slice(s.kind, s.i, s.parts, comp)
-        slices.append(ns)
-        comp = ns.target()
+    """Horizontal concatenation: the left word acts first, then the right
+    word with its positions shifted by the arity of the left target."""
     offset = len(left.target)
-    for s in right.slices:
-        ns = Slice(s.kind, s.i + offset, s.parts, comp)
-        slices.append(ns)
-        comp = ns.target()
-    return Web(composition(source), tuple(slices))
+    shifted = tuple(Slice(s.kind, s.i + offset, s.parts) for s in right.slices)
+    return Web(left.source + right.source, left.slices + shifted)
 
 
 def evaluate(web: Web, v: TensorVector) -> TensorVector:
@@ -185,10 +174,7 @@ def evaluate(web: Web, v: TensorVector) -> TensorVector:
 def evaluate_matrix(web: Web) -> dict:
     """Column map: source standard index -> image vector."""
     out = {}
-    ell = len(web.source)
-    from itertools import product
-
-    for eta in product((0, 1), repeat=ell):
+    for eta in product((0, 1), repeat=len(web.source)):
         out[eta] = evaluate(web, standard_vector(web.source, eta))
     return out
 
@@ -213,15 +199,14 @@ def matrix_coefficient(d: LabeledWebDiagram) -> LaurentPoly:
         raise ValueError("matrix coefficient needs a top labeling")
     total = LaurentPoly.zero()
     stack = [(0, d.bottom, LaurentPoly.one())]
-    slices = d.web.slices
+    slices, types = d.web.slices, d.web.types
     while stack:
         depth, labels, coeff = stack.pop()
         if depth == len(slices):
             if labels == d.top:
                 total = total + coeff
             continue
-        s = slices[depth]
-        comp = s.comp
+        s, comp = slices[depth], types[depth]
         j = s.i - 1
         if s.kind == "merge":
             a, b = comp[j], comp[j + 1]
@@ -274,9 +259,7 @@ def canonical_basis_diagram(comp, eta) -> LabeledWebDiagram:
         items[pos : pos + 2] = [(left[0] + right[0], 1)]
     bottom_comp = tuple(size for size, _ in items)
     bottom_eta = tuple(bit for _, bit in items)
-    web = identity_web(bottom_comp)
-    for pos, a, b in reversed(joins):
-        web = compose(split_web(web.target, pos, a, b), web)
+    web = Web(bottom_comp, tuple(Slice("split", pos, (a, b)) for pos, a, b in reversed(joins)))
     return LabeledWebDiagram(web, bottom_eta, None)
 
 
@@ -285,56 +268,35 @@ def evaluate_canonical_diagram(d: LabeledWebDiagram) -> TensorVector:
 
 
 def split_bundle(m: int) -> Web:
-    """The web splitting one m-labeled edge into m single strands."""
-    web = identity_web((m,))
-    while any(a > 1 for a in web.target):
-        comp = web.target
-        j = next(idx for idx, a in enumerate(comp) if a > 1)
-        web = compose(split_web(comp, j + 1, 1, comp[j] - 1), web)
-    return web
+    """The web splitting one m-labeled edge into m single strands, one
+    strand off the left at a time."""
+    return Web(composition((m,)), tuple(Slice("split", j, (1, m - j)) for j in range(1, m)))
 
 
 def merge_bundle(m: int) -> Web:
-    """The web merging m single strands into one m-labeled edge."""
-    web = identity_web((1,) * m)
-    while len(web.target) > 1:
-        web = compose(merge_web(web.target, 1), web)
-    return web
+    """The web merging m single strands into one m-labeled edge, one
+    strand onto the left at a time."""
+    return Web((1,) * m, (Slice("merge", 1, None),) * (m - 1))
 
 
 def standard_inclusion(comp) -> Web:
     """Tensor product of split bundles: from comp down to all-ones."""
-    comp = composition(comp)
-    web = split_bundle(comp[0])
-    for a in comp[1:]:
-        web = tensor(web, split_bundle(a))
-    return web
+    return reduce(tensor, map(split_bundle, composition(comp)))
 
 
 def standard_projection(comp) -> Web:
     """Tensor product of merge bundles: from all-ones onto comp."""
-    comp = composition(comp)
-    web = merge_bundle(comp[0])
-    for a in comp[1:]:
-        web = tensor(web, merge_bundle(a))
-    return web
+    return reduce(tensor, map(merge_bundle, composition(comp)))
 
 
 def _c_web(comp, i: int) -> Web:
     """The cap-cup word at position i: merge then split back."""
     comp = composition(comp)
-    a, b = comp[i - 1], comp[i]
-    merged = merge_web(comp, i)
-    return compose(split_web(merged.target, i, a, b), merged)
+    return Web(comp, (Slice("merge", i, None), Slice("split", i, comp[i - 1 : i + 1])))
 
 
 def _scaled_identity_matrix(comp, scalar: LaurentPoly) -> dict:
-    from itertools import product
-
-    return {
-        eta: standard_vector(comp, eta).scale(scalar)
-        for eta in product((0, 1), repeat=len(composition(comp)))
-    }
+    return {eta: v.scale(scalar) for eta, v in evaluate_matrix(identity_web(comp)).items()}
 
 
 def _matrix_sum(m1: dict, m2: dict) -> dict:
@@ -394,18 +356,15 @@ def parse_word(comp, word: str) -> Web:
             if ":" in body:
                 idx, parts = body.split(":")
                 a, b = (int(x) for x in parts.split(","))
-                web = compose(split_web(web.target, int(idx), a, b), web)
+                i = int(idx)
             else:
-                i = int(body)
-                comp_now = web.target
-                if not 1 <= i <= len(comp_now):
-                    raise ValueError(f"split position {i} out of range for {comp_now}")
-                if comp_now[i - 1] != 2:
+                i, a, b = int(body), 1, 1
+                # an out-of-range position is left for split_web to reject
+                if 1 <= i <= len(web.target) and web.target[i - 1] != 2:
                     raise ValueError(
-                        f"split s{i} on label {comp_now[i-1]} is ambiguous; "
-                        f"use s{i}:a,b"
+                        f"split s{i} on label {web.target[i - 1]} is ambiguous; use s{i}:a,b"
                     )
-                web = compose(split_web(comp_now, i, 1, 1), web)
+            web = compose(split_web(web.target, i, a, b), web)
         else:
             raise ValueError(f"unknown web token {tok!r}")
     return web

@@ -404,7 +404,7 @@ def translate_projective_by_y0(comp, i: int, k: int, w: Permutation):
     element of (S_merged / S_comp)^short."""
     comp = composition(comp)
     tabgroth.check_weight(comp, k)
-    merged = tabgroth.merged_type(comp, i)
+    merged = uqrep.merged_type(comp, i)
     if tabgroth.class_eta(w, merged, k) is None:
         raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
     y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
@@ -416,7 +416,7 @@ def translate_simple_by_y0(comp, i: int, k: int, w: Permutation):
     the wall, else zero."""
     comp = composition(comp)
     tabgroth.check_weight(comp, k)
-    merged = tabgroth.merged_type(comp, i)
+    merged = uqrep.merged_type(comp, i)
     if tabgroth.class_eta(w, comp, k) is None:
         raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
     y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))

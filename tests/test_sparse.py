@@ -5,8 +5,8 @@ by term."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeweb import uqrep
-from heckeweb.qarith import LaurentPoly, SparseVector, coeff_to_json
+from heckeweb import hecke, inducedmod, tabgroth, uqrep, webcat
+from heckeweb.qarith import LaurentPoly, RationalFunction, SparseVector, coeff_to_json
 
 ZERO = LaurentPoly.zero()
 
@@ -102,6 +102,29 @@ def test_json_input_stores_no_zero():
         {"eta": "01", "coeff": coeff_to_json(LaurentPoly.one())},
     ]}
     assert uqrep.TensorVector.from_json(data) == uqrep.standard_vector((1, 1), (0, 1))
+
+
+ONE = coeff_to_json(LaurentPoly.one())
+MERGE = {"kind": "merge", "i": 1, "comp": [1, 1]}
+
+
+@pytest.mark.parametrize("parse, args, message", [
+    (tabgroth.HookTableau.from_json, ({"row": [1], "column": []},), "no field 'type'"),
+    (uqrep.TensorVector.from_json, ({"support": []},), "no field 'comp'"),
+    (uqrep.TensorVector.from_json, ({"comp": [1], "support": [{"coeff": ONE}]},), "no field 'eta'"),
+    (RationalFunction.from_json, ({"num": {"0": 1}},), "no field 'den'"),
+    (hecke.HeckeElement.from_json, (2, [{"coeff": ONE}]), "no field 'w'"),
+    (inducedmod.ModuleElement.from_json, ({"support": []},), "no field 'module'"),
+    (inducedmod.InducedModule.from_json, ({"n": 3, "q_generators": []},), "no field 'p_generators'"),
+    (webcat.Web.from_json, ({"slices": []},), "no field 'source'"),
+    # a string is not read digit by digit, and a string or boolean is no position
+    (webcat.Web.from_json, ({"source": "11", "slices": []},), "not '11'"),
+    (webcat.Web.from_json, ({"source": [1, 1], "slices": [{**MERGE, "i": "1"}]},), "position '1'"),
+    (webcat.Web.from_json, ({"source": [1, 1], "slices": [{**MERGE, "i": True}]},), "position True"),
+])
+def test_json_parsers_name_what_they_cannot_read(parse, args, message):
+    with pytest.raises(ValueError, match=message):
+        parse(*args)
 
 
 def test_unitriangular_shape_check():

@@ -107,6 +107,14 @@ def test_class_eta_rejects_what_indexes_no_class():
             tabgroth.index_perm(comp, k, eta)
 
 
+@pytest.mark.parametrize("build", [tabgroth.tableau_of_eta, tabgroth.index_perm])
+@pytest.mark.parametrize("eta", [(2, -2, 1), (1, 0), (1, 0, 1), (1, 0, "x")])
+def test_eta_maps_reject_what_indexes_no_class(build, eta):
+    # (2, -2, 1) has the right length and sum for k = 2 but is no 0/1 sequence
+    with pytest.raises(ValueError):
+        build((1, 1, 1), 2, eta)
+
+
 def test_admissible_enumeration_counts():
     for comp in [(1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2), (4,)]:
         n = sum(comp)
@@ -197,7 +205,7 @@ def test_out_targets_match_redistribution_oracle():
     for comp in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 2), (3, 1)]:
         n = sum(comp)
         for i in range(1, len(comp)):
-            merged = tabgroth.merged_type(comp, i)
+            merged = uqrep.merged_type(comp, i)
             for k in range(n - len(merged), n + 1):
                 matrix = tabgroth.translate_out_of_wall(comp, i, k)
                 assert set(matrix) == set(tabgroth.enumerate_lambda(merged, k))
@@ -212,7 +220,7 @@ def test_onto_targets_match_decrement_oracle():
     for n in range(2, 6):
         for comp in compositions_of(n):
             for i in range(1, len(comp)):
-                merged = tabgroth.merged_type(comp, i)
+                merged = uqrep.merged_type(comp, i)
                 for k in range(n - len(comp), n + 1):
                     matrix = tabgroth.translate_onto_wall(comp, i, k)
                     assert set(matrix) == set(tabgroth.enumerate_lambda(comp, k))
@@ -227,10 +235,10 @@ def test_onto_targets_match_decrement_oracle():
 
 
 def test_merged_type_rejects_positions_outside_the_parts():
-    assert tabgroth.merged_type((1, 2, 3), 2) == (1, 5)
+    assert uqrep.merged_type((1, 2, 3), 2) == (1, 5)
     for i in (0, 3, -1):
         with pytest.raises(ValueError, match=f"merge position {i}"):
-            tabgroth.merged_type((1, 2, 3), i)
+            uqrep.merged_type((1, 2, 3), i)
 
 
 def test_translation_matches_webs_all_compositions_n4():
@@ -258,7 +266,7 @@ def test_translations_match_the_y0_routes():
     for n in range(2, 7):
         for comp in compositions_of(n):
             for i in range(1, len(comp)):
-                merged = tabgroth.merged_type(comp, i)
+                merged = uqrep.merged_type(comp, i)
                 for k in range(n - len(comp), n + 1):
                     for w in tabgroth.enumerate_lambda(merged, k):
                         got = tabgroth.translate_projective(comp, i, k, w)

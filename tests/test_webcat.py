@@ -1,7 +1,12 @@
+import ast
+import dataclasses
+import doctest
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import heckeweb
 from heckeweb.qarith import LaurentPoly, quantum_binom
 from heckeweb import uqrep, webcat
 from heckeweb.checks import compositions_of
@@ -255,3 +260,109 @@ def test_json_parser_rejects_what_it_cannot_read():
     data = {"source": [1, 1], "slices": [merge, {**merge, "comp": [1, 1]}]}
     with pytest.raises(ValueError, match=r"web slice 2: .*target \(2,\) vs upper source \(1, 1\)"):
         webcat.Web.from_json(data)
+
+
+def test_module_doctests():
+    result = doctest.testmod(webcat)
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_a_slice_records_no_type():
+    assert [f.name for f in dataclasses.fields(webcat.Slice)] == ["kind", "i", "parts"]
+
+
+def test_each_type_rule_error_is_raised_in_one_place():
+    raisers = {"merge position": set(), "split position": set(), "cannot split label": set()}
+    for path in Path(heckeweb.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise):
+                        for text, where in raisers.items():
+                            if text in ast.unparse(node):
+                                where.add(f"{path.stem}.{fn.name}")
+    assert raisers == {
+        "merge position": {"uqrep.merged_type"},
+        "split position": {"uqrep.split_type"},
+        "cannot split label": {"uqrep.split_type"},
+    }
+
+
+# The webs below are built one compose at a time, the way the library
+# built them while each slice recorded its own type.
+
+
+def _split_bundle_by_compose(m):
+    web = webcat.identity_web((m,))
+    while any(a > 1 for a in web.target):
+        comp = web.target
+        j = next(idx for idx, a in enumerate(comp) if a > 1)
+        web = webcat.compose(webcat.split_web(comp, j + 1, 1, comp[j] - 1), web)
+    return web
+
+
+def _merge_bundle_by_compose(m):
+    web = webcat.identity_web((1,) * m)
+    while len(web.target) > 1:
+        web = webcat.compose(webcat.merge_web(web.target, 1), web)
+    return web
+
+
+def _canonical_web_by_compose(comp, eta):
+    items = list(zip(comp, eta))
+    joins = []
+    while True:
+        pos = next((j for j in range(len(items) - 1) if items[j][1] > items[j + 1][1]), None)
+        if pos is None:
+            break
+        (a, _), (b, _) = items[pos], items[pos + 1]
+        joins.append((pos + 1, a, b))
+        items[pos : pos + 2] = [(a + b, 1)]
+    web = webcat.identity_web(tuple(size for size, _ in items))
+    for pos, a, b in reversed(joins):
+        web = webcat.compose(webcat.split_web(web.target, pos, a, b), web)
+    return web, tuple(bit for _, bit in items)
+
+
+def _tensor_by_compose(left, right):
+    web = webcat.identity_web(left.source + right.source)
+    for s, offset in [(s, 0) for s in left.slices] + [(s, len(left.target)) for s in right.slices]:
+        if s.kind == "merge":
+            step = webcat.merge_web(web.target, s.i + offset)
+        else:
+            step = webcat.split_web(web.target, s.i + offset, *s.parts)
+        web = webcat.compose(step, web)
+    return web
+
+
+def _prefix_targets(web):
+    return tuple(webcat.Web(web.source, web.slices[:j]).target for j in range(len(web.slices) + 1))
+
+
+def test_directly_built_words_match_the_compose_loops():
+    for m in range(1, 7):
+        for built, by_compose in [
+            (webcat.split_bundle(m), _split_bundle_by_compose(m)),
+            (webcat.merge_bundle(m), _merge_bundle_by_compose(m)),
+        ]:
+            assert built == by_compose and built.types == _prefix_targets(by_compose), m
+    for n in range(1, 7):
+        for comp in compositions_of(n):
+            for eta in product((0, 1), repeat=len(comp)):
+                d = webcat.canonical_basis_diagram(comp, eta)
+                assert (d.web, d.bottom) == _canonical_web_by_compose(comp, eta), (comp, eta)
+
+
+def test_tensor_matches_the_compose_loop():
+    webs = [
+        webcat.identity_web((2,)),
+        webcat.merge_web((1, 2), 1),
+        webcat.split_bundle(3),
+        webcat.parse_word((1, 1, 2), "m1.s2:1,1"),
+        webcat.parse_word((2, 1), "m1.s1:1,2.m1"),
+    ]
+    for left, right in product(webs, repeat=2):
+        t = webcat.tensor(left, right)
+        assert t == _tensor_by_compose(left, right), (left, right)
+        assert t.types == _prefix_targets(t)
+        assert t.target == left.target + right.target
