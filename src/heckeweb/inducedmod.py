@@ -6,8 +6,7 @@ double-parabolic left quotient.  A generator H_i acts by one of four
 rules: it moves the index within the quotient (two cases, by length), or
 it hits the sign wall (eigenvalue -q) or the trivial wall (eigenvalue
 q^-1).  The bar involution is induced from the Hecke algebra through
-N_w = N_e . H_w, and the canonical basis is built by multiplying and
-correcting.  With both walls empty the module is the Hecke algebra
+N_w = N_e . H_w.  With both walls empty the module is the Hecke algebra
 itself, acting on itself from the right; `hecke` is a view of that case.
 
 Which rule applies is read off the two entries a = w(i), b = w(i+1) that
@@ -17,6 +16,15 @@ eigenvalue; otherwise w s_i is again a shortest representative, longer
 exactly when a < b.  A step thus costs O(1) per support term.  This needs
 every support index to be a shortest representative, which the
 constructors that take outside input check.
+
+The canonical basis is built by multiplying and correcting: C_w is
+C_{w s_i} . (H_i + q) minus integer multiples of lower C_y.  For each
+(module, i) a step table, filled in as labels are met, holds the targets
+of N_y . (H_i + q) with their exponent shifts, so a step is one pass over
+plain {label: {exponent: int}} dicts; each final coefficient is a
+LaurentPoly shared by every canonical element with that value (du Cloux,
+"Computing Kazhdan-Lusztig polynomials for arbitrarily large Coxeter
+groups", 2002, stores each polynomial once in the same way).
 """
 
 from __future__ import annotations
@@ -144,6 +152,22 @@ class ModuleElement(SparseVector):
         )
 
 
+_SIGN, _TRIVIAL, _RISING, _FALLING = range(4)
+
+
+def _case(mod: InducedModule, w: Permutation, i: int) -> int:
+    """Which of the four rules H_i acts on N_w by, read off the entries
+    a = w(i), b = w(i+1) that s_i swaps."""
+    a, b = w.one_line[i - 1], w.one_line[i]
+    if a - b in (1, -1):
+        j = min(a, b)
+        if j in mod.p_gens:
+            return _SIGN
+        if j in mod.q_gens:
+            return _TRIVIAL
+    return _FALLING if a > b else _RISING
+
+
 def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     """Right action of H_i by the four-case rule."""
     mod = x.parent
@@ -151,15 +175,14 @@ def act_generator(x: ModuleElement, i: int) -> ModuleElement:
         raise ValueError(f"generator index {i} out of range for S_{mod.n}")
     terms = []
     for w, c in x.support.items():
-        a, b = w.one_line[i - 1], w.one_line[i]
-        j = min(a, b)
-        if abs(a - b) == 1 and j in mod.p_gens:
+        case = _case(mod, w, i)
+        if case == _SIGN:
             terms.append((w, c * _SIGN_WALL))
-        elif abs(a - b) == 1 and j in mod.q_gens:
+        elif case == _TRIVIAL:
             terms.append((w, c * _TRIVIAL_WALL))
         else:
             terms.append((w.times_simple(i), c))
-            if a > b:
+            if case == _FALLING:
                 terms.append((w, c * _SHORTEN))
     return x.from_terms(mod, terms)
 
@@ -193,29 +216,74 @@ def _bar_of_standard(mod: InducedModule, w: Permutation) -> ModuleElement:
     return act_generator(x, i) + x.scale(_INVERSE_SHIFT)
 
 
+# N_y . (H_i + q) in each case, as (moves to y s_i, exponent shift) pairs
+# with coefficient 1: on the sign wall and on a falling step the -q of H_i
+# cancels against the added q.
+_PLUS_Q_TERMS = {
+    _SIGN: (),
+    _TRIVIAL: ((False, 1), (False, -1)),
+    _RISING: ((True, 0), (False, 1)),
+    _FALLING: ((True, 0), (False, -1)),
+}
+
+
+@cache
+def _step_table(mod: InducedModule, i: int) -> dict:
+    """label y -> the (target, exponent shift) pairs of N_y . (H_i + q),
+    filled in by `canonical_basis_element` as labels are first met, so
+    that a small element of a large module does not list the whole basis."""
+    return {}
+
+
+@cache
+def _coefficient(terms: tuple) -> LaurentPoly:
+    """The Laurent polynomial with these sorted nonzero (exponent,
+    coefficient) pairs, one shared object per value."""
+    return LaurentPoly(dict(terms))
+
+
 @cache
 def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement:
     """The unique bar-invariant element N_w + (qZ[q]-combination of lower
-    N_w'), built by multiplying a shorter canonical element by the
-    canonical generator and correcting by constant terms."""
+    N_y), built as C_{w s_i} . (H_i + q) for the last descent i of w,
+    corrected by m C_y for each constant term m at a label y != w.
+
+    The product and the corrections run on {label: {exponent: int}}
+    dicts through the step table; each C_y has a constant term only at y,
+    so the corrections do not interact.  Equal coefficients of the result
+    are one shared LaurentPoly."""
     _check_index(mod, w)
     descents = w.right_descents()
     if not descents:
-        return mod.standard(w)
+        return ModuleElement(mod, {w: _coefficient(((0, 1),))})
     i = descents[-1]
     shorter = canonical_basis_element(mod, w.times_simple(i))
-    product = shorter.act_generator(i) + shorter.scale(_Q(1))
-    corrections = [
-        y
-        for y, c in product.support.items()
-        if y != w and c.constant_term() != 0
-    ]
-    corrections.sort(key=ModuleElement._sort_key, reverse=True)
-    result = product
-    for y in corrections:
-        m = result.coeff(y).constant_term()
-        if m:
-            result = result - canonical_basis_element(mod, y).scale(m)
+    table = _step_table(mod, i)
+    work: dict[Permutation, dict[int, int]] = {}
+    for y, c in shorter.support.items():
+        targets = table.get(y)
+        if targets is None:
+            moved = y.times_simple(i)
+            targets = table[y] = tuple(
+                (moved if move else y, shift) for move, shift in _PLUS_Q_TERMS[_case(mod, y, i)]
+            )
+        for target, shift in targets:
+            poly = work.setdefault(target, {})
+            for e, v in c.terms.items():
+                e += shift
+                poly[e] = poly.get(e, 0) + v
+    corrections = [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != w]
+    for y, m in corrections:
+        for z, c in canonical_basis_element(mod, y).support.items():
+            poly = work.setdefault(z, {})
+            for e, v in c.terms.items():
+                poly[e] = poly.get(e, 0) - m * v
+    support = {}
+    for y, poly in work.items():
+        terms = tuple(sorted(item for item in poly.items() if item[1]))
+        if terms:
+            support[y] = _coefficient(terms)
+    result = ModuleElement(mod, support)
     result.check_unitriangular(w)
     return result
 

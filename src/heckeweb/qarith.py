@@ -61,6 +61,14 @@ class LaurentPoly:
             terms = {}
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
+    @staticmethod
+    def _of(terms: dict) -> "LaurentPoly":
+        """The polynomial with the given terms, which must hold no zero
+        coefficient; the dict is taken over, not copied or filtered."""
+        p = object.__new__(LaurentPoly)
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -122,13 +130,17 @@ class LaurentPoly:
             return other
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -137,9 +149,17 @@ class LaurentPoly:
         return -self + other
 
     def __mul__(self, other):
-        other = _to_laurent(other)
-        if other is NotImplemented:
-            return other
+        if isinstance(other, int):
+            if not other:
+                return LaurentPoly._of({})
+            return LaurentPoly._of({e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            ((e2, c2),) = other.terms.items()
+            return LaurentPoly._of({e + e2: c * c2 for e, c in self.terms.items()})
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -201,11 +221,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
+        return LaurentPoly._of({-e: c for e, c in self.terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.terms.items()})
 
     def at_one(self) -> int:
         """Evaluate at q = 1."""

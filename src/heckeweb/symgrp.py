@@ -30,14 +30,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class Permutation:
-    one_line: tuple[int, ...]
+    """An immutable permutation in one-line notation.  The constructor
+    validates its input; products, inverses and `times_simple` build their
+    results unchecked, since they are permutations by construction.  The
+    hash is computed once."""
 
-    def __post_init__(self):
-        n = len(self.one_line)
-        if sorted(self.one_line) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.one_line}")
+    __slots__ = ("one_line", "_hash")
+
+    def __init__(self, one_line):
+        one_line = tuple(one_line)
+        n = len(one_line)
+        if any(type(v) is not int for v in one_line) or sorted(one_line) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {one_line}")
+        _init(self, one_line)
+
+    @classmethod
+    def _unchecked(cls, one_line: tuple[int, ...]) -> "Permutation":
+        w = object.__new__(cls)
+        _init(w, one_line)
+        return w
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Permutation is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Permutation is immutable; cannot delete {name}")
+
+    def __eq__(self, other):
+        if type(other) is not Permutation:
+            return NotImplemented
+        return self.one_line == other.one_line
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Permutation, (self.one_line,)
+
+    def __repr__(self):
+        return f"Permutation(one_line={self.one_line!r})"
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -69,13 +101,14 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError(f"size mismatch: S_{self.n} vs S_{other.n}")
-        return Permutation(tuple(self.one_line[j - 1] for j in other.one_line))
+        w = self.one_line
+        return Permutation._unchecked(tuple([w[j - 1] for j in other.one_line]))
 
     def inverse(self) -> "Permutation":
         out = [0] * self.n
         for i, v in enumerate(self.one_line, start=1):
             out[v - 1] = i
-        return Permutation(tuple(out))
+        return Permutation._unchecked(tuple(out))
 
     def length(self) -> int:
         """Number of inversions."""
@@ -90,7 +123,7 @@ class Permutation:
         """Right multiplication by s_i (swap positions i, i+1)."""
         w = list(self.one_line)
         w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(tuple(w))
+        return Permutation._unchecked(tuple(w))
 
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced word by repeated removal of the last descent."""
@@ -133,6 +166,17 @@ class Permutation:
         return "*".join(f"s{i}" for i in word) if word else "e"
 
 
+# The slot setters, which bypass the class's refusing __setattr__.
+_ONE_LINE, _HASH = Permutation.one_line, Permutation._hash
+
+
+def _init(w: Permutation, one_line: tuple[int, ...]) -> None:
+    _ONE_LINE.__set__(w, one_line)
+    # hashed as a 1-tuple, the dataclass hash, so sets of permutations
+    # keep the iteration order they had
+    _HASH.__set__(w, hash((one_line,)))
+
+
 def seq_act_right(eta, w: Permutation):
     """Right action of S_n on sequences: (eta . w)_i = eta_{w(i)}."""
     if len(eta) != w.n:
@@ -143,7 +187,7 @@ def seq_act_right(eta, w: Permutation):
 @cache
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     """All of S_n sorted by (length, one-line word)."""
-    perms = [Permutation(p) for p in _itperms(range(1, n + 1))]
+    perms = [Permutation._unchecked(p) for p in _itperms(range(1, n + 1))]
     perms.sort(key=lambda w: (w.length(), w.one_line))
     return tuple(perms)
 

@@ -99,6 +99,8 @@ class HookTableau:
         comp = composition(data["type"])
         column = tuple(data["column"])
         row = tuple(data["row"])
+        if not all(type(e) is int for e in column + row):
+            raise ValueError(f"tableau entries must be integers: {column + row}")
         return HookTableau(len(column) + len(row), len(column), comp, column, row)
 
 

@@ -69,7 +69,9 @@ def composition(parts) -> tuple[int, ...]:
     """Validated composition: a tuple of strictly positive integers."""
     if isinstance(parts, str):
         raise ValueError(f"composition must be a sequence of parts, not {parts!r}")
-    comp = tuple(int(p) for p in parts)
+    comp = tuple(parts)
+    if not all(type(p) is int for p in comp):
+        raise ValueError(f"composition parts must be integers: {comp}")
     if not all(p >= 1 for p in comp):
         raise ValueError(f"composition parts must be strictly positive: {comp}")
     return comp

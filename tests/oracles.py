@@ -1,5 +1,6 @@
 """Independent reference computations used only by the tests."""
 
+from functools import cache
 from itertools import combinations
 from math import factorial
 
@@ -55,6 +56,28 @@ def hecke_generator_inverse(n: int, i: int):
     return hecke.standard_basis_element(Permutation.simple(n, i)) + hecke.standard_basis_element(
         Permutation.identity(n)
     ).scale(Q(1) - Q(-1))
+
+
+@cache
+def canonical_basis_by_products(mod, w: Permutation):
+    """The canonical element of N_w by module arithmetic: C_{w s_i} . H_i
+    + q C_{w s_i} for the last descent i of w, minus m C_y for each
+    constant term m at a label y != w, highest y first."""
+    descents = w.right_descents()
+    if not descents:
+        return mod.standard(w)
+    i = descents[-1]
+    shorter = canonical_basis_by_products(mod, w.times_simple(i))
+    result = shorter.act_generator(i) + shorter.scale(LaurentPoly.q(1))
+    corrections = [
+        y for y, c in result.support.items() if y != w and c.constant_term() != 0
+    ]
+    corrections.sort(key=lambda y: (y.length(), y.one_line), reverse=True)
+    for y in corrections:
+        m = result.coeff(y).constant_term()
+        if m:
+            result = result - canonical_basis_by_products(mod, y).scale(m)
+    return result
 
 
 def generator_times_closed_form(mod, w: Permutation):

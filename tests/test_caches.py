@@ -51,6 +51,8 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod.canonical_basis_element",
         "heckeweb.inducedmod._generator_times",
         "heckeweb.inducedmod._bar_of_standard",
+        "heckeweb.inducedmod._step_table",
+        "heckeweb.inducedmod._coefficient",
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",

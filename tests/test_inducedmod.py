@@ -9,6 +9,7 @@ from heckeweb.checks import kl_bruteforce
 
 from oracles import (
     act_generator_by_products,
+    canonical_basis_by_products,
     generator_times_closed_form,
     hecke_generator_inverse,
     parabolic_order,
@@ -178,7 +179,7 @@ def test_json_rejects_an_index_outside_the_quotient():
     mod = inducedmod.InducedModule.of(3, p_gens=[1])
     good = mod.standard(Permutation((1, 3, 2))).to_json()
     assert inducedmod.ModuleElement.from_json(good) == mod.standard(Permutation((1, 3, 2)))
-    for bad_w in ([2, 1, 3], [1, 2]):
+    for bad_w in ([2, 1, 3], [1, 2], [1.0, 3.0, 2.0], [1, "3", 2]):
         bad = dict(good, support=[{"w": bad_w, "coeff": good["support"][0]["coeff"]}])
         with pytest.raises(ValueError):
             inducedmod.ModuleElement.from_json(bad)
@@ -205,3 +206,21 @@ def test_generator_times_standard_matches_closed_form():
         for w in all_permutations(mod.n):
             want = generator_times_closed_form(mod, w)
             assert inducedmod._generator_times(mod, w) == want, (mod, w)
+
+
+def test_canonical_basis_matches_module_arithmetic():
+    modules = list(commuting_modules(5))
+    assert inducedmod.InducedModule.of(5) in modules  # all of S_5
+    for mod in modules:
+        for w in mod.basis_index():
+            want = canonical_basis_by_products(mod, w)
+            assert inducedmod.canonical_basis_element(mod, w) == want, (mod, w)
+
+
+def test_equal_canonical_coefficients_are_one_object():
+    shared = {}
+    for mod in (inducedmod.InducedModule.of(5), inducedmod.InducedModule.of(5, (1,), (3, 4))):
+        for w in mod.basis_index():
+            for c in inducedmod.canonical_basis_element(mod, w).support.values():
+                assert shared.setdefault(c, c) is c
+    assert len(shared) > 1

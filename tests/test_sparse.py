@@ -127,6 +127,28 @@ def test_json_parsers_name_what_they_cannot_read(parse, args, message):
         parse(*args)
 
 
+@pytest.mark.parametrize("parse, data", [
+    (webcat.Web.from_json, {"source": [1.5, 1], "slices": []}),
+    (webcat.Web.from_json, {"source": [1, 1], "slices": [{**MERGE, "comp": [1.9, 1]}]}),
+    (uqrep.TensorVector.from_json, {"comp": [1.9], "support": []}),
+    (uqrep.TensorVector.from_json, {"comp": ["2"], "support": []}),
+    (uqrep.TensorVector.from_json, {"comp": [True, 1], "support": []}),
+    (tabgroth.HookTableau.from_json, {"type": [1.5], "row": [1], "column": []}),
+    (tabgroth.HookTableau.from_json, {"type": [2.0], "row": [1, 1], "column": []}),
+])
+def test_json_parsers_reject_a_part_that_is_no_int(parse, data):
+    with pytest.raises(ValueError, match="must be integers"):
+        parse(data)
+
+
+@pytest.mark.parametrize("row, column", [([1.0], [2]), ([1], [2.0]), ([True], [2]), (["1"], [2])])
+def test_tableau_json_rejects_an_entry_that_is_no_int(row, column):
+    data = {"type": [1, 1], "row": row, "column": column}
+    with pytest.raises(ValueError, match="entries must be integers"):
+        tabgroth.HookTableau.from_json(data)
+    assert str(tabgroth.HookTableau.from_json({**data, "row": [1], "column": [2]})) == "row[1] col[2]"
+
+
 def test_unitriangular_shape_check():
     one, q = LaurentPoly.one(), LaurentPoly.q()
     good = SparseVector.from_terms("V", [("a", one), ("b", q + q * q)])

@@ -1,5 +1,7 @@
+import copy
 import doctest
 import inspect
+import pickle
 
 import pytest
 
@@ -45,6 +47,24 @@ def test_group_operations():
         s1 * Permutation.identity(4)
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
+
+
+def test_products_keep_the_eq_hash_contract():
+    for w in all_permutations(4):
+        for i in range(1, 4):
+            for built in (w.times_simple(i), w * Permutation.simple(4, i)):
+                same = Permutation(built.one_line)
+                assert built == same and hash(built) == hash(same)
+        inv = w.inverse()
+        assert inv == Permutation(inv.one_line) and hash(inv) == hash(Permutation(inv.one_line))
+        assert w != w.one_line and w.one_line != w
+        assert w not in {w.one_line: 0}
+        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+    with pytest.raises(AttributeError):
+        Permutation((2, 1)).one_line = (1, 2)
+    for bad in ((1, 1, 2), (1.0, 2.0), (True, 2), ("1", "2")):
+        with pytest.raises(ValueError):
+            Permutation(bad)
 
 
 def test_reduced_words_all_n4():
