@@ -17,14 +17,24 @@ exactly when a < b.  A step thus costs O(1) per support term.  This needs
 every support index to be a shortest representative, which the
 constructors that take outside input check.
 
+Every operation on elements runs through one loop over plain
+{label: {exponent: int}} dicts, and each coefficient of its result is
+built once.  For each (module, i) and each diagonal term d (none for the
+action, q for the canonical step H_i + q, q - q^-1 for H_i^-1 in the bar
+involution), a table filled in as labels are met holds the
+(target, exponent shift, coefficient) triples of N_y . (H_i + d), read
+off the four cases with like terms combined; its targets are one object
+per label and module.  The bar images bar(N_w) and N_e . H_w are cached
+as triples in the same form.  An element with fractional coefficients
+is taken as integer numerators over the lcm of its denominators, with
+one division per coefficient of the result.
+
 The canonical basis is built by multiplying and correcting: C_w is
-C_{w s_i} . (H_i + q) minus integer multiples of lower C_y.  For each
-(module, i) a step table, filled in as labels are met, holds the targets
-of N_y . (H_i + q) with their exponent shifts, so a step is one pass over
-plain {label: {exponent: int}} dicts; each final coefficient is a
-LaurentPoly shared by every canonical element with that value (du Cloux,
-"Computing Kazhdan-Lusztig polynomials for arbitrarily large Coxeter
-groups", 2002, stores each polynomial once in the same way).
+C_{w s_i} . (H_i + q) minus integer multiples of lower C_y; each final
+coefficient is a LaurentPoly shared by every canonical element with that
+value (du Cloux, "Computing Kazhdan-Lusztig polynomials for arbitrarily
+large Coxeter groups", 2002, stores each polynomial once in the same
+way).
 """
 
 from __future__ import annotations
@@ -32,17 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .qarith import LaurentPoly, SparseVector, json_parser
+from .qarith import LaurentPoly, RationalFunction, SparseVector, common_denominator, json_parser
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
 
 __all__ = ["InducedModule", "ModuleElement", "map_i", "map_Q", "map_j", "map_z"]
 
 _Q = LaurentPoly.q
 _ONE = LaurentPoly.one()
-_SIGN_WALL = -_Q(1)  # eigenvalue of H_i on the sign wall
-_TRIVIAL_WALL = _Q(-1)  # eigenvalue of H_i on the trivial wall
-_SHORTEN = _Q(-1) - _Q(1)  # extra term of a length-dropping step
-_INVERSE_SHIFT = _Q(1) - _Q(-1)  # H_i^-1 = H_i + (q - q^-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,26 +122,14 @@ class ModuleElement(SparseVector):
     def act_generator(self, i: int) -> "ModuleElement":
         return act_generator(self, i)
 
-    def act_hecke(self, x: "ModuleElement") -> "ModuleElement":
-        """Right action of a Hecke algebra element."""
-        if x.parent.n != self.parent.n:
-            raise ValueError("Hecke element size mismatch")
-        terms = []
-        for w, c in x.support.items():
-            piece = self
-            for i in w.reduced_word():
-                piece = piece.act_generator(i)
-            terms.extend((k, v * c) for k, v in piece.support.items())
-        return self.from_terms(self.parent, terms)
-
     def bar(self) -> "ModuleElement":
         """Bar involution via N_w = N_e . H_w and bar(N_e) = N_e."""
         mod = self.parent
-        return self.from_terms(mod, (
-            (k, v * c.bar())
-            for w, c in self.support.items()
-            for k, v in _bar_of_standard(mod, w).support.items()
+        terms, den = _numerators(self)
+        work = _accumulate({}, (
+            ({-e: v for e, v in c.items()}, _bar_of_standard(mod, w)) for w, c in terms
         ))
+        return _element(type(self), mod, work, None if den is None else den.bar())
 
     def to_json(self):
         return {
@@ -168,23 +162,134 @@ def _case(mod: InducedModule, w: Permutation, i: int) -> int:
     return _FALLING if a > b else _RISING
 
 
+# N_y . H_i in each case, as (moves to y s_i, exponent shift, coefficient)
+# triples: -q N_y on the sign wall, q^-1 N_y on the trivial wall, N_{y s_i}
+# on a rising step and N_{y s_i} + (q^-1 - q) N_y on a falling one.
+_H_TERMS = {
+    _SIGN: ((False, 1, -1),),
+    _TRIVIAL: ((False, -1, 1),),
+    _RISING: ((True, 0, 1),),
+    _FALLING: ((True, 0, 1), (False, -1, 1), (False, 1, -1)),
+}
+
+# Diagonal terms added to H_i, as (exponent shift, coefficient) pairs: none
+# for the action, q for the canonical step H_i + q, and q - q^-1 for
+# H_i^-1 = H_i + q - q^-1 in the bar involution.
+_H = ()
+_H_PLUS_Q = ((1, 1),)
+_H_INVERSE = ((1, 1), (-1, -1))
+
+
+def _folded(case: int, diagonal: tuple) -> tuple:
+    """The triples of N_y . (H_i + diagonal) in this case, like terms
+    combined: on the sign wall and on a falling step the -q of H_i
+    cancels against an added q."""
+    out = {}
+    for move, shift, coeff in _H_TERMS[case] + tuple((False, e, v) for e, v in diagonal):
+        out[move, shift] = out.get((move, shift), 0) + coeff
+    return tuple((move, shift, coeff) for (move, shift), coeff in out.items() if coeff)
+
+
+_FOLDED = {
+    (case, diagonal): _folded(case, diagonal)
+    for case in _H_TERMS
+    for diagonal in (_H, _H_PLUS_Q, _H_INVERSE)
+}
+
+
+@cache
+def _labels(mod: InducedModule) -> dict:
+    """Each label of mod that a step table has met, mapped to itself, so
+    that equal labels are one object and dict lookups stop at identity."""
+    return {}
+
+
+class _StepTable(dict):
+    """label y -> the (target, exponent shift, coefficient) triples of
+    N_y . (H_i + diagonal), filled in as labels are first met, so that a
+    small element of a large module does not list the whole basis."""
+
+    __slots__ = ("mod", "i", "diagonal")
+
+    def __init__(self, mod: InducedModule, i: int, diagonal: tuple):
+        self.mod, self.i, self.diagonal = mod, i, diagonal
+
+    def __missing__(self, y: Permutation) -> tuple:
+        mod, i = self.mod, self.i
+        labels = _labels(mod)
+        y = labels.setdefault(y, y)
+        terms = _FOLDED[_case(mod, y, i), self.diagonal]
+        if any(move for move, _, _ in terms):
+            moved = y.times_simple(i)
+            moved = labels.setdefault(moved, moved)
+        row = self[y] = tuple(
+            (moved if move else y, shift, coeff) for move, shift, coeff in terms
+        )
+        return row
+
+
+@cache
+def _step_table(mod: InducedModule, i: int, diagonal: tuple) -> _StepTable:
+    """The step table of H_i + diagonal on mod."""
+    return _StepTable(mod, i, diagonal)
+
+
+def _accumulate(work: dict, pairs) -> dict:
+    """Add c * coeff q^shift N_target into work, a {label: {exponent: int}}
+    dict, for each (c, row) of pairs, c an {exponent: int} dict, and each
+    (target, shift, coeff) triple of row.  Every module operation runs
+    through this loop."""
+    for c, row in pairs:
+        c = c.items()
+        for target, shift, coeff in row:
+            poly = work.get(target)
+            if poly is None:
+                poly = work[target] = {}
+            for e, v in c:
+                e += shift
+                poly[e] = poly.get(e, 0) + v * coeff
+    return work
+
+
+def _row(work: dict) -> tuple:
+    """The nonzero terms of work as (label, exponent, coefficient) triples."""
+    return tuple((y, e, v) for y, poly in work.items() for e, v in poly.items() if v)
+
+
+def _numerators(x: ModuleElement) -> tuple[list, LaurentPoly | None]:
+    """x's coefficients as {exponent: int} numerators over one denominator,
+    the lcm of theirs: the (label, numerator) pairs and the denominator,
+    None when every coefficient is a LaurentPoly."""
+    den = common_denominator(x.support.values())
+    if den is None:
+        return [(w, c.terms) for w, c in x.support.items()], None
+    return [
+        (w, (c.num * den.divexact(c.den) if isinstance(c, RationalFunction) else c * den).terms)
+        for w, c in x.support.items()
+    ], den
+
+
+def _element(cls, mod: InducedModule, work: dict, den=None) -> ModuleElement:
+    """The element of mod with the coefficients in work, each divided by
+    den when one is given."""
+    support = {}
+    for y, poly in work.items():
+        if not all(poly.values()):
+            poly = {e: v for e, v in poly.items() if v}
+        if poly:
+            c = LaurentPoly._of(poly)
+            support[y] = c if den is None else c / den
+    return cls(mod, support)
+
+
 def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     """Right action of H_i by the four-case rule."""
     mod = x.parent
     if not 1 <= i <= mod.n - 1:
         raise ValueError(f"generator index {i} out of range for S_{mod.n}")
-    terms = []
-    for w, c in x.support.items():
-        case = _case(mod, w, i)
-        if case == _SIGN:
-            terms.append((w, c * _SIGN_WALL))
-        elif case == _TRIVIAL:
-            terms.append((w, c * _TRIVIAL_WALL))
-        else:
-            terms.append((w.times_simple(i), c))
-            if case == _FALLING:
-                terms.append((w, c * _SHORTEN))
-    return x.from_terms(mod, terms)
+    terms, den = _numerators(x)
+    table = _step_table(mod, i, _H)
+    return _element(type(x), mod, _accumulate({}, ((c, table[w]) for w, c in terms)), den)
 
 
 def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
@@ -194,45 +299,31 @@ def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
 
 
 @cache
-def _generator_times(mod: InducedModule, w: Permutation) -> ModuleElement:
-    """N_e . H_w, for any w in S_n.  The reduced word of w is that of
-    w s_i followed by i, for i the last right descent of w."""
+def _generator_times(mod: InducedModule, w: Permutation) -> tuple:
+    """N_e . H_w, for any w in S_n, as (label, exponent, coefficient)
+    triples.  The reduced word of w is that of w s_i followed by i, for i
+    the last right descent of w."""
     descents = w.right_descents()
     if not descents:
-        return mod.generator()
+        e = Permutation.identity(mod.n)
+        return ((_labels(mod).setdefault(e, e), 0, 1),)
     i = descents[-1]
-    return act_generator(_generator_times(mod, w.times_simple(i)), i)
+    table = _step_table(mod, i, _H)
+    shorter = _generator_times(mod, w.times_simple(i))
+    return _row(_accumulate({}, (({e: v}, table[y]) for y, e, v in shorter)))
 
 
 @cache
-def _bar_of_standard(mod: InducedModule, w: Permutation) -> ModuleElement:
-    """bar(N_w) = N_e . bar(H_w) = N_e . H_{i1}^-1 ... H_{ik}^-1, with
-    H_i^-1 = H_i + (q - q^-1), along the same reduced word."""
+def _bar_of_standard(mod: InducedModule, w: Permutation) -> tuple:
+    """bar(N_w) = N_e . bar(H_w) = N_e . H_{i1}^-1 ... H_{ik}^-1 along the
+    same reduced word, as (label, exponent, coefficient) triples."""
     descents = w.right_descents()
     if not descents:
-        return mod.generator()
+        return ((_labels(mod).setdefault(w, w), 0, 1),)
     i = descents[-1]
-    x = _bar_of_standard(mod, w.times_simple(i))
-    return act_generator(x, i) + x.scale(_INVERSE_SHIFT)
-
-
-# N_y . (H_i + q) in each case, as (moves to y s_i, exponent shift) pairs
-# with coefficient 1: on the sign wall and on a falling step the -q of H_i
-# cancels against the added q.
-_PLUS_Q_TERMS = {
-    _SIGN: (),
-    _TRIVIAL: ((False, 1), (False, -1)),
-    _RISING: ((True, 0), (False, 1)),
-    _FALLING: ((True, 0), (False, -1)),
-}
-
-
-@cache
-def _step_table(mod: InducedModule, i: int) -> dict:
-    """label y -> the (target, exponent shift) pairs of N_y . (H_i + q),
-    filled in by `canonical_basis_element` as labels are first met, so
-    that a small element of a large module does not list the whole basis."""
-    return {}
+    table = _step_table(mod, i, _H_INVERSE)
+    shorter = _bar_of_standard(mod, w.times_simple(i))
+    return _row(_accumulate({}, (({e: v}, table[y]) for y, e, v in shorter)))
 
 
 @cache
@@ -249,35 +340,22 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
     corrected by m C_y for each constant term m at a label y != w.
 
     The product and the corrections run on {label: {exponent: int}}
-    dicts through the step table; each C_y has a constant term only at y,
-    so the corrections do not interact.  Equal coefficients of the result
-    are one shared LaurentPoly."""
+    dicts; each C_y has a constant term only at y, so the corrections do
+    not interact.  Equal coefficients of the result are one shared
+    LaurentPoly."""
     _check_index(mod, w)
     descents = w.right_descents()
     if not descents:
         return ModuleElement(mod, {w: _coefficient(((0, 1),))})
     i = descents[-1]
     shorter = canonical_basis_element(mod, w.times_simple(i))
-    table = _step_table(mod, i)
-    work: dict[Permutation, dict[int, int]] = {}
-    for y, c in shorter.support.items():
-        targets = table.get(y)
-        if targets is None:
-            moved = y.times_simple(i)
-            targets = table[y] = tuple(
-                (moved if move else y, shift) for move, shift in _PLUS_Q_TERMS[_case(mod, y, i)]
-            )
-        for target, shift in targets:
-            poly = work.setdefault(target, {})
-            for e, v in c.terms.items():
-                e += shift
-                poly[e] = poly.get(e, 0) + v
-    corrections = [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != w]
-    for y, m in corrections:
-        for z, c in canonical_basis_element(mod, y).support.items():
-            poly = work.setdefault(z, {})
-            for e, v in c.terms.items():
-                poly[e] = poly.get(e, 0) - m * v
+    table = _step_table(mod, i, _H_PLUS_Q)
+    work = _accumulate({}, ((c.terms, table[y]) for y, c in shorter.support.items()))
+    for y, m in [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != w]:
+        _accumulate(work, (
+            (c.terms, ((z, 0, -m),))
+            for z, c in canonical_basis_element(mod, y).support.items()
+        ))
     support = {}
     for y, poly in work.items():
         terms = tuple(sorted(item for item in poly.items() if item[1]))
@@ -302,15 +380,15 @@ def _short_reps_inside(outer: ParabolicSubgroup, inner_gens: frozenset) -> tuple
 
 
 @cache
-def _quotient_scale(outer: ParabolicSubgroup, inner_gens: frozenset):
-    """1 / sum_r q^(top - 2 l(r)) over the representatives r above,
-    where top is the largest l(r)."""
+def _quotient_norm(outer: ParabolicSubgroup, inner_gens: frozenset) -> LaurentPoly:
+    """sum_r q^(top - 2 l(r)) over the representatives r above, where top
+    is the largest l(r)."""
     reps = _short_reps_inside(outer, inner_gens)
     top = max(length for _, length in reps)
     c_norm = LaurentPoly.zero()
     for _, length in reps:
         c_norm = c_norm + _Q(top - 2 * length)
-    return 1 / c_norm
+    return c_norm
 
 
 def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -321,9 +399,11 @@ def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
         raise ValueError("element does not live in the source module")
     reps = _short_reps_inside(src.parabolic_q(), dst.q_gens)
     top = max(length for _, length in reps)
-    return ModuleElement.from_terms(dst, (
-        (r * w, c * _Q(top - length)) for w, c in x.support.items() for r, length in reps
+    terms, den = _numerators(x)
+    work = _accumulate({}, (
+        (c, [(r * w, top - length, 1) for r, length in reps]) for w, c in terms
     ))
+    return _element(ModuleElement, dst, work, den)
 
 
 def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -332,7 +412,7 @@ def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     _check_shrink(dst, src, which="q")
     if x.parent != src:
         raise ValueError("element does not live in the source module")
-    return _push_forward(dst, x).scale(_quotient_scale(dst.parabolic_q(), src.q_gens))
+    return _push_forward(dst, x, _quotient_norm(dst.parabolic_q(), src.q_gens))
 
 
 def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -342,10 +422,13 @@ def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     if x.parent != src:
         raise ValueError("element does not live in the source module")
     reps = _short_reps_inside(src.parabolic_p(), dst.p_gens)
-    minus_q = -LaurentPoly.q()
-    return ModuleElement.from_terms(dst, (
-        (r * w, c * minus_q ** length) for w, c in x.support.items() for r, length in reps
+    terms, den = _numerators(x)
+    # the factor (-q)^l(r)
+    work = _accumulate({}, (
+        (c, [(r * w, length, -1 if length & 1 else 1) for r, length in reps])
+        for w, c in terms
     ))
+    return _element(ModuleElement, dst, work, den)
 
 
 def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -356,14 +439,14 @@ def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     return _push_forward(dst, x)
 
 
-def _push_forward(dst: InducedModule, x: ModuleElement) -> ModuleElement:
+def _push_forward(dst: InducedModule, x: ModuleElement, norm=None) -> ModuleElement:
     """sum_w c_w N_e . H_w in dst, for x = sum_w c_w N_w in a module over
-    the same S_n."""
-    return ModuleElement.from_terms(dst, (
-        (k, v * c)
-        for w, c in x.support.items()
-        for k, v in _generator_times(dst, w).support.items()
-    ))
+    the same S_n, divided by norm when one is given."""
+    terms, den = _numerators(x)
+    if norm is not None:
+        den = norm if den is None else den * norm
+    work = _accumulate({}, ((c, _generator_times(dst, w)) for w, c in terms))
+    return _element(ModuleElement, dst, work, den)
 
 
 def _check_shrink(big: InducedModule, small: InducedModule, which: str) -> None:

@@ -5,10 +5,13 @@ nonzero integer coefficients (arbitrary precision).  The zero polynomial
 is the empty dict.  Every value in Z[q,q^-1] is a LaurentPoly, and the
 ring operations keep it one.  A RationalFunction exists only when a
 division leaves a denominator: it is a reduced fraction whose
-denominator is an honest polynomial in q of positive degree with
-positive leading coefficient, all negative powers of q having been
-pushed into the numerator, and the gcd (including the shared integer
-content) cancelled.  Every operation that can cancel the denominator
+denominator is an honest polynomial in q with positive leading
+coefficient, all negative powers of q having been pushed into the
+numerator, and the gcd (including the shared integer content)
+cancelled.  The gcd and the exact quotients run on dense integer
+coefficient lists, by the primitive polynomial remainder sequence
+(Brown, J. ACM 18, 1971); a constant denominator needs only the integer
+gcd.  Every operation that can cancel the denominator
 (`/`, `inverse`, `bar`, the field operations on fractions and
 `RationalFunction.from_json`) returns a LaurentPoly when it does, so
 each value has exactly one representation and structural equality
@@ -39,6 +42,7 @@ __all__ = [
     "RationalFunction",
     "SparseVector",
     "coeff_to_json",
+    "common_denominator",
     "json_parser",
     "quantum_int",
     "quantum_factorial",
@@ -105,9 +109,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return max(self.terms)
-
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
 
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
@@ -237,29 +238,9 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        shift = self.min_exp() - other.min_exp()
-        num = dict(self.shift(-self.min_exp()).terms)
-        den = other.shift(-other.min_exp()).terms
-        dmax = max(den)
-        dlead = den[dmax]
-        out: dict[int, int] = {}
-        while num:
-            nmax = max(num)
-            if nmax < dmax:
-                raise ValueError("inexact Laurent division")
-            c, r = divmod(num[nmax], dlead)
-            if r:
-                raise ValueError("inexact Laurent division")
-            e = nmax - dmax
-            out[e] = c
-            for de, dc in den.items():
-                k = de + e
-                v = num.get(k, 0) - dc * c
-                if v:
-                    num[k] = v
-                elif k in num:
-                    del num[k]
-        return LaurentPoly(out).shift(shift)
+        vn, num = _dense(self.terms)
+        vd, den = _dense(other.terms)
+        return _sparse(_divide(num, den), vn - vd)
 
     # -- rendering ----------------------------------------------------
 
@@ -301,60 +282,104 @@ def _to_laurent(x):
     return NotImplemented
 
 
-# -- polynomial gcd over Z[q] (inputs with valuation 0) ----------------
+# -- polynomials over Z[q] as dense coefficient lists ------------------
+#
+# A nonzero polynomial of degree d is a list of d + 1 ints, the
+# coefficient of q^k at index k, with a nonzero last entry.
 
 
-def _primitive(p: LaurentPoly) -> LaurentPoly:
-    c = p.content()
-    if c in (0, 1):
-        return p
-    return LaurentPoly({e: v // c for e, v in p.terms.items()})
+def _dense(terms: dict) -> tuple[int, list]:
+    """(v, coefficients) for the nonzero Laurent polynomial with these
+    terms and valuation v: q^-v times it as a dense list."""
+    v = min(terms)
+    out = [0] * (max(terms) - v + 1)
+    for e, c in terms.items():
+        out[e - v] = c
+    return v, out
 
 
-def _pseudo_rem(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Pseudo-remainder of a by b, both ordinary polynomials."""
-    da, db = a.max_exp(), b.max_exp()
-    lead_b = b.leading_coeff()
-    r = a
-    while not r.is_zero() and r.max_exp() >= db:
-        k = r.max_exp() - db
-        r = r * lead_b - b * LaurentPoly.q(k, r.leading_coeff())
-    return r
+def _sparse(coeffs: list, shift: int) -> LaurentPoly:
+    """q^shift times the polynomial with these coefficients."""
+    return LaurentPoly._of({k + shift: c for k, c in enumerate(coeffs) if c})
 
 
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd in Z[q] of two nonzero polynomials with valuation 0."""
-    ca, cb = a.content(), b.content()
+def _divide(a: list, b: list) -> list:
+    """The exact quotient a / b; ValueError if b does not divide a."""
+    db, lead = len(b) - 1, b[-1]
+    r = a[:]
+    out = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, rem = divmod(r[k + db], lead)
+        if rem:
+            raise ValueError("inexact Laurent division")
+        if c:
+            out[k] = c
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    if not out or any(r[:db]):
+        raise ValueError("inexact Laurent division")
+    return out
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    """Gcd in Z[q] of two nonzero polynomials: the last nonzero member of
+    their primitive polynomial remainder sequence (Brown, J. ACM 18,
+    1971), with positive leading coefficient, times the gcd of their
+    integer contents."""
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    if ca != 1:
+        a = [c // ca for c in a]
+    if cb != 1:
+        b = [c // cb for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        # a pseudo-remainder of a by b, each top term cancelled by the
+        # smallest integer multiples
+        r, db, lead = a[:], len(b) - 1, b[-1]
+        while len(r) > db:
+            top = r.pop()
+            g = _int_gcd(top, lead)
+            if lead != g:
+                scale = lead // g
+                r = [c * scale for c in r]
+            top //= g
+            k = len(r) - db
+            for j in range(db):
+                r[k + j] -= top * b[j]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        g = _int_gcd(*r)
+        a, b = b, [c // g for c in r] if g != 1 else r
+    else:
+        b = [1]
+    if b[-1] < 0:
+        b = [-c for c in b]
     g = _int_gcd(ca, cb)
-    a, b = _primitive(a), _primitive(b)
-    while not b.is_zero():
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    if a.leading_coeff() < 0:
-        a = -a
-    return a * g
+    return b if g == 1 else [c * g for c in b]
 
 
 def _fraction(num: LaurentPoly, den: LaurentPoly):
     """num/den in normal form: the LaurentPoly it equals when den divides
-    num, else a RationalFunction."""
+    num, else a RationalFunction.  A constant denominator only shares
+    integer content with the numerator, so it needs no polynomial gcd."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     if num.is_zero():
         return num
-    vn, vd = num.min_exp(), den.min_exp()
-    p = num.shift(-vn)
-    d = den.shift(-vd)
-    if not d.is_one():
-        g = _poly_gcd(p, d)
-        if not g.is_one():
-            p = p.divexact(g)
-            d = d.divexact(g)
-    if d.leading_coeff() < 0:
-        p, d = -p, -d
-    p = p.shift(vn - vd)
-    if d.is_one():
+    vn, p = _dense(num.terms)
+    vd, d = _dense(den.terms)
+    g = [_int_gcd(d[0], *p)] if len(d) == 1 else _poly_gcd(p, d)
+    if g != [1]:
+        p, d = _divide(p, g), _divide(d, g)
+    if d[-1] < 0:
+        p, d = [-c for c in p], [-c for c in d]
+    p = _sparse(p, vn - vd)
+    if d == [1]:
         return p
-    return RationalFunction(p, d)
+    return RationalFunction(p, _sparse(d, 0))
 
 
 def _num_den(x) -> tuple[LaurentPoly, LaurentPoly]:
@@ -477,8 +502,25 @@ class RationalFunction:
 def coeff_to_json(c) -> dict:
     """The JSON of a coefficient: always a fraction, with denominator
     {"0": 1} for a LaurentPoly."""
+    if isinstance(c, LaurentPoly):
+        return {"num": c.to_json(), "den": {"0": 1}}
     num, den = _num_den(c)
     return {"num": num.to_json(), "den": den.to_json()}
+
+
+def common_denominator(coeffs):
+    """The lcm of the denominators of the coefficients, or None when
+    every one is a LaurentPoly."""
+    out = None
+    for c in coeffs:
+        if isinstance(c, RationalFunction):
+            d = c.den
+            if out is None:
+                out = d
+            elif d != out:
+                # d / gcd(out, d) is the reduced denominator of out / d
+                out = out * _num_den(out / d)[1]
+    return out
 
 
 # -- finite linear combinations ------------------------------------------

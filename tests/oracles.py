@@ -2,16 +2,16 @@
 
 from functools import cache
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
-from heckeweb.qarith import LaurentPoly
+from heckeweb.qarith import LaurentPoly, RationalFunction
 from heckeweb.symgrp import (
     ParabolicSubgroup,
     Permutation,
     all_permutations,
     is_shortest_rep,
 )
-from heckeweb import hecke, tabgroth, uqrep
+from heckeweb import hecke, inducedmod, tabgroth, uqrep
 from heckeweb.uqrep import composition
 
 
@@ -70,11 +70,11 @@ def canonical_basis_by_products(mod, w: Permutation):
     shorter = canonical_basis_by_products(mod, w.times_simple(i))
     result = shorter.act_generator(i) + shorter.scale(LaurentPoly.q(1))
     corrections = [
-        y for y, c in result.support.items() if y != w and c.constant_term() != 0
+        y for y, c in result.support.items() if y != w and c.terms.get(0, 0) != 0
     ]
     corrections.sort(key=lambda y: (y.length(), y.one_line), reverse=True)
     for y in corrections:
-        m = result.coeff(y).constant_term()
+        m = result.coeff(y).terms.get(0, 0)
         if m:
             result = result - canonical_basis_by_products(mod, y).scale(m)
     return result
@@ -92,6 +92,192 @@ def generator_times_closed_form(mod, w: Permutation):
     return mod.standard(short).scale(
         LaurentPoly.q(len_p - len_q) * (-1) ** len_p
     )
+
+
+# -- LaurentPoly-level gcd and normal form of a fraction -----------------
+
+
+def primitive(p: LaurentPoly) -> LaurentPoly:
+    c = p.content()
+    if c in (0, 1):
+        return p
+    return LaurentPoly({e: v // c for e, v in p.terms.items()})
+
+
+def pseudo_rem(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Pseudo-remainder of a by b, both ordinary polynomials."""
+    db = b.max_exp()
+    lead_b = b.leading_coeff()
+    r = a
+    while not r.is_zero() and r.max_exp() >= db:
+        k = r.max_exp() - db
+        r = r * lead_b - b * LaurentPoly.q(k, r.leading_coeff())
+    return r
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Gcd in Z[q] of two nonzero polynomials with valuation 0, positive
+    leading coefficient, times the gcd of their contents."""
+    g = gcd(a.content(), b.content())
+    a, b = primitive(a), primitive(b)
+    while not b.is_zero():
+        a, b = b, primitive(pseudo_rem(a, b))
+    if a.leading_coeff() < 0:
+        a = -a
+    return a * g
+
+
+def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a / b by long division on dicts; ValueError if it is not exact."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero Laurent polynomial")
+    if a.is_zero():
+        return LaurentPoly.zero()
+    shift = a.min_exp() - b.min_exp()
+    num = dict(a.shift(-a.min_exp()).terms)
+    den = b.shift(-b.min_exp()).terms
+    dmax = max(den)
+    out = {}
+    while num:
+        nmax = max(num)
+        if nmax < dmax:
+            raise ValueError("inexact Laurent division")
+        c, r = divmod(num[nmax], den[dmax])
+        if r:
+            raise ValueError("inexact Laurent division")
+        out[nmax - dmax] = c
+        for de, dc in den.items():
+            k = de + nmax - dmax
+            v = num.get(k, 0) - dc * c
+            if v:
+                num[k] = v
+            else:
+                num.pop(k, None)
+    return LaurentPoly(out).shift(shift)
+
+
+def fraction_normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple:
+    """(numerator, denominator) of num/den reduced: the denominator a
+    polynomial with nonzero constant term and positive leading
+    coefficient, the gcd and the shared content cancelled."""
+    vn, vd = num.min_exp(), den.min_exp()
+    p, d = num.shift(-vn), den.shift(-vd)
+    g = poly_gcd(p, d)
+    p, d = divexact(p, g), divexact(d, g)
+    if d.leading_coeff() < 0:
+        p, d = -p, -d
+    return p.shift(vn - vd), d
+
+
+# -- module operations term by term, through SparseVector.from_terms -----
+
+
+def act_generator_by_terms(x, i: int):
+    """x . H_i by the four-case rule, one LaurentPoly product per term."""
+    mod = x.parent
+    Q = LaurentPoly.q
+    terms = []
+    for w, c in x.support.items():
+        case = inducedmod._case(mod, w, i)
+        if case == inducedmod._SIGN:
+            terms.append((w, c * -Q(1)))
+        elif case == inducedmod._TRIVIAL:
+            terms.append((w, c * Q(-1)))
+        else:
+            terms.append((w.times_simple(i), c))
+            if case == inducedmod._FALLING:
+                terms.append((w, c * (Q(-1) - Q(1))))
+    return x.from_terms(mod, terms)
+
+
+def act_hecke(x, h):
+    """x . h for a Hecke algebra element h, through the reduced word of
+    each H_w."""
+    if h.parent.n != x.parent.n:
+        raise ValueError("Hecke element size mismatch")
+    terms = []
+    for w, c in h.support.items():
+        piece = x
+        for i in w.reduced_word():
+            piece = piece.act_generator(i)
+        terms.extend((k, v * c) for k, v in piece.support.items())
+    return x.from_terms(x.parent, terms)
+
+
+@cache
+def generator_times_by_terms(mod, w: Permutation):
+    """N_e . H_w along the reduced word ending in the last descent of w."""
+    descents = w.right_descents()
+    if not descents:
+        return mod.generator()
+    i = descents[-1]
+    return act_generator_by_terms(generator_times_by_terms(mod, w.times_simple(i)), i)
+
+
+@cache
+def bar_of_standard_by_terms(mod, w: Permutation):
+    """bar(N_w) = N_e . H_{i1}^-1 ... H_{ik}^-1, H_i^-1 = H_i + q - q^-1."""
+    descents = w.right_descents()
+    if not descents:
+        return mod.generator()
+    i = descents[-1]
+    x = bar_of_standard_by_terms(mod, w.times_simple(i))
+    return act_generator_by_terms(x, i) + x.scale(LaurentPoly.q(1) - LaurentPoly.q(-1))
+
+
+def bar_by_terms(x):
+    mod = x.parent
+    return x.from_terms(mod, (
+        (k, v * c.bar())
+        for w, c in x.support.items()
+        for k, v in bar_of_standard_by_terms(mod, w).support.items()
+    ))
+
+
+def push_forward_by_terms(dst, x):
+    """sum_w c_w N_e . H_w in dst."""
+    return inducedmod.ModuleElement.from_terms(dst, (
+        (k, v * c)
+        for w, c in x.support.items()
+        for k, v in generator_times_by_terms(dst, w).support.items()
+    ))
+
+
+def _reps_inside(outer, inner_gens):
+    inner = ParabolicSubgroup(outer.n, frozenset(inner_gens))
+    return [(r, r.length()) for r in outer.elements() if is_shortest_rep(r, inner)]
+
+
+def map_i_by_terms(src, dst, x):
+    reps = _reps_inside(src.parabolic_q(), dst.q_gens)
+    top = max(length for _, length in reps)
+    return inducedmod.ModuleElement.from_terms(dst, (
+        (r * w, c * LaurentPoly.q(top - length))
+        for w, c in x.support.items()
+        for r, length in reps
+    ))
+
+
+def map_Q_by_terms(src, dst, x):
+    reps = _reps_inside(dst.parabolic_q(), src.q_gens)
+    top = max(length for _, length in reps)
+    c_norm = LaurentPoly.zero()
+    for _, length in reps:
+        c_norm = c_norm + LaurentPoly.q(top - 2 * length)
+    return push_forward_by_terms(dst, x).scale(1 / c_norm)
+
+
+def map_j_by_terms(src, dst, x):
+    reps = _reps_inside(src.parabolic_p(), dst.p_gens)
+    return inducedmod.ModuleElement.from_terms(dst, (
+        (r * w, c * (-LaurentPoly.q()) ** length)
+        for w, c in x.support.items()
+        for r, length in reps
+    ))
+
+
+def map_z_by_terms(src, dst, x):
+    return push_forward_by_terms(dst, x)
 
 
 def bar_right_nested(v: uqrep.TensorVector) -> uqrep.TensorVector:

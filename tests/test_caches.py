@@ -52,6 +52,8 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod._generator_times",
         "heckeweb.inducedmod._bar_of_standard",
         "heckeweb.inducedmod._step_table",
+        "heckeweb.inducedmod._labels",
+        "heckeweb.inducedmod._quotient_norm",
         "heckeweb.inducedmod._coefficient",
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",

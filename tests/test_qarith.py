@@ -2,6 +2,7 @@ import doctest
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeweb import qarith
 from heckeweb.qarith import (
@@ -17,6 +18,8 @@ from heckeweb.qarith import (
     quantum_multinom,
     quantum_multinom0,
 )
+
+from oracles import divexact, fraction_normal_form, poly_gcd
 
 rng = random.Random(20240817)
 
@@ -67,7 +70,7 @@ def test_rescaled_values():
 def test_rescaled_constant_term_one():
     for parts in [(1,), (2,), (1, 2), (3, 1), (2, 2, 1), (1, 1, 1, 1)]:
         p = quantum_multinom0(parts)
-        assert p.constant_term() == 1
+        assert p.terms.get(0, 0) == 1
         assert p.min_exp() == 0
 
 
@@ -166,6 +169,66 @@ def test_divexact():
     assert a.divexact(b) == quantum_binom(4, 2)
     with pytest.raises(ValueError):
         (LaurentPoly({1: 1, 0: 1})).divexact(LaurentPoly({0: 3}))
+
+
+laurent = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=4).map(LaurentPoly)
+nonzero = laurent.filter(bool)
+constant = st.integers(-12, 12).filter(bool).map(LaurentPoly.const)
+
+
+@st.composite
+def fraction_inputs(draw):
+    """(num, den), drawn to cover constant denominators, negative leading
+    coefficients, shared integer content and shared factors, num == den
+    and num a multiple of den."""
+    num, den = draw(laurent), draw(st.one_of(nonzero, constant))
+    shape = draw(st.sampled_from(("plain", "negative", "content", "factor", "equal", "multiple")))
+    if shape == "negative" and den.leading_coeff() > 0:
+        den = -den
+    elif shape == "content":
+        k = draw(st.integers(2, 6))
+        num, den = num * k, den * k
+    elif shape == "factor":
+        g = draw(nonzero)
+        num, den = num * g, den * g
+    elif shape == "equal":
+        num = den
+    elif shape == "multiple":
+        num = num * den
+    return num, den
+
+
+@given(fraction_inputs())
+@settings(max_examples=300, deadline=None)
+def test_fraction_matches_the_normal_form_of_the_oracle(pair):
+    num, den = pair
+    got = qarith._fraction(num, den)
+    if num.is_zero():
+        assert type(got) is LaurentPoly and got.is_zero()
+        return
+    want_num, want_den = fraction_normal_form(num, den)
+    if want_den.is_one():
+        assert type(got) is LaurentPoly and got.terms == want_num.terms
+    else:
+        assert type(got) is RationalFunction
+        assert (got.num.terms, got.den.terms) == (want_num.terms, want_den.terms)
+
+
+@given(nonzero, nonzero)
+@settings(max_examples=200, deadline=None)
+def test_list_gcd_and_division_match_the_oracle(a, b):
+    a, b = a.shift(-a.min_exp()), b.shift(-b.min_exp())
+    g = poly_gcd(a, b)
+    got = qarith._poly_gcd(qarith._dense(a.terms)[1], qarith._dense(b.terms)[1])
+    assert qarith._sparse(got, 0) == g
+    assert (a * b).divexact(b) == divexact(a * b, b) == a
+    try:
+        want = divexact(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            a.divexact(b)
+    else:
+        assert a.divexact(b) == want
 
 
 def test_gcd_cancellation_stress():
