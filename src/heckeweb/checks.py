@@ -34,9 +34,10 @@ class CheckFailure(AssertionError):
     pass
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg) -> None:
+    """Raise CheckFailure(msg()) unless cond: only a failure formats its message."""
     if not cond:
-        raise CheckFailure(msg)
+        raise CheckFailure(msg())
 
 
 def compositions_of(n: int):
@@ -56,13 +57,13 @@ def check_examples(max_n: int = 4) -> None:
     c01 = uqrep.canonical_basis((1, 1), (0, 1))
     _require(
         c01 == uqrep.standard_vector((1, 1), (0, 1)),
-        f"canonical (1,1)/01 is {c01}",
+        lambda: f"canonical (1,1)/01 is {c01}",
     )
     c10 = uqrep.canonical_basis((1, 1), (1, 0))
     want = uqrep.standard_vector((1, 1), (1, 0)) + uqrep.standard_vector(
         (1, 1), (0, 1)
     ).scale(_Q(1))
-    _require(c10 == want, f"canonical (1,1)/10 is {c10}")
+    _require(c10 == want, lambda: f"canonical (1,1)/10 is {c10}")
 
     comp = (3, 1, 4, 4, 2, 1, 1)
     eta = (0, 1, 0, 0, 1, 0, 1)
@@ -75,11 +76,13 @@ def check_examples(max_n: int = 4) -> None:
         (0, 0, 0, 1, 0, 1, 1): 7,
     }
     cb = uqrep.canonical_basis(comp, eta)
-    _require(len(cb.support) == len(expected), f"six-term expansion has {len(cb.support)} terms")
+    _require(
+        len(cb.support) == len(expected), lambda: f"six-term expansion has {len(cb.support)} terms"
+    )
     for gamma, exp in expected.items():
         _require(
             cb.coeff(gamma) == _Q(exp),
-            f"coefficient at {gamma} is {cb.coeff(gamma)}, wanted q^{exp}",
+            lambda: f"coefficient at {gamma} is {cb.coeff(gamma)}, wanted q^{exp}",
         )
 
 
@@ -116,7 +119,7 @@ def check_hecke(max_n: int = 4) -> None:
         for w in all_permutations(n):
             mine = hecke.kl_basis_element(w)
             brute = kl_bruteforce(w)
-            _require(mine == brute, f"canonical basis mismatch at {w} in S_{n}")
+            _require(mine == brute, lambda: f"canonical basis mismatch at {w} in S_{n}")
 
 
 # -- criterion 3: induced module maps --------------------------------------
@@ -157,16 +160,16 @@ def check_induced_maps(max_n: int = 4) -> None:
                     x = mod.standard(w)
                     img = inducedmod.map_i(mod, dst, x)
                     back = inducedmod.map_Q(dst, mod, img)
-                    _require(back == x, f"Q(i(N_{w})) != N_{w} on {mod} -> {dst}")
+                    _require(back == x, lambda: f"Q(i(N_{w})) != N_{w} on {mod} -> {dst}")
                     for i in range(1, n):
                         lhs = inducedmod.map_i(mod, dst, x.act_generator(i))
                         _require(
                             lhs == img.act_generator(i),
-                            f"i not equivariant at {mod}->{dst}, w={w}, i={i}",
+                            lambda: f"i not equivariant at {mod}->{dst}, w={w}, i={i}",
                         )
                     _require(
                         inducedmod.map_i(mod, dst, x.bar()) == img.bar(),
-                        f"i does not commute with bar at {mod}->{dst}, w={w}",
+                        lambda: f"i does not commute with bar at {mod}->{dst}, w={w}",
                     )
                 for w in dst.basis_index():
                     x = dst.standard(w)
@@ -175,7 +178,7 @@ def check_induced_maps(max_n: int = 4) -> None:
                         _require(
                             inducedmod.map_Q(dst, mod, x.act_generator(i))
                             == img.act_generator(i),
-                            f"Q not equivariant at {dst}->{mod}, w={w}, i={i}",
+                            lambda: f"Q not equivariant at {dst}->{mod}, w={w}, i={i}",
                         )
                 # canonical transport
                 top = _longest_rep_between(n, q_gens, q_sub)
@@ -184,7 +187,7 @@ def check_induced_maps(max_n: int = 4) -> None:
                     want = inducedmod.canonical_basis_element(dst, top * w)
                     _require(
                         img == want,
-                        f"i(canonical {w}) != canonical {top * w} at {mod}->{dst}",
+                        lambda: f"i(canonical {w}) != canonical {top * w} at {mod}->{dst}",
                     )
                 # naturality through intermediate walls
                 for q_mid in _subsets(q_gens):
@@ -197,7 +200,7 @@ def check_induced_maps(max_n: int = 4) -> None:
                         twice = inducedmod.map_i(mid, dst, inducedmod.map_i(mod, mid, x))
                         _require(
                             once == twice,
-                            f"naturality fails {mod}->{mid}->{dst} at {w}",
+                            lambda: f"naturality fails {mod}->{mid}->{dst} at {w}",
                         )
             # shrink the sign wall
             for p_sub in _subsets(p_gens):
@@ -214,13 +217,13 @@ def check_induced_maps(max_n: int = 4) -> None:
                     back = inducedmod.map_z(dst, mod, img)
                     _require(
                         back == x.scale(scale),
-                        f"z(j(N_{w})) != scale * N_{w} on {mod} -> {dst}",
+                        lambda: f"z(j(N_{w})) != scale * N_{w} on {mod} -> {dst}",
                     )
                     for i in range(1, n):
                         _require(
                             inducedmod.map_j(mod, dst, x.act_generator(i))
                             == img.act_generator(i),
-                            f"j not equivariant at {mod}->{dst}, w={w}, i={i}",
+                            lambda: f"j not equivariant at {mod}->{dst}, w={w}, i={i}",
                         )
                 for w in dst.basis_index():
                     x = dst.standard(w)
@@ -229,23 +232,23 @@ def check_induced_maps(max_n: int = 4) -> None:
                         _require(
                             inducedmod.map_z(dst, mod, x.act_generator(i))
                             == img.act_generator(i),
-                            f"z not equivariant at {dst}->{mod}, w={w}, i={i}",
+                            lambda: f"z not equivariant at {dst}->{mod}, w={w}, i={i}",
                         )
                     _require(
                         inducedmod.map_z(dst, mod, x.bar()) == img.bar(),
-                        f"z does not commute with bar at {dst}->{mod}, w={w}",
+                        lambda: f"z does not commute with bar at {dst}->{mod}, w={w}",
                     )
                     cb = inducedmod.canonical_basis_element(dst, w)
                     img_cb = inducedmod.map_z(dst, mod, cb)
                     if w in basis:
                         _require(
                             img_cb == inducedmod.canonical_basis_element(mod, w),
-                            f"z(canonical {w}) wrong at {dst}->{mod}",
+                            lambda: f"z(canonical {w}) wrong at {dst}->{mod}",
                         )
                     else:
                         _require(
                             img_cb.is_zero(),
-                            f"z(canonical {w}) nonzero at {dst}->{mod}",
+                            lambda: f"z(canonical {w}) nonzero at {dst}->{mod}",
                         )
 
 
@@ -257,12 +260,12 @@ def check_rep_identities(max_n: int = 5) -> None:
         for comp in compositions_of(n):
             for eta in product((0, 1), repeat=len(comp)):
                 v = uqrep.standard_vector(comp, eta)
-                _require(uqrep.act_E(uqrep.act_E(v)).is_zero(), f"E^2 != 0 on {comp}")
-                _require(uqrep.act_F(uqrep.act_F(v)).is_zero(), f"F^2 != 0 on {comp}")
+                _require(uqrep.act_E(uqrep.act_E(v)).is_zero(), lambda: f"E^2 != 0 on {comp}")
+                _require(uqrep.act_F(uqrep.act_F(v)).is_zero(), lambda: f"F^2 != 0 on {comp}")
                 anti = uqrep.act_E(uqrep.act_F(v)) + uqrep.act_F(uqrep.act_E(v))
                 _require(
                     anti == v.scale(quantum_int(n)),
-                    f"EF+FE != [n] id on {comp} at {eta}",
+                    lambda: f"EF+FE != [n] id on {comp} at {eta}",
                 )
     for a in range(1, 5):
         for b in range(1, 5):
@@ -273,7 +276,7 @@ def check_rep_identities(max_n: int = 5) -> None:
                 for act in (uqrep.act_E, uqrep.act_F, uqrep.act_K):
                     _require(
                         act(uqrep.phi_merge(v, 1)) == uqrep.phi_merge(act(v), 1),
-                        f"merge not equivariant for {act.__name__} at {comp} {eta}",
+                        lambda: f"merge not equivariant for {act.__name__} at {comp} {eta}",
                     )
             for eta in product((0, 1), repeat=1):
                 v = uqrep.standard_vector(merged, eta)
@@ -281,12 +284,12 @@ def check_rep_identities(max_n: int = 5) -> None:
                     _require(
                         act(uqrep.phi_split(v, 1, a, b))
                         == uqrep.phi_split(act(v), 1, a, b),
-                        f"split not equivariant for {act.__name__} at {merged} {eta}",
+                        lambda: f"split not equivariant for {act.__name__} at {merged} {eta}",
                     )
                 loop = uqrep.phi_merge(uqrep.phi_split(v, 1, a, b), 1)
                 _require(
                     loop == v.scale(quantum_binom(a + b, a)),
-                    f"merge(split) != binomial at a={a}, b={b}",
+                    lambda: f"merge(split) != binomial at a={a}, b={b}",
                 )
     for a in range(1, 4):
         for b in range(1, 4):
@@ -298,7 +301,9 @@ def check_rep_identities(max_n: int = 5) -> None:
                     rhs = uqrep.bilinear_form(
                         v, uqrep.phi_split(vp, 1, a, b).scale(_Q(-a * b))
                     )
-                    _require(lhs == rhs, f"pairing adjunction fails a={a} b={b} {eta} {gamma}")
+                    _require(
+                        lhs == rhs, lambda: f"pairing adjunction fails a={a} b={b} {eta} {gamma}"
+                    )
     for n in range(1, min(max_n, 4) + 1):
         for comp in compositions_of(n):
             for eta in product((0, 1), repeat=len(comp)):
@@ -308,7 +313,7 @@ def check_rep_identities(max_n: int = 5) -> None:
                     _require(
                         uqrep.bilinear_form(uqrep.act_F(v), w)
                         == uqrep.bilinear_form(v, uqrep.act_Eprime(w)),
-                        f"F/E' adjunction fails on {comp} at {eta},{gamma}",
+                        lambda: f"F/E' adjunction fails on {comp} at {eta},{gamma}",
                     )
 
 
@@ -330,34 +335,34 @@ def check_schur_weyl_stl(max_n: int = 5) -> None:
                 hh = uqrep.schur_weyl_H(h, i)
                 _require(
                     hh == h.scale(_Q(-1) - _Q(1)) + v,
-                    f"quadratic relation fails at n={n}, i={i}",
+                    lambda: f"quadratic relation fails at n={n}, i={i}",
                 )
                 _require(
                     C(C(v, i), i) == C(v, i).scale(two),
-                    f"idempotent-like relation fails at n={n}, i={i}",
+                    lambda: f"idempotent-like relation fails at n={n}, i={i}",
                 )
             for i in range(1, n - 1):
                 a = uqrep.schur_weyl_H(uqrep.schur_weyl_H(uqrep.schur_weyl_H(v, i), i + 1), i)
                 b = uqrep.schur_weyl_H(uqrep.schur_weyl_H(uqrep.schur_weyl_H(v, i + 1), i), i + 1)
-                _require(a == b, f"braid relation fails at n={n}, i={i}")
+                _require(a == b, lambda: f"braid relation fails at n={n}, i={i}")
                 lhs = C(C(C(v, i), i + 1), i) - C(v, i)
                 rhs = C(C(C(v, i + 1), i), i + 1) - C(v, i + 1)
-                _require(lhs == rhs, f"hexagon relation fails at n={n}, i={i}")
+                _require(lhs == rhs, lambda: f"hexagon relation fails at n={n}, i={i}")
             for i in range(1, n):
                 for j in range(i + 2, n):
                     _require(
                         C(C(v, i), j) == C(C(v, j), i),
-                        f"distant commutation fails at n={n}, {i},{j}",
+                        lambda: f"distant commutation fails at n={n}, {i},{j}",
                     )
             for i in range(2, n - 1):
                 w1 = C(C(C(v, i - 1), i + 1), i)
                 w1 = w1.scale(two) - C(w1, i - 1)
                 w1 = w1.scale(two) - C(w1, i + 1)
-                _require(w1.is_zero(), f"first degree-5 relation fails at n={n}, i={i}")
+                _require(w1.is_zero(), lambda: f"first degree-5 relation fails at n={n}, i={i}")
                 w2 = v.scale(two) - C(v, i - 1)
                 w2 = w2.scale(two) - C(w2, i + 1)
                 w2 = C(C(C(w2, i), i - 1), i + 1)
-                _require(w2.is_zero(), f"second degree-5 relation fails at n={n}, i={i}")
+                _require(w2.is_zero(), lambda: f"second degree-5 relation fails at n={n}, i={i}")
 
 
 # -- criterion 6: web relations and the labeling oracle --------------------
@@ -366,17 +371,19 @@ def check_schur_weyl_stl(max_n: int = 5) -> None:
 def check_web_relations(max_n: int = 5) -> None:
     for a in range(1, max_n):
         for b in range(1, max_n - a + 1):
-            _require(webcat.check_relation("O53", a=a, b=b), f"loop relation fails a={a} b={b}")
+            _require(
+                webcat.check_relation("O53", a=a, b=b), lambda: f"loop relation fails a={a} b={b}"
+            )
     for a in range(1, max_n - 1):
         for b in range(1, max_n - a):
             for c in range(1, max_n - a - b + 1):
                 _require(
                     webcat.check_relation("assoc44", a=a, b=b, c=c),
-                    f"associativity fails {a},{b},{c}",
+                    lambda: f"associativity fails {a},{b},{c}",
                 )
-    _require(webcat.check_relation("stl54"), "three-strand relation fails")
+    _require(webcat.check_relation("stl54"), lambda: "three-strand relation fails")
     for n in range(1, max_n + 1):
-        _require(webcat.check_relation("eq66", n=n), f"bundle loop != [n]! at n={n}")
+        _require(webcat.check_relation("eq66", n=n), lambda: f"bundle loop != [n]! at n={n}")
     # labeling oracle against matrix composition, every elementary web
     for n in range(2, 4):
         for comp in compositions_of(n):
@@ -396,7 +403,7 @@ def check_web_relations(max_n: int = 5) -> None:
                         )
                         _require(
                             got == img.coeff(top),
-                            f"labeling oracle differs at {web.word_str()} {bottom}->{top}",
+                            lambda: f"labeling oracle differs at {web.word_str()} {bottom}->{top}",
                         )
 
 
@@ -417,14 +424,14 @@ def check_canonical_triple(max_n: int = 4) -> None:
                 web_route = webcat.evaluate_canonical_diagram(diagram)
                 _require(
                     web_route == bar_route,
-                    f"web route differs from bar-fixing at n={n}, eta={eta}",
+                    lambda: f"web route differs from bar-fixing at n={n}, eta={eta}",
                 )
                 hecke_route = uqrep.psi_iso(
                     inducedmod.canonical_basis_element(mod, w), k
                 )
                 _require(
                     hecke_route == bar_route,
-                    f"Hecke route differs from bar-fixing at n={n}, eta={eta}",
+                    lambda: f"Hecke route differs from bar-fixing at n={n}, eta={eta}",
                 )
 
 
@@ -437,7 +444,7 @@ def check_theorem1(max_n: int = 5) -> None:
             for i in range(1, len(comp)):
                 _require(
                     tabgroth.theorem1_check(comp, i),
-                    f"translation/web mismatch at {comp}, position {i}",
+                    lambda: f"translation/web mismatch at {comp}, position {i}",
                 )
 
 
@@ -451,23 +458,23 @@ def check_kgroup(max_n: int = 4) -> None:
             for k in range(lo, n):
                 _require(
                     tabgroth.lowering_rule_holds(comp, k),
-                    f"lowering rule on projectives fails at {comp}, k={k}",
+                    lambda: f"lowering rule on projectives fails at {comp}, k={k}",
                 )
                 _require(
                     tabgroth.raising_rule_holds(comp, k),
-                    f"raising rule on simples fails at {comp}, k={k}",
+                    lambda: f"raising rule on simples fails at {comp}, k={k}",
                 )
             # squares vanish at the matrix level
             for k in range(lo, n - 1):
                 for eta, col in tabgroth.kgroup_F(comp, k + 1).items():
                     _require(
-                        uqrep.act_F(col).is_zero(), f"F^2 != 0 at {comp}, k={k}"
+                        uqrep.act_F(col).is_zero(), lambda: f"F^2 != 0 at {comp}, k={k}"
                     )
                 for eta, col in tabgroth.kgroup_E(comp, k).items():
                     if not col.is_zero():
                         _require(
                             uqrep.act_Eprime(col).is_zero(),
-                            f"E'^2 != 0 at {comp}, k={k}",
+                            lambda: f"E'^2 != 0 at {comp}, k={k}",
                         )
             # commutation with the wall crossings
             for i in range(1, len(comp)):
@@ -477,12 +484,12 @@ def check_kgroup(max_n: int = 4) -> None:
                     _require(
                         uqrep.phi_merge(uqrep.act_F(v), i)
                         == uqrep.act_F(uqrep.phi_merge(v, i)),
-                        f"merge/F do not commute at {comp}, i={i}, {eta}",
+                        lambda: f"merge/F do not commute at {comp}, i={i}, {eta}",
                     )
                     _require(
                         uqrep.phi_merge(uqrep.act_Eprime(v), i)
                         == uqrep.act_Eprime(uqrep.phi_merge(v, i)),
-                        f"merge/E' do not commute at {comp}, i={i}, {eta}",
+                        lambda: f"merge/E' do not commute at {comp}, i={i}, {eta}",
                     )
                 merged = uqrep.merged_type(comp, i)
                 for eta in product((0, 1), repeat=len(merged)):
@@ -490,22 +497,22 @@ def check_kgroup(max_n: int = 4) -> None:
                     _require(
                         uqrep.phi_split(uqrep.act_F(v), i, ai, aj)
                         == uqrep.act_F(uqrep.phi_split(v, i, ai, aj)),
-                        f"split/F do not commute at {comp}, i={i}, {eta}",
+                        lambda: f"split/F do not commute at {comp}, i={i}, {eta}",
                     )
                     _require(
                         uqrep.phi_split(uqrep.act_Eprime(v), i, ai, aj)
                         == uqrep.act_Eprime(uqrep.phi_split(v, i, ai, aj)),
-                        f"split/E' do not commute at {comp}, i={i}, {eta}",
+                        lambda: f"split/E' do not commute at {comp}, i={i}, {eta}",
                     )
         # standard = [k]_0! proper standard on the regular composition
         comp = (1,) * n
         for k in range(0, n + 1):
-            for w in tabgroth.enumerate_lambda(comp, k):
-                std = tabgroth.class_vector(w, comp, k, "standard")
-                prop = tabgroth.class_vector(w, comp, k, "proper_standard")
+            for eta in uqrep.weight_etas(comp, k):
+                std = tabgroth.class_vector(comp, eta, "standard")
+                prop = tabgroth.class_vector(comp, eta, "proper_standard")
                 _require(
                     std == prop.scale(quantum_factorial0(k)),
-                    f"length-of-filtration identity fails at n={n}, k={k}, w={w}",
+                    lambda: f"length-of-filtration identity fails at n={n}, k={k}, eta={eta}",
                 )
 
 
@@ -515,10 +522,10 @@ def check_kgroup(max_n: int = 4) -> None:
 def check_homdim(max_n: int = 4) -> None:
     for n in range(1, max_n + 1):
         for k in range(0, n + 1):
-            members = tabgroth.enumerate_lambda((1,) * n, k)
-            for w in members:
-                for z in members:
-                    tabgroth.hom_dim(w, z, n, k)  # raises on route disagreement
+            members = uqrep.weight_etas((1,) * n, k)
+            for eta_w in members:
+                for eta_z in members:
+                    tabgroth.hom_dim(eta_w, eta_z)  # raises on route disagreement
 
 
 # -- suite registry ----------------------------------------------------------

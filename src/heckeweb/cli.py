@@ -165,21 +165,35 @@ def _cmd_tableaux(args) -> int:
     return 0
 
 
+def _by_length(pairs) -> list:
+    """(w, value) pairs sorted by (length, one_line) of the permutation w."""
+    return sorted(pairs, key=lambda pair: (pair[0].length(), pair[0].one_line))
+
+
 def _cmd_translate(args) -> int:
     comp = _parse_comp(args.comp)
     i, k = args.pos, args.k
     tabgroth.check_weight(comp, k)
+    if args.basis == "projective" and args.dir != "out":
+        raise ValueError("projective classes translate out of the wall only")
+    if args.basis == "simple" and args.dir != "onto":
+        raise ValueError("simple classes translate onto the wall only")
+    merged = uqrep.merged_type(comp, i)
     lines = []
+    rows = []
     payload = {"comp": list(comp), "pos": i, "k": k, "basis": args.basis, "dir": args.dir}
     if args.basis == "proper":
         if args.dir == "onto":
             matrix = tabgroth.translate_onto_wall(comp, i, k)
+            src, dst = comp, merged
         else:
             matrix = tabgroth.translate_out_of_wall(comp, i, k)
-        rows = []
-        for w in sorted(matrix, key=lambda w: (w.length(), w.one_line)):
-            row = matrix[w]
-            terms = sorted(row.items(), key=lambda t: (t[0].length(), t[0].one_line))
+            src, dst = merged, comp
+        # the matrix is keyed by eta; rows and terms print by index permutation
+        keyed = [(tabgroth.index_perm(src, k, eta), row) for eta, row in matrix.items()]
+        for w, row in _by_length(keyed):
+            terms = [(tabgroth.index_perm(dst, k, gamma), c) for gamma, c in row.items()]
+            terms = _by_length(terms)
             text = " + ".join(f"({c})*[{wp}]" for wp, c in terms) if terms else "0"
             lines.append(f"[{w}] -> {text}")
             rows.append(
@@ -190,30 +204,28 @@ def _cmd_translate(args) -> int:
                     ],
                 }
             )
-        payload["rows"] = rows
     else:
-        if args.basis == "projective" and args.dir != "out":
-            raise ValueError("projective classes translate out of the wall only")
-        if args.basis == "simple" and args.dir != "onto":
-            raise ValueError("simple classes translate onto the wall only")
-        src = uqrep.merged_type(comp, i) if args.basis == "projective" else comp
-        rows = []
+        src = merged if args.basis == "projective" else comp
         for w in tabgroth.enumerate_lambda(src, k):
+            eta = tabgroth.class_eta(w, src, k)
             if args.basis == "projective":
-                vec = tabgroth.translate_projective(comp, i, k, w)
+                vec = tabgroth.translate_projective(comp, i, eta)
             else:
-                vec = tabgroth.translate_simple(comp, i, k, w)
+                vec = tabgroth.translate_simple(comp, i, eta)
             lines.append(f"[{w}] -> {vec}")
             rows.append({"w": list(w.one_line), "image": vec.to_json()})
-        payload["rows"] = rows
+    payload["rows"] = rows
     _emit(args, lines, payload)
     return 0
 
 
 def _cmd_homdim(args) -> int:
-    w = _parse_perm(args.w, args.n)
-    z = _parse_perm(args.z, args.n)
-    value = tabgroth.hom_dim(w, z, args.n, args.k)
+    comp = uqrep.regular_composition(args.n)
+    eta_w = tabgroth.class_eta(_parse_perm(args.w, args.n), comp, args.k)
+    eta_z = tabgroth.class_eta(_parse_perm(args.z, args.n), comp, args.k)
+    if eta_w is None or eta_z is None:
+        raise ValueError("both indices must label classes at this weight")
+    value = tabgroth.hom_dim(eta_w, eta_z)
     _emit(args, [str(value)], {"n": args.n, "k": args.k, "dim": value})
     return 0
 

@@ -127,7 +127,7 @@ class ModuleElement(SparseVector):
         mod = self.parent
         terms, den = _numerators(self)
         work = _accumulate({}, (
-            ({-e: v for e, v in c.items()}, _bar_of_standard(mod, w)) for w, c in terms
+            ({-e: v for e, v in c.items()}, _word_times(mod, w, _H_INVERSE)) for w, c in terms
         ))
         return _element(type(self), mod, work, None if den is None else den.bar())
 
@@ -251,11 +251,6 @@ def _accumulate(work: dict, pairs) -> dict:
     return work
 
 
-def _row(work: dict) -> tuple:
-    """The nonzero terms of work as (label, exponent, coefficient) triples."""
-    return tuple((y, e, v) for y, poly in work.items() for e, v in poly.items() if v)
-
-
 def _numerators(x: ModuleElement) -> tuple[list, LaurentPoly | None]:
     """x's coefficients as {exponent: int} numerators over one denominator,
     the lcm of theirs: the (label, numerator) pairs and the denominator,
@@ -299,31 +294,19 @@ def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
 
 
 @cache
-def _generator_times(mod: InducedModule, w: Permutation) -> tuple:
-    """N_e . H_w, for any w in S_n, as (label, exponent, coefficient)
-    triples.  The reduced word of w is that of w s_i followed by i, for i
-    the last right descent of w."""
-    descents = w.right_descents()
-    if not descents:
-        e = Permutation.identity(mod.n)
-        return ((_labels(mod).setdefault(e, e), 0, 1),)
-    i = descents[-1]
-    table = _step_table(mod, i, _H)
-    shorter = _generator_times(mod, w.times_simple(i))
-    return _row(_accumulate({}, (({e: v}, table[y]) for y, e, v in shorter)))
-
-
-@cache
-def _bar_of_standard(mod: InducedModule, w: Permutation) -> tuple:
-    """bar(N_w) = N_e . bar(H_w) = N_e . H_{i1}^-1 ... H_{ik}^-1 along the
-    same reduced word, as (label, exponent, coefficient) triples."""
+def _word_times(mod: InducedModule, w: Permutation, diagonal: tuple) -> tuple:
+    """N_e . (H_i1 + diagonal) ... (H_ik + diagonal) along the reduced
+    word of w that ends in its last right descent, as (label, exponent,
+    coefficient) triples: N_e . H_w for _H, and bar(N_w) = N_e . bar(H_w)
+    = N_e . H_i1^-1 ... H_ik^-1 for _H_INVERSE."""
     descents = w.right_descents()
     if not descents:
         return ((_labels(mod).setdefault(w, w), 0, 1),)
     i = descents[-1]
-    table = _step_table(mod, i, _H_INVERSE)
-    shorter = _bar_of_standard(mod, w.times_simple(i))
-    return _row(_accumulate({}, (({e: v}, table[y]) for y, e, v in shorter)))
+    table = _step_table(mod, i, diagonal)
+    shorter = _word_times(mod, w.times_simple(i), diagonal)
+    work = _accumulate({}, (({e: v}, table[y]) for y, e, v in shorter))
+    return tuple((y, e, v) for y, poly in work.items() for e, v in poly.items() if v)
 
 
 @cache
@@ -445,7 +428,7 @@ def _push_forward(dst: InducedModule, x: ModuleElement, norm=None) -> ModuleElem
     terms, den = _numerators(x)
     if norm is not None:
         den = norm if den is None else den * norm
-    work = _accumulate({}, ((c, _generator_times(dst, w)) for w, c in terms))
+    work = _accumulate({}, ((c, _word_times(dst, w, _H)) for w, c in terms))
     return _element(ModuleElement, dst, work, den)
 
 

@@ -8,9 +8,11 @@ it is admissible when the row increases strictly and the column does not
 increase from bottom to top.  Admissible tableaux of type a biject with
 the index permutations of the classes at weight k, and with the 0/1
 sequences eta marking which values sit in the row.  The tableaux are
-the definition and the `tableaux` listing; computations index a class by
-its eta, with `index_perm` and its inverse `class_eta` as the closed form
-of the bijection with index permutations.
+the definition and the `tableaux` listing.  Every computation below
+takes and returns a class as its eta, whose number of ones fixes the
+weight; `index_perm`, its inverse `class_eta` and `enumerate_lambda`
+are the closed-form bijection with index permutations, for the command
+line and the tests.
 
 The four distinguished bases of each weight space (standard, proper
 standard, projective, simple) are realized as vectors: a standard
@@ -251,24 +253,19 @@ def enumerate_lambda(comp, k: int) -> list[Permutation]:
     return perms
 
 
-_KINDS = ("standard", "proper_standard", "projective", "simple")
+_KINDS = {
+    "standard": uqrep.standard_vector,
+    "proper_standard": uqrep.dual_standard,
+    "projective": uqrep.canonical_basis,
+    "simple": uqrep.dual_canonical,
+}
 
 
-def class_vector(w: Permutation, comp, k: int, kind: str) -> TensorVector:
-    """The weight-space vector of the class indexed by w."""
+def class_vector(comp, eta, kind: str) -> TensorVector:
+    """The weight-space vector of the class indexed by eta."""
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    comp = composition(comp)
-    eta = class_eta(w, comp, k)
-    if eta is None:
-        raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
-    if kind == "standard":
-        return uqrep.standard_vector(comp, eta)
-    if kind == "proper_standard":
-        return uqrep.dual_standard(comp, eta)
-    if kind == "projective":
-        return uqrep.canonical_basis(comp, eta)
-    return uqrep.dual_canonical(comp, eta)
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    return _KINDS[kind](comp, eta)
 
 
 # -- translation across a merge position ---------------------------------
@@ -284,24 +281,26 @@ def check_weight(comp, k: int) -> None:
 
 def translate_onto_wall(comp, i: int, k: int) -> dict:
     """Matrix of the wall-crossing on proper standard classes, from type
-    comp to the type with parts i, i+1 merged.  Keyed by source index
-    permutation; values map target index permutations to coefficients.
-    Slots i, i+1 of eta merge into one slot, in the row when either was;
-    both in the row give zero."""
+    comp to the type with parts i, i+1 merged.  Keyed by source eta;
+    values map target etas to coefficients.  Slots i, i+1 of eta merge
+    into one slot, in the row when either was; both in the row give zero.
+
+    >>> translate_onto_wall((1, 1), 1, 1)
+    {(0, 1): {(1,): LaurentPoly(1)}, (1, 0): {(1,): LaurentPoly(q^-1)}}
+    """
     comp = composition(comp)
     check_weight(comp, k)
     merged = uqrep.merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
     for eta in uqrep.weight_etas(comp, k):
-        w = index_perm(comp, k, eta)
         pattern = eta[i - 1 : i + 1]
         if pattern == (1, 1):
-            out[w] = {}
+            out[eta] = {}
             continue
-        wp = index_perm(merged, k, eta[: i - 1] + (max(pattern),) + eta[i + 1 :])
+        target = eta[: i - 1] + (max(pattern),) + eta[i + 1 :]
         # q^(-a_j) q^(-(a_i - 1) a_j) for (1, 0) is q^(-a_i a_j), as for (0, 0)
-        out[w] = {wp: _Q(-ai * (aj - 1)) if pattern == (0, 1) else _Q(-ai * aj)}
+        out[eta] = {target: _Q(-ai * (aj - 1)) if pattern == (0, 1) else _Q(-ai * aj)}
     return out
 
 
@@ -316,7 +315,7 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
     ai, aj = comp[i - 1], comp[i]
     out = {}
     for eta in uqrep.weight_etas(merged, k):
-        split = lambda pair: index_perm(comp, k, eta[: i - 1] + pair + eta[i:])
+        split = lambda pair: eta[: i - 1] + pair + eta[i:]
         if eta[i - 1] == 1:
             row = {
                 split((1, 0)): quantum_binom0(ai - 1, aj),
@@ -324,7 +323,7 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
             }
         else:
             row = {split((0, 0)): quantum_binom0(ai, aj)}
-        out[index_perm(merged, k, eta)] = row
+        out[eta] = row
     return out
 
 
@@ -348,8 +347,8 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     for eta in uqrep.weight_etas(src, k):
         norm_src = uqrep.standard_norm(src, eta)
         image = apply_web(uqrep.standard_vector(src, eta))
-        out[index_perm(src, k, eta)] = {
-            index_perm(dst, k, gamma): c * uqrep.standard_norm(dst, gamma) / norm_src
+        out[eta] = {
+            gamma: c * uqrep.standard_norm(dst, gamma) / norm_src
             for gamma, c in image.support.items()
         }
     return out
@@ -368,28 +367,23 @@ def theorem1_check(comp, i: int) -> bool:
     return True
 
 
-def translate_projective(comp, i: int, k: int, w: Permutation) -> TensorVector:
-    """Out-of-wall translation of an indecomposable projective class: the
-    projective whose eta splits slot i of w's eta as (eta_i, 0), the
-    paper's w y_0 with y_0 longest in (S_merged / S_comp)^short."""
+def translate_projective(comp, i: int, eta) -> TensorVector:
+    """Out-of-wall translation of the indecomposable projective class eta
+    of the merged type: the projective whose eta splits slot i as
+    (eta_i, 0), the paper's w y_0 with y_0 longest in
+    (S_merged / S_comp)^short."""
     comp = composition(comp)
-    check_weight(comp, k)
-    eta = class_eta(w, uqrep.merged_type(comp, i), k)
-    if eta is None:
-        raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
+    eta = uqrep._check_eta(uqrep.merged_type(comp, i), eta)
     return uqrep.canonical_basis(comp, eta[:i] + (0,) + eta[i:])
 
 
-def translate_simple(comp, i: int, k: int, w: Permutation) -> TensorVector:
-    """Onto-wall translation of a simple class: zero when slot i+1 of w's
-    eta is in the row, else q^(-a_i a_(i+1)) = q^(-l(y_0)) times the
+def translate_simple(comp, i: int, eta) -> TensorVector:
+    """Onto-wall translation of the simple class eta: zero when slot i+1
+    of eta is in the row, else q^(-a_i a_(i+1)) = q^(-l(y_0)) times the
     simple whose eta drops that slot, the paper's z with w = z y_0."""
     comp = composition(comp)
-    check_weight(comp, k)
     merged = uqrep.merged_type(comp, i)
-    eta = class_eta(w, comp, k)
-    if eta is None:
-        raise ValueError(f"{w} indexes no class of type {comp} at weight {k}")
+    eta = uqrep._check_eta(comp, eta)
     if eta[i]:
         return uqrep.zero_vector(merged)
     simple = uqrep.dual_canonical(merged, eta[:i] + eta[i + 1 :])
@@ -450,15 +444,21 @@ def raising_rule_holds(comp, k: int) -> bool:
 # -- dimension counting through diagram labelings --------------------------
 
 
-def hom_dim(w: Permutation, z: Permutation, n: int, k: int) -> int:
+def _weight_space(eta_w, eta_z) -> tuple[tuple[int, ...], int]:
+    """The regular composition and the weight k of two classes, or
+    ValueError unless both etas index classes of one weight space."""
+    comp = uqrep.regular_composition(len(eta_w))
+    weight = sum(uqrep._check_eta(comp, eta_w))
+    if sum(uqrep._check_eta(comp, eta_z)) != weight:
+        raise ValueError(f"{eta_w} and {eta_z} index classes of different weight spaces")
+    return comp, len(comp) - weight
+
+
+def hom_dim(eta_w, eta_z) -> int:
     """k! times the number of weight-space indices whose top labeling
     gives a nonzero value on both canonical diagrams; cross-checked
     against the specialized bilinear-form computation."""
-    comp = uqrep.regular_composition(n)
-    eta_w = class_eta(w, comp, k)
-    eta_z = class_eta(z, comp, k)
-    if eta_w is None or eta_z is None:
-        raise ValueError("both indices must label classes at this weight")
+    comp, k = _weight_space(eta_w, eta_z)
     dw = webcat.canonical_basis_diagram(comp, eta_w)
     dz = webcat.canonical_basis_diagram(comp, eta_z)
     count = 0
@@ -474,7 +474,7 @@ def hom_dim(w: Permutation, z: Permutation, n: int, k: int) -> int:
         if not val_z.is_zero():
             count += 1
     result = factorial(k) * count
-    form_value = hom_dim_form_route(w, z, n, k)
+    form_value = hom_dim_form_route(eta_w, eta_z)
     if form_value != result:
         raise RuntimeError(
             f"diagram count {result} disagrees with the form value {form_value}"
@@ -482,12 +482,12 @@ def hom_dim(w: Permutation, z: Permutation, n: int, k: int) -> int:
     return result
 
 
-def hom_dim_form_route(w: Permutation, z: Permutation, n: int, k: int) -> int:
+def hom_dim_form_route(eta_w, eta_z) -> int:
     """The q=1 specialization of the form pairing of the two canonical
     classes against all standard classes of the weight space."""
-    comp = uqrep.regular_composition(n)
-    cw = class_vector(w, comp, k, "projective")
-    cz = class_vector(z, comp, k, "projective")
+    comp, k = _weight_space(eta_w, eta_z)
+    cw = class_vector(comp, eta_w, "projective")
+    cz = class_vector(comp, eta_z, "projective")
     total = 0
     for eta in uqrep.weight_etas(comp, k):
         vx = uqrep.standard_vector(comp, eta)

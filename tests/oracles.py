@@ -617,7 +617,7 @@ def translate_projective_by_y0(comp, i: int, k: int, w: Permutation):
     if tabgroth.class_eta(w, merged, k) is None:
         raise ValueError(f"{w} indexes no class of the merged type at weight {k}")
     y0 = longest_quotient_rep(comp_parabolic(merged), comp_parabolic(comp))
-    return tabgroth.class_vector(w * y0, comp, k, "projective")
+    return tabgroth.class_vector(comp, tabgroth.class_eta(w * y0, comp, k), "projective")
 
 
 def translate_simple_by_y0(comp, i: int, k: int, w: Permutation):

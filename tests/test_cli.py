@@ -193,6 +193,14 @@ def test_check_suite_failure_sets_exit_code(capsys, monkeypatch):
     assert "stl: FAIL (synthetic defect" in out
 
 
+def test_check_suite_failure_reports_the_failing_case(capsys, monkeypatch):
+    merge = uqrep.phi_merge
+    monkeypatch.setattr(uqrep, "phi_merge", lambda v, i: merge(v, i).scale(LaurentPoly.q(1)))
+    code, out, _ = run_cli(capsys, "check", "--suite", "theorem1", "--max-n", "2")
+    assert code == 1
+    assert out == "theorem1: FAIL (translation/web mismatch at (1, 1), position 1)\n"
+
+
 def test_translate_onto_proper(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -370,7 +378,7 @@ def test_empty_composition_part_is_a_usage_error(capsys):
     [
         ("triple", uqrep, "canonical_basis_by_bar", lambda comp, eta: len(comp)),
         ("efm", tabgroth, "lowering_rule_holds", lambda comp, k: sum(comp)),
-        ("homdim", tabgroth, "hom_dim", lambda w, z, n, k: n),
+        ("homdim", tabgroth, "hom_dim", lambda eta_w, eta_z: len(eta_w)),
     ],
 )
 def test_check_reaches_the_size_bound(capsys, monkeypatch, suite, module, name, size):
@@ -456,5 +464,57 @@ def test_json_output_is_pinned(capsys, argv, digest):
     import hashlib
 
     code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the text stdout of `translate` in each basis/direction mode and
+# of `homdim`: the rows and terms keep their (length, one_line) order of the
+# index permutations, whatever index the library computes with.
+TEXT_DIGESTS = [
+    (("translate", "--comp", "2,1,2", "--pos", "2", "--k", "3",
+      "--dir", "onto", "--basis", "proper"),
+     "b40971170d973c2f207dfcb8d60ead9ddb0f477f52f1a564fe9e3479e8c47198"),
+    (("translate", "--comp", "2,1,2", "--pos", "2", "--k", "4",
+      "--dir", "out", "--basis", "proper"),
+     "efb90405473bed002d04496b1a7fbbac2eb413139215ee64175eea7893bfcadd"),
+    (("translate", "--comp", "2,1,2", "--pos", "2", "--k", "3",
+      "--dir", "out", "--basis", "projective"),
+     "9ebebd3d2e0af394cfa5883cbbc5dd9f68bd6b875fb9b8011476c56eda98593f"),
+    (("translate", "--comp", "2,1,2", "--pos", "2", "--k", "3",
+      "--dir", "onto", "--basis", "simple"),
+     "7162f455c939cc7c5254f04d813329d1e0ea392adf3697f60c562d26982acd4b"),
+    (("translate", "--comp", "1,1,1,1,1", "--pos", "2", "--k", "2",
+      "--dir", "onto", "--basis", "proper"),
+     "c36195de998af39c1a839dcd191a1dd54d22f3189c767d6d290beee71a152b17"),
+    (("translate", "--comp", "1,1,1,1,1", "--pos", "3", "--k", "3",
+      "--dir", "out", "--basis", "proper"),
+     "b5d0f4fbbd04fbb3701049e0675c1e081b1de062b5534b253f85b074dd41f01d"),
+    (("translate", "--comp", "1,1,1,1,1", "--pos", "2", "--k", "2",
+      "--dir", "out", "--basis", "projective"),
+     "79b8f8ab6ddde8862df1002374a1f09bb19b1554b8ba5a39346ab09fbe92af7d"),
+    (("translate", "--comp", "1,1,1,1,1", "--pos", "3", "--k", "2",
+      "--dir", "onto", "--basis", "simple"),
+     "964a9cbde56b86012c920cf12f00f02964f9ac71240ab1616294a5e6ee78ef90"),
+    (("homdim", "--n", "4", "--k", "1", "--w", "e", "--z", "s1"),
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (("homdim", "--n", "4", "--k", "2", "--w", "[3,2,1,4]", "--z", "[3,2,4,1]"),
+     "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    (("homdim", "--n", "4", "--k", "2", "--w", "[2,3,1,4]", "--z", "[3,4,2,1]"),
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (("homdim", "--n", "4", "--k", "3", "--w", "[3,4,2,1]", "--z", "[4,3,2,1]"),
+     "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60"),
+    (("homdim", "--n", "4", "--k", "4", "--w", "[4,3,2,1]", "--z", "[4,3,2,1]"),
+     "68ca3fba3b7e864770cb61aeb306d4bd4354b68ab4dd38450860c5d823e42a53"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", TEXT_DIGESTS, ids=[" ".join(argv) for argv, _ in TEXT_DIGESTS]
+)
+def test_text_output_is_pinned(capsys, argv, digest):
+    import hashlib
+
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

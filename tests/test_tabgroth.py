@@ -5,7 +5,7 @@ import pytest
 
 from heckeweb.qarith import LaurentPoly, quantum_factorial0, quantum_int0
 from heckeweb.symgrp import Permutation
-from heckeweb import tabgroth, uqrep
+from heckeweb import cli, tabgroth, uqrep
 from heckeweb.checks import compositions_of
 
 from oracles import (
@@ -25,6 +25,21 @@ from oracles import (
 Q = LaurentPoly.q
 E2 = Permutation.identity(2)
 S1 = Permutation.simple(2, 1)
+
+
+def by_perm(matrix, src, dst, k):
+    """An eta-keyed translation matrix from type src to type dst, keyed by
+    the index permutations instead, as the command line prints it."""
+    perm = tabgroth.index_perm
+    return {
+        perm(src, k, eta): {perm(dst, k, gamma): c for gamma, c in row.items()}
+        for eta, row in matrix.items()
+    }
+
+
+def regular_eta(w, k):
+    """The eta of the class w of the regular composition at weight k."""
+    return tabgroth.class_eta(w, (1,) * w.n, k)
 
 
 def test_minimal_tableau_figure():
@@ -139,21 +154,26 @@ def test_lambda_agrees_with_group_theoretic_set():
 
 
 def test_class_vectors():
-    assert tabgroth.class_vector(E2, (1, 1), 1, "proper_standard") == uqrep.standard_vector(
-        (1, 1), (0, 1)
-    )
-    assert tabgroth.class_vector(E2, (2,), 2, "standard") == uqrep.standard_vector((2,), (0,))
-    assert tabgroth.class_vector(E2, (2,), 2, "proper_standard") == uqrep.standard_vector(
+    eta = tabgroth.class_eta
+    assert tabgroth.class_vector(
+        (1, 1), eta(E2, (1, 1), 1), "proper_standard"
+    ) == uqrep.standard_vector((1, 1), (0, 1))
+    assert tabgroth.class_vector((2,), eta(E2, (2,), 2), "standard") == uqrep.standard_vector(
         (2,), (0,)
     )
-    assert tabgroth.class_vector(S1, (1, 1), 1, "projective") == uqrep.canonical_basis(
-        (1, 1), (1, 0)
+    assert tabgroth.class_vector(
+        (2,), eta(E2, (2,), 2), "proper_standard"
+    ) == uqrep.standard_vector((2,), (0,))
+    assert tabgroth.class_vector((1, 1), eta(S1, (1, 1), 1), "projective") == (
+        uqrep.canonical_basis((1, 1), (1, 0))
     )
     with pytest.raises(ValueError):
-        tabgroth.class_vector(E2, (1, 1), 1, "nonsense")
+        tabgroth.class_vector((1, 1), eta(E2, (1, 1), 1), "nonsense")
+    # the identity does not index a class at the top weight of (1,1), and
+    # a sequence of the wrong length indexes no class at all
+    assert eta(E2, (1, 1), 2) is None
     with pytest.raises(ValueError):
-        # the identity does not index a class at the top weight of (1,1)
-        tabgroth.class_vector(E2, (1, 1), 2, "standard")
+        tabgroth.class_vector((1, 1), (0, 0, 0), "standard")
 
 
 def test_proper_standard_spans_weight_space():
@@ -162,7 +182,7 @@ def test_proper_standard_spans_weight_space():
         total = 0
         for k in range(n - len(comp), n + 1):
             vectors = [
-                tabgroth.class_vector(w, comp, k, "proper_standard")
+                tabgroth.class_vector(comp, tabgroth.class_eta(w, comp, k), "proper_standard")
                 for w in tabgroth.enumerate_lambda(comp, k)
             ]
             supports = [next(iter(v.support)) for v in vectors]
@@ -172,12 +192,12 @@ def test_proper_standard_spans_weight_space():
 
 
 def test_translate_onto_wall_examples():
-    m = tabgroth.translate_onto_wall((1, 1), 1, 1)
+    m = by_perm(tabgroth.translate_onto_wall((1, 1), 1, 1), (1, 1), (2,), 1)
     target = tabgroth.enumerate_lambda((2,), 1)[0]
     assert m[E2] == {target: LaurentPoly.one()}
     assert m[S1] == {target: Q(-1)}
     # the (2,1) case at the top weight crosses with exponent -2
-    m4 = tabgroth.translate_onto_wall((2, 1), 1, 3)
+    m4 = by_perm(tabgroth.translate_onto_wall((2, 1), 1, 3), (2, 1), (3,), 3)
     (w,) = tabgroth.enumerate_lambda((2, 1), 3)
     (coeff,) = m4[w].values()
     assert coeff == Q(-2)
@@ -193,10 +213,10 @@ def test_translate_onto_wall_kills_double_row():
 
 def test_translate_out_of_wall_examples():
     src = tabgroth.enumerate_lambda((2,), 1)[0]
-    m = tabgroth.translate_out_of_wall((1, 1), 1, 1)
+    m = by_perm(tabgroth.translate_out_of_wall((1, 1), 1, 1), (2,), (1, 1), 1)
     assert m[src] == {S1: LaurentPoly.one(), E2: Q(1)}
     src2 = tabgroth.enumerate_lambda((2,), 2)[0]
-    m2 = tabgroth.translate_out_of_wall((1, 1), 1, 2)
+    m2 = by_perm(tabgroth.translate_out_of_wall((1, 1), 1, 2), (2,), (1, 1), 2)
     (target2,) = tabgroth.enumerate_lambda((1, 1), 2)
     assert m2[src2] == {target2: quantum_int0(2)}
 
@@ -207,7 +227,7 @@ def test_out_targets_match_redistribution_oracle():
         for i in range(1, len(comp)):
             merged = uqrep.merged_type(comp, i)
             for k in range(n - len(merged), n + 1):
-                matrix = tabgroth.translate_out_of_wall(comp, i, k)
+                matrix = by_perm(tabgroth.translate_out_of_wall(comp, i, k), merged, comp, k)
                 assert set(matrix) == set(tabgroth.enumerate_lambda(merged, k))
                 for w, row in matrix.items():
                     t = tableau_from_perm(w, merged, k)
@@ -222,7 +242,7 @@ def test_onto_targets_match_decrement_oracle():
             for i in range(1, len(comp)):
                 merged = uqrep.merged_type(comp, i)
                 for k in range(n - len(comp), n + 1):
-                    matrix = tabgroth.translate_onto_wall(comp, i, k)
+                    matrix = by_perm(tabgroth.translate_onto_wall(comp, i, k), comp, merged, k)
                     assert set(matrix) == set(tabgroth.enumerate_lambda(comp, k))
                     for w, row in matrix.items():
                         t = tableau_from_perm(w, comp, k)
@@ -258,8 +278,9 @@ def test_theorem1_check_detects_a_wrong_merge_scalar(monkeypatch):
 
 def test_translate_projective_examples():
     (src,) = tabgroth.enumerate_lambda((2,), 1)
-    got = tabgroth.translate_projective((1, 1), 1, 1, src)
+    got = tabgroth.translate_projective((1, 1), 1, tabgroth.class_eta(src, (2,), 1))
     assert got == uqrep.canonical_basis((1, 1), (1, 0))
+    assert tabgroth.translate_projective([1, 1], 1, [1]) == got
 
 
 def test_translations_match_the_y0_routes():
@@ -269,10 +290,12 @@ def test_translations_match_the_y0_routes():
                 merged = uqrep.merged_type(comp, i)
                 for k in range(n - len(comp), n + 1):
                     for w in tabgroth.enumerate_lambda(merged, k):
-                        got = tabgroth.translate_projective(comp, i, k, w)
+                        got = tabgroth.translate_projective(
+                            comp, i, tabgroth.class_eta(w, merged, k)
+                        )
                         assert got == translate_projective_by_y0(comp, i, k, w), (comp, i, k, w)
                     for w in tabgroth.enumerate_lambda(comp, k):
-                        got = tabgroth.translate_simple(comp, i, k, w)
+                        got = tabgroth.translate_simple(comp, i, tabgroth.class_eta(w, comp, k))
                         assert got == translate_simple_by_y0(comp, i, k, w), (comp, i, k, w)
 
 
@@ -291,8 +314,8 @@ def test_survival_flips_match_the_index_permutations():
 
 
 def test_translate_simple_examples():
-    assert tabgroth.translate_simple((1, 1), 1, 1, E2).is_zero()
-    got = tabgroth.translate_simple((1, 1), 1, 1, S1)
+    assert tabgroth.translate_simple((1, 1), 1, regular_eta(E2, 1)).is_zero()
+    got = tabgroth.translate_simple((1, 1), 1, regular_eta(S1, 1))
     assert got == uqrep.dual_canonical((2,), (1,)).scale(Q(-1))
 
 
@@ -305,13 +328,15 @@ def test_translate_adjoint_consistency():
     merged = (2,)
     y0_len = 1
     for w in tabgroth.enumerate_lambda(merged, k):
-        qw = tabgroth.translate_projective(comp, i, k, w)
+        eta_w = tabgroth.class_eta(w, merged, k)
+        qw = tabgroth.translate_projective(comp, i, eta_w)
         for v in tabgroth.enumerate_lambda(comp, k):
-            sv = tabgroth.class_vector(v, comp, k, "simple")
+            eta_v = tabgroth.class_eta(v, comp, k)
+            sv = tabgroth.class_vector(comp, eta_v, "simple")
             lhs = uqrep.bilinear_form(qw, sv)
             rhs = uqrep.bilinear_form(
-                tabgroth.class_vector(w, merged, k, "projective"),
-                tabgroth.translate_simple(comp, i, k, v),
+                tabgroth.class_vector(merged, eta_w, "projective"),
+                tabgroth.translate_simple(comp, i, eta_v),
             )
             assert lhs == rhs * Q(y0_len)
 
@@ -339,8 +364,9 @@ def test_standard_is_factorial_multiple_of_proper():
         comp = (1,) * n
         for k in range(0, n + 1):
             for w in tabgroth.enumerate_lambda(comp, k):
-                std = tabgroth.class_vector(w, comp, k, "standard")
-                prop = tabgroth.class_vector(w, comp, k, "proper_standard")
+                eta = tabgroth.class_eta(w, comp, k)
+                std = tabgroth.class_vector(comp, eta, "standard")
+                prop = tabgroth.class_vector(comp, eta, "proper_standard")
                 assert std == prop.scale(quantum_factorial0(k))
 
 
@@ -352,29 +378,43 @@ def test_dual_pairings():
             for w in members:
                 for z in members:
                     delta = LaurentPoly.one() if w == z else LaurentPoly.zero()
+                    eta_w = tabgroth.class_eta(w, comp, k)
+                    eta_z = tabgroth.class_eta(z, comp, k)
                     assert (
                         uqrep.bilinear_form(
-                            tabgroth.class_vector(w, comp, k, "projective"),
-                            tabgroth.class_vector(z, comp, k, "simple"),
+                            tabgroth.class_vector(comp, eta_w, "projective"),
+                            tabgroth.class_vector(comp, eta_z, "simple"),
                         )
                         == delta
                     )
                     assert (
                         uqrep.bilinear_form(
-                            tabgroth.class_vector(w, comp, k, "standard"),
-                            tabgroth.class_vector(z, comp, k, "proper_standard"),
+                            tabgroth.class_vector(comp, eta_w, "standard"),
+                            tabgroth.class_vector(comp, eta_z, "proper_standard"),
                         )
                         == delta
                     )
 
 
 def test_homdim_examples():
-    assert tabgroth.hom_dim(E2, E2, 2, 1) == 1
-    assert tabgroth.hom_dim(E2, S1, 2, 1) == 1
+    assert tabgroth.hom_dim(regular_eta(E2, 1), regular_eta(E2, 1)) == 1
+    assert tabgroth.hom_dim(regular_eta(E2, 1), regular_eta(S1, 1)) == 1
     (top,) = tabgroth.enumerate_lambda((1, 1), 2)
-    assert tabgroth.hom_dim(top, top, 2, 2) == 2
+    assert tabgroth.hom_dim(regular_eta(top, 2), regular_eta(top, 2)) == 2
+    # the identity indexes no class at k=2, and classes of two weights
+    # share no hom space
+    assert regular_eta(E2, 2) is None
     with pytest.raises(ValueError):
-        tabgroth.hom_dim(E2, E2, 2, 2)
+        tabgroth.hom_dim(regular_eta(E2, 1), regular_eta(top, 2))
+
+
+def test_homdim_command_rejects_non_class_indices(capsys):
+    # the identity indexes no class at k=2, nor at any k outside 0..2
+    for k in (2, -1, 3):
+        code = cli.main(["homdim", "--n", "2", "--k", str(k), "--w", "e", "--z", "e"])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert "both indices must label classes at this weight" in err
 
 
 def test_homdim_routes_agree_n3():
@@ -383,8 +423,8 @@ def test_homdim_routes_agree_n3():
             members = tabgroth.enumerate_lambda((1,) * n, k)
             for w in members:
                 for z in members:
-                    diagram = tabgroth.hom_dim(w, z, n, k)
-                    form = tabgroth.hom_dim_form_route(w, z, n, k)
+                    diagram = tabgroth.hom_dim(regular_eta(w, k), regular_eta(z, k))
+                    form = tabgroth.hom_dim_form_route(regular_eta(w, k), regular_eta(z, k))
                     assert diagram == form
 
 
@@ -393,7 +433,8 @@ def test_homdim_symmetric():
     members = tabgroth.enumerate_lambda((1,) * n, k)
     for w in members:
         for z in members:
-            assert tabgroth.hom_dim(w, z, n, k) == tabgroth.hom_dim(z, w, n, k)
+            eta_w, eta_z = regular_eta(w, k), regular_eta(z, k)
+            assert tabgroth.hom_dim(eta_w, eta_z) == tabgroth.hom_dim(eta_z, eta_w)
 
 
 def test_tableau_rendering_and_json():
@@ -409,10 +450,16 @@ def test_translations_reject_k_outside_the_weights():
         for translate in (tabgroth.translate_onto_wall, tabgroth.translate_out_of_wall):
             with pytest.raises(ValueError, match="not a weight"):
                 translate((1, 1), 1, k)
-        with pytest.raises(ValueError, match="not a weight"):
-            tabgroth.translate_projective((1, 1), 1, k, Permutation.identity(2))
-        with pytest.raises(ValueError, match="not a weight"):
-            tabgroth.translate_simple((1, 1), 1, k, Permutation.identity(2))
+        # the class translations take an eta, which fixes its weight: the
+        # identity indexes no class there, and the command line rejects k
+        for basis, direction, src in [("projective", "out", (2,)), ("simple", "onto", (1, 1))]:
+            assert tabgroth.class_eta(Permutation.identity(2), src, k) is None
+            args = cli.build_parser().parse_args([
+                "translate", "--comp", "1,1", "--pos", "1", "--k", str(k),
+                "--dir", direction, "--basis", basis,
+            ])
+            with pytest.raises(ValueError, match="not a weight"):
+                args.func(args)
     # weight 0 of (1,1) exists, so out of the wall it is the empty map
     assert tabgroth.translate_out_of_wall((1, 1), 1, 0) == {}
 
