@@ -14,6 +14,7 @@ from itertools import product
 from .qarith import (
     LaurentPoly,
     quantum_binom,
+    quantum_factorial,
     quantum_factorial0,
     quantum_int,
 )
@@ -148,6 +149,24 @@ def _longest_rep_between(n: int, outer: frozenset, inner: frozenset) -> Permutat
     return max(reps, key=lambda x: x.length())
 
 
+def _require_equivariant(name, fmap, src, dst, w, x, img) -> None:
+    """fmap(src, dst, x . H_i) == img . H_i for every generator H_i, where
+    img is fmap(src, dst, x) and x is the standard vector N_w."""
+    for i in range(1, src.n):
+        _require(
+            fmap(src, dst, x.act_generator(i)) == img.act_generator(i),
+            lambda: f"{name} not equivariant at {src}->{dst}, w={w}, i={i}",
+        )
+
+
+def _require_bar_compatible(name, fmap, src, dst, w, x, img) -> None:
+    """fmap(src, dst, bar(x)) == bar(img), where img is fmap(src, dst, x)."""
+    _require(
+        fmap(src, dst, x.bar()) == img.bar(),
+        lambda: f"{name} does not commute with bar at {src}->{dst}, w={w}",
+    )
+
+
 def check_induced_maps(max_n: int = 4) -> None:
     for n in range(2, max_n + 1):
         for p_gens, q_gens in _commuting_pairs(n):
@@ -161,25 +180,12 @@ def check_induced_maps(max_n: int = 4) -> None:
                     img = inducedmod.map_i(mod, dst, x)
                     back = inducedmod.map_Q(dst, mod, img)
                     _require(back == x, lambda: f"Q(i(N_{w})) != N_{w} on {mod} -> {dst}")
-                    for i in range(1, n):
-                        lhs = inducedmod.map_i(mod, dst, x.act_generator(i))
-                        _require(
-                            lhs == img.act_generator(i),
-                            lambda: f"i not equivariant at {mod}->{dst}, w={w}, i={i}",
-                        )
-                    _require(
-                        inducedmod.map_i(mod, dst, x.bar()) == img.bar(),
-                        lambda: f"i does not commute with bar at {mod}->{dst}, w={w}",
-                    )
+                    _require_equivariant("i", inducedmod.map_i, mod, dst, w, x, img)
+                    _require_bar_compatible("i", inducedmod.map_i, mod, dst, w, x, img)
                 for w in dst.basis_index():
                     x = dst.standard(w)
                     img = inducedmod.map_Q(dst, mod, x)
-                    for i in range(1, n):
-                        _require(
-                            inducedmod.map_Q(dst, mod, x.act_generator(i))
-                            == img.act_generator(i),
-                            lambda: f"Q not equivariant at {dst}->{mod}, w={w}, i={i}",
-                        )
+                    _require_equivariant("Q", inducedmod.map_Q, dst, mod, w, x, img)
                 # canonical transport
                 top = _longest_rep_between(n, q_gens, q_sub)
                 for w in basis:
@@ -219,25 +225,12 @@ def check_induced_maps(max_n: int = 4) -> None:
                         back == x.scale(scale),
                         lambda: f"z(j(N_{w})) != scale * N_{w} on {mod} -> {dst}",
                     )
-                    for i in range(1, n):
-                        _require(
-                            inducedmod.map_j(mod, dst, x.act_generator(i))
-                            == img.act_generator(i),
-                            lambda: f"j not equivariant at {mod}->{dst}, w={w}, i={i}",
-                        )
+                    _require_equivariant("j", inducedmod.map_j, mod, dst, w, x, img)
                 for w in dst.basis_index():
                     x = dst.standard(w)
                     img = inducedmod.map_z(dst, mod, x)
-                    for i in range(1, n):
-                        _require(
-                            inducedmod.map_z(dst, mod, x.act_generator(i))
-                            == img.act_generator(i),
-                            lambda: f"z not equivariant at {dst}->{mod}, w={w}, i={i}",
-                        )
-                    _require(
-                        inducedmod.map_z(dst, mod, x.bar()) == img.bar(),
-                        lambda: f"z does not commute with bar at {dst}->{mod}, w={w}",
-                    )
+                    _require_equivariant("z", inducedmod.map_z, dst, mod, w, x, img)
+                    _require_bar_compatible("z", inducedmod.map_z, dst, mod, w, x, img)
                     cb = inducedmod.canonical_basis_element(dst, w)
                     img_cb = inducedmod.map_z(dst, mod, cb)
                     if w in basis:
@@ -326,9 +319,6 @@ def check_schur_weyl_stl(max_n: int = 5) -> None:
         comp = (1,) * n
         basis = [uqrep.standard_vector(comp, eta) for eta in product((0, 1), repeat=n)]
 
-        def C(v, i):
-            return uqrep.stl_C(v, i)
-
         for v in basis:
             for i in range(1, n):
                 h = uqrep.schur_weyl_H(v, i)
@@ -337,31 +327,33 @@ def check_schur_weyl_stl(max_n: int = 5) -> None:
                     hh == h.scale(_Q(-1) - _Q(1)) + v,
                     lambda: f"quadratic relation fails at n={n}, i={i}",
                 )
+                c = uqrep.stl_C(v, i)
                 _require(
-                    C(C(v, i), i) == C(v, i).scale(two),
+                    uqrep.stl_C(c, i) == c.scale(two),
                     lambda: f"idempotent-like relation fails at n={n}, i={i}",
                 )
             for i in range(1, n - 1):
                 a = uqrep.schur_weyl_H(uqrep.schur_weyl_H(uqrep.schur_weyl_H(v, i), i + 1), i)
                 b = uqrep.schur_weyl_H(uqrep.schur_weyl_H(uqrep.schur_weyl_H(v, i + 1), i), i + 1)
                 _require(a == b, lambda: f"braid relation fails at n={n}, i={i}")
-                lhs = C(C(C(v, i), i + 1), i) - C(v, i)
-                rhs = C(C(C(v, i + 1), i), i + 1) - C(v, i + 1)
+                c, d = uqrep.stl_C(v, i), uqrep.stl_C(v, i + 1)
+                lhs = uqrep.stl_C(uqrep.stl_C(c, i + 1), i) - c
+                rhs = uqrep.stl_C(uqrep.stl_C(d, i), i + 1) - d
                 _require(lhs == rhs, lambda: f"hexagon relation fails at n={n}, i={i}")
             for i in range(1, n):
                 for j in range(i + 2, n):
                     _require(
-                        C(C(v, i), j) == C(C(v, j), i),
+                        uqrep.stl_C(uqrep.stl_C(v, i), j) == uqrep.stl_C(uqrep.stl_C(v, j), i),
                         lambda: f"distant commutation fails at n={n}, {i},{j}",
                     )
             for i in range(2, n - 1):
-                w1 = C(C(C(v, i - 1), i + 1), i)
-                w1 = w1.scale(two) - C(w1, i - 1)
-                w1 = w1.scale(two) - C(w1, i + 1)
+                w1 = uqrep.stl_C(uqrep.stl_C(uqrep.stl_C(v, i - 1), i + 1), i)
+                w1 = w1.scale(two) - uqrep.stl_C(w1, i - 1)
+                w1 = w1.scale(two) - uqrep.stl_C(w1, i + 1)
                 _require(w1.is_zero(), lambda: f"first degree-5 relation fails at n={n}, i={i}")
-                w2 = v.scale(two) - C(v, i - 1)
-                w2 = w2.scale(two) - C(w2, i + 1)
-                w2 = C(C(C(w2, i), i - 1), i + 1)
+                w2 = v.scale(two) - uqrep.stl_C(v, i - 1)
+                w2 = w2.scale(two) - uqrep.stl_C(w2, i + 1)
+                w2 = uqrep.stl_C(uqrep.stl_C(uqrep.stl_C(w2, i), i - 1), i + 1)
                 _require(w2.is_zero(), lambda: f"second degree-5 relation fails at n={n}, i={i}")
 
 
@@ -371,19 +363,42 @@ def check_schur_weyl_stl(max_n: int = 5) -> None:
 def check_web_relations(max_n: int = 5) -> None:
     for a in range(1, max_n):
         for b in range(1, max_n - a + 1):
-            _require(
-                webcat.check_relation("O53", a=a, b=b), lambda: f"loop relation fails a={a} b={b}"
-            )
+            loop = webcat.parse_word((a + b,), f"s1:{a},{b}.m1")
+            scalar = quantum_binom(a + b, a)
+            for eta, v in webcat.evaluate_matrix(loop).items():
+                _require(
+                    v == uqrep.standard_vector((a + b,), eta).scale(scalar),
+                    lambda: f"loop relation fails a={a} b={b}",
+                )
     for a in range(1, max_n - 1):
         for b in range(1, max_n - a):
             for c in range(1, max_n - a - b + 1):
-                _require(
-                    webcat.check_relation("assoc44", a=a, b=b, c=c),
-                    lambda: f"associativity fails {a},{b},{c}",
-                )
-    _require(webcat.check_relation("stl54"), lambda: "three-strand relation fails")
+                merges = [webcat.parse_word((a, b, c), word) for word in ("m1.m1", "m2.m1")]
+                splits = [
+                    webcat.parse_word((a + b + c,), f"s1:{a + b},{c}.s1:{a},{b}"),
+                    webcat.parse_word((a + b + c,), f"s1:{a},{b + c}.s2:{b},{c}"),
+                ]
+                for left, right in (merges, splits):
+                    _require(
+                        webcat.evaluate_matrix(left) == webcat.evaluate_matrix(right),
+                        lambda: f"associativity fails {a},{b},{c}",
+                    )
+    c1, c2, c121, c212 = (
+        webcat.evaluate_matrix(webcat.parse_word((1, 1, 1), word))
+        for word in ("m1.s1", "m2.s2", "m1.s1.m2.s2.m1.s1", "m2.s2.m1.s1.m2.s2")
+    )
+    for eta in c1:
+        _require(
+            c121[eta] + c2[eta] == c212[eta] + c1[eta], lambda: "three-strand relation fails"
+        )
     for n in range(1, max_n + 1):
-        _require(webcat.check_relation("eq66", n=n), lambda: f"bundle loop != [n]! at n={n}")
+        loop = webcat.compose(webcat.merge_bundle(n), webcat.split_bundle(n))
+        scalar = quantum_factorial(n)
+        for eta, v in webcat.evaluate_matrix(loop).items():
+            _require(
+                v == uqrep.standard_vector((n,), eta).scale(scalar),
+                lambda: f"bundle loop != [n]! at n={n}",
+            )
     # labeling oracle against matrix composition, every elementary web
     for n in range(2, 4):
         for comp in compositions_of(n):
@@ -455,55 +470,58 @@ def check_kgroup(max_n: int = 4) -> None:
     for n in range(1, max_n + 1):
         for comp in compositions_of(n):
             lo = n - len(comp)
+            zero = uqrep.zero_vector(comp)
+            # lowering keeps a projective's index when slot 1 of eta is in
+            # the column, moving it to the row; raising keeps a simple's
+            # index when slot 1 is in the row, moving it to the column
             for k in range(lo, n):
-                _require(
-                    tabgroth.lowering_rule_holds(comp, k),
-                    lambda: f"lowering rule on projectives fails at {comp}, k={k}",
-                )
-                _require(
-                    tabgroth.raising_rule_holds(comp, k),
-                    lambda: f"raising rule on simples fails at {comp}, k={k}",
-                )
+                for eta in uqrep.weight_etas(comp, k + 1):
+                    if eta[0]:
+                        want = zero
+                    else:
+                        want = uqrep.canonical_basis(comp, (1,) + eta[1:])
+                    _require(
+                        uqrep.act_F(uqrep.canonical_basis(comp, eta)) == want,
+                        lambda: f"lowering rule on projectives fails at {comp}, k={k}",
+                    )
+                for eta in uqrep.weight_etas(comp, k):
+                    if eta[0]:
+                        want = uqrep.dual_canonical(comp, (0,) + eta[1:])
+                    else:
+                        want = zero
+                    _require(
+                        uqrep.act_Eprime(uqrep.dual_canonical(comp, eta)) == want,
+                        lambda: f"raising rule on simples fails at {comp}, k={k}",
+                    )
             # squares vanish at the matrix level
             for k in range(lo, n - 1):
-                for eta, col in tabgroth.kgroup_F(comp, k + 1).items():
+                for eta in uqrep.weight_etas(comp, k + 2):
+                    v = uqrep.standard_vector(comp, eta)
                     _require(
-                        uqrep.act_F(col).is_zero(), lambda: f"F^2 != 0 at {comp}, k={k}"
+                        uqrep.act_F(uqrep.act_F(v)).is_zero(),
+                        lambda: f"F^2 != 0 at {comp}, k={k}",
                     )
-                for eta, col in tabgroth.kgroup_E(comp, k).items():
-                    if not col.is_zero():
-                        _require(
-                            uqrep.act_Eprime(col).is_zero(),
-                            lambda: f"E'^2 != 0 at {comp}, k={k}",
-                        )
+                for eta in uqrep.weight_etas(comp, k):
+                    v = uqrep.standard_vector(comp, eta)
+                    _require(
+                        uqrep.act_Eprime(uqrep.act_Eprime(v)).is_zero(),
+                        lambda: f"E'^2 != 0 at {comp}, k={k}",
+                    )
             # commutation with the wall crossings
             for i in range(1, len(comp)):
                 ai, aj = comp[i - 1], comp[i]
-                for eta in product((0, 1), repeat=len(comp)):
-                    v = uqrep.standard_vector(comp, eta)
-                    _require(
-                        uqrep.phi_merge(uqrep.act_F(v), i)
-                        == uqrep.act_F(uqrep.phi_merge(v, i)),
-                        lambda: f"merge/F do not commute at {comp}, i={i}, {eta}",
-                    )
-                    _require(
-                        uqrep.phi_merge(uqrep.act_Eprime(v), i)
-                        == uqrep.act_Eprime(uqrep.phi_merge(v, i)),
-                        lambda: f"merge/E' do not commute at {comp}, i={i}, {eta}",
-                    )
-                merged = uqrep.merged_type(comp, i)
-                for eta in product((0, 1), repeat=len(merged)):
-                    v = uqrep.standard_vector(merged, eta)
-                    _require(
-                        uqrep.phi_split(uqrep.act_F(v), i, ai, aj)
-                        == uqrep.act_F(uqrep.phi_split(v, i, ai, aj)),
-                        lambda: f"split/F do not commute at {comp}, i={i}, {eta}",
-                    )
-                    _require(
-                        uqrep.phi_split(uqrep.act_Eprime(v), i, ai, aj)
-                        == uqrep.act_Eprime(uqrep.phi_split(v, i, ai, aj)),
-                        lambda: f"split/E' do not commute at {comp}, i={i}, {eta}",
-                    )
+                walls = (
+                    ("merge", comp, lambda v: uqrep.phi_merge(v, i)),
+                    ("split", uqrep.merged_type(comp, i), lambda v: uqrep.phi_split(v, i, ai, aj)),
+                )
+                for wall, src, cross in walls:
+                    for eta in product((0, 1), repeat=len(src)):
+                        v = uqrep.standard_vector(src, eta)
+                        for name, act in (("F", uqrep.act_F), ("E'", uqrep.act_Eprime)):
+                            _require(
+                                cross(act(v)) == act(cross(v)),
+                                lambda: f"{wall}/{name} do not commute at {comp}, i={i}, {eta}",
+                            )
         # standard = [k]_0! proper standard on the regular composition
         comp = (1,) * n
         for k in range(0, n + 1):

@@ -60,12 +60,6 @@ def _parse_perm(text: str, n: int) -> Permutation:
     return Permutation.from_word(n, word)
 
 
-def _parse_bits(text: str) -> tuple[int, ...]:
-    if any(ch not in "01" for ch in text):
-        raise ValueError(f"malformed bitstring {text!r}")
-    return tuple(int(ch) for ch in text)
-
-
 def _emit(args, text_lines, json_payload) -> None:
     if args.format == "json" or args.out:
         payload = json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
@@ -96,7 +90,7 @@ def _cmd_mod_basis(args) -> int:
 def _cmd_canonical(args) -> int:
     comp = _parse_comp(args.comp)
     if args.eta is not None:
-        eta = _parse_bits(args.eta)
+        eta = uqrep.parse_bits(args.eta)
         vec = uqrep.canonical_basis(comp, eta)
         _emit(args, [str(vec)], vec.to_json())
         return 0
@@ -131,8 +125,8 @@ def _cmd_web_eval(args) -> int:
 def _cmd_web_coeff(args) -> int:
     comp = _parse_comp(args.comp)
     web = webcat.parse_word(comp, args.word)
-    bottom = _parse_bits(args.bottom)
-    top = _parse_bits(args.top)
+    bottom = uqrep.parse_bits(args.bottom)
+    top = uqrep.parse_bits(args.top)
     if len(bottom) != len(web.source):
         raise ValueError(
             f"bottom bitstring length {len(bottom)} != arity {len(web.source)}"

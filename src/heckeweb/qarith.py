@@ -270,7 +270,10 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: dict) -> "LaurentPoly":
-        return LaurentPoly({int(e): int(c) for e, c in data.items()})
+        for e, c in data.items():
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers: q^{e} has {c!r}")
+        return LaurentPoly({int(e): c for e, c in data.items()})
 
 
 def _to_laurent(x):
@@ -652,11 +655,14 @@ class SparseVector:
 
     @classmethod
     def _from_support_json(cls, parent, items, key: str, parse_label):
-        terms = (
-            (parse_label(item[key]), RationalFunction.from_json(item["coeff"]))
-            for item in items
-        )
-        return cls.from_terms(parent, terms)
+        """The vector written by _support_json, which lists each label once."""
+        support = {}
+        for item in items:
+            label = parse_label(item[key])
+            if label in support:
+                raise ValueError(f"{key} {item[key]!r} is listed twice")
+            support[label] = RationalFunction.from_json(item["coeff"])
+        return cls.from_terms(parent, support.items())
 
 
 _ZERO = LaurentPoly.zero()

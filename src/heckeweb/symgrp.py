@@ -198,6 +198,10 @@ class ParabolicSubgroup:
     generators: frozenset[int]
 
     def __post_init__(self):
+        if type(self.n) is not int or any(type(i) is not int for i in self.generators):
+            raise ValueError(
+                f"n and the generators must be integers: n={self.n!r}, {set(self.generators)}"
+            )
         bad = [i for i in self.generators if not 1 <= i <= self.n - 1]
         if bad:
             raise ValueError(f"generators {bad} out of range for S_{self.n}")

@@ -19,12 +19,13 @@ standard, projective, simple) are realized as vectors: a standard
 vector, its form-normalized multiple, the canonical vector, the dual
 canonical vector.  Translation matrices across a merge position are
 computed from the case analysis on eta, and the translations of
-projective and simple classes and the raising/lowering rules, which the
-paper states through coset representatives, are closed forms on eta
-too.  An independent computation of the matrices via the evaluated
-merge/split webs transported through the class isomorphism is exposed
-for the commutativity check, which the test suite requires to pass for
-every composition at desk scale.
+projective and simple classes, which the paper states through coset
+representatives, are closed forms on eta too.  An independent
+computation of the matrices via the evaluated merge/split webs
+transported through the class isomorphism is exposed for the
+commutativity check, which the test suite requires to pass for every
+composition at desk scale.  The raising/lowering rules on the class
+bases are stated by the `efm` suite of `checks`.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ __all__ = [
     "theorem1_check",
     "translate_projective",
     "translate_simple",
-    "kgroup_E",
-    "kgroup_F",
     "hom_dim",
     "hom_dim_form_route",
 ]
@@ -388,57 +387,6 @@ def translate_simple(comp, i: int, eta) -> TensorVector:
         return uqrep.zero_vector(merged)
     simple = uqrep.dual_canonical(merged, eta[:i] + eta[i + 1 :])
     return simple.scale(_Q(-comp[i - 1] * comp[i]))
-
-
-# -- raising and lowering on the weight spaces -----------------------------
-
-
-def kgroup_F(comp, k: int) -> dict:
-    """Columns of the lowering map from weight k+1 to weight k."""
-    comp = composition(comp)
-    return {
-        eta: uqrep.act_F(uqrep.standard_vector(comp, eta))
-        for eta in uqrep.weight_etas(comp, k + 1)
-    }
-
-
-def kgroup_E(comp, k: int) -> dict:
-    """Columns of the rescaled raising map from weight k to weight k+1."""
-    comp = composition(comp)
-    return {
-        eta: uqrep.act_Eprime(uqrep.standard_vector(comp, eta))
-        for eta in uqrep.weight_etas(comp, k)
-    }
-
-
-def lowering_rule_holds(comp, k: int) -> bool:
-    """Lowering sends a projective class to the projective with the same
-    index if that index survives, else to zero.  It survives exactly when
-    slot 1 of eta is in the column, and then moves slot 1 to the row."""
-    comp = composition(comp)
-    for eta in uqrep.weight_etas(comp, k + 1):
-        if eta[0]:
-            want = uqrep.zero_vector(comp)
-        else:
-            want = uqrep.canonical_basis(comp, (1,) + eta[1:])
-        if uqrep.act_F(uqrep.canonical_basis(comp, eta)) != want:
-            return False
-    return True
-
-
-def raising_rule_holds(comp, k: int) -> bool:
-    """Rescaled raising sends a simple class to the simple with the same
-    index if that index survives, else to zero.  It survives exactly when
-    slot 1 of eta is in the row, and then moves slot 1 to the column."""
-    comp = composition(comp)
-    for eta in uqrep.weight_etas(comp, k):
-        if eta[0]:
-            want = uqrep.dual_canonical(comp, (0,) + eta[1:])
-        else:
-            want = uqrep.zero_vector(comp)
-        if uqrep.act_Eprime(uqrep.dual_canonical(comp, eta)) != want:
-            return False
-    return True
 
 
 # -- dimension counting through diagram labelings --------------------------

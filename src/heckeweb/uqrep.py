@@ -36,6 +36,7 @@ from .inducedmod import ModuleElement
 __all__ = [
     "composition",
     "TensorVector",
+    "parse_bits",
     "standard_vector",
     "act_E",
     "act_F",
@@ -82,10 +83,19 @@ def regular_composition(n: int) -> tuple[int, ...]:
 
 
 def _check_eta(comp, eta) -> tuple[int, ...]:
-    eta = tuple(int(e) for e in eta)
-    if len(eta) != len(comp) or any(e not in (0, 1) for e in eta):
+    """eta as a tuple, or ValueError unless it has one entry per part of
+    comp and each entry is the int 0 or 1 (a bool or a float is not)."""
+    eta = tuple(eta)
+    if len(eta) != len(comp) or any(type(e) is not int or e not in (0, 1) for e in eta):
         raise ValueError(f"bad 0/1 sequence {eta} for composition {comp}")
     return eta
+
+
+def parse_bits(text: str) -> tuple[int, ...]:
+    """The 0/1 tuple written as the string text, such as "0101"."""
+    if not isinstance(text, str) or any(ch not in "01" for ch in text):
+        raise ValueError(f"malformed bitstring {text!r}")
+    return tuple(int(ch) for ch in text)
 
 
 class TensorVector(SparseVector):
@@ -115,7 +125,7 @@ class TensorVector(SparseVector):
     def from_json(data) -> "TensorVector":
         comp = composition(data["comp"])
         return TensorVector._from_support_json(
-            comp, data["support"], "eta", lambda bits: _check_eta(comp, bits)
+            comp, data["support"], "eta", lambda bits: _check_eta(comp, parse_bits(bits))
         )
 
 

@@ -20,7 +20,8 @@ follow by the merge/split type rule of uqrep that the intertwiners use:
 Words are never normalized: equality of morphisms is always decided by
 comparing evaluations, which is faithful on the objects used here.
 Whether two specific words are equal before imposing the defining
-relations is deliberately not decided by this module.
+relations is deliberately not decided by this module; the `webs` suite
+of `checks` compares the evaluations of both sides of each relation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
-from .qarith import LaurentPoly, json_parser, quantum_binom, quantum_factorial
+from .qarith import LaurentPoly, json_parser, quantum_binom
 from . import uqrep
 from .uqrep import TensorVector, composition, standard_vector
 
@@ -50,7 +51,6 @@ __all__ = [
     "merge_bundle",
     "standard_inclusion",
     "standard_projection",
-    "check_relation",
     "parse_word",
 ]
 
@@ -190,6 +190,9 @@ class LabeledWebDiagram:
             raise ValueError("bottom labeling does not match the web source")
         if self.top is not None and len(self.top) != len(self.web.target):
             raise ValueError("top labeling does not match the web target")
+        object.__setattr__(self, "bottom", uqrep._check_eta(self.web.source, self.bottom))
+        if self.top is not None:
+            object.__setattr__(self, "top", uqrep._check_eta(self.web.target, self.top))
 
 
 def matrix_coefficient(d: LabeledWebDiagram) -> LaurentPoly:
@@ -287,56 +290,6 @@ def standard_inclusion(comp) -> Web:
 def standard_projection(comp) -> Web:
     """Tensor product of merge bundles: from all-ones onto comp."""
     return reduce(tensor, map(merge_bundle, composition(comp)))
-
-
-def _c_web(comp, i: int) -> Web:
-    """The cap-cup word at position i: merge then split back."""
-    comp = composition(comp)
-    return Web(comp, (Slice("merge", i, None), Slice("split", i, comp[i - 1 : i + 1])))
-
-
-def _scaled_identity_matrix(comp, scalar: LaurentPoly) -> dict:
-    return {eta: v.scale(scalar) for eta, v in evaluate_matrix(identity_web(comp)).items()}
-
-
-def _matrix_sum(m1: dict, m2: dict) -> dict:
-    return {k: m1[k] + m2[k] for k in m1}
-
-
-def check_relation(rel: str, **params) -> bool:
-    """Evaluate both sides of a defining relation as exact matrices."""
-    if rel == "O53":
-        a, b = params["a"], params["b"]
-        loop = compose(merge_web((a, b), 1), split_web((a + b,), 1, a, b))
-        scalar = quantum_binom(a + b, a)
-        return evaluate_matrix(loop) == _scaled_identity_matrix((a + b,), scalar)
-    if rel == "assoc44":
-        a, b, c = params["a"], params["b"], params["c"]
-        src = (a, b, c)
-        left = compose(merge_web((a + b, c), 1), merge_web(src, 1))
-        right = compose(merge_web((a, b + c), 1), merge_web(src, 2))
-        merges = evaluate_matrix(left) == evaluate_matrix(right)
-        tot = (a + b + c,)
-        sleft = compose(split_web((a + b, c), 1, a, b), split_web(tot, 1, a + b, c))
-        sright = compose(split_web((a, b + c), 2, b, c), split_web(tot, 1, a, b + c))
-        splits = evaluate_matrix(sleft) == evaluate_matrix(sright)
-        return merges and splits
-    if rel == "stl54":
-        comp = (1, 1, 1)
-        c1, c2 = _c_web(comp, 1), _c_web(comp, 2)
-        lhs = _matrix_sum(
-            evaluate_matrix(compose(c1, compose(c2, c1))), evaluate_matrix(c2)
-        )
-        rhs = _matrix_sum(
-            evaluate_matrix(compose(c2, compose(c1, c2))), evaluate_matrix(c1)
-        )
-        return lhs == rhs
-    if rel == "eq66":
-        n = params["n"]
-        loop = compose(merge_bundle(n), split_bundle(n))
-        scalar = quantum_factorial(n)
-        return evaluate_matrix(loop) == _scaled_identity_matrix((n,), scalar)
-    raise ValueError(f"unknown relation {rel!r}")
 
 
 def parse_word(comp, word: str) -> Web:

@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import heckeweb
-from heckeweb import cli, inducedmod, tabgroth, uqrep, webcat
+from heckeweb import checks, cli, inducedmod, tabgroth, uqrep, webcat
 from heckeweb.hecke import HeckeElement
 from heckeweb.qarith import LaurentPoly, coeff_to_json
 
@@ -201,6 +203,85 @@ def test_check_suite_failure_reports_the_failing_case(capsys, monkeypatch):
     assert out == "theorem1: FAIL (translation/web mismatch at (1, 1), position 1)\n"
 
 
+@pytest.mark.parametrize(
+    "suite,module,name,breaks,line",
+    [
+        (
+            "webs", checks, "quantum_binom", lambda f: lambda n, k: f(n, k) * LaurentPoly.q(1),
+            "loop relation fails a=1 b=1",
+        ),
+        (
+            "webs", checks, "quantum_factorial",
+            lambda f: lambda n: f(n) if n < 3 else f(n) * LaurentPoly.q(1),
+            "bundle loop != [n]! at n=3",
+        ),
+        (
+            "efm", uqrep, "act_F", lambda f: lambda v: f(v).scale(LaurentPoly.q(1)),
+            "lowering rule on projectives fails at (1,), k=0",
+        ),
+        (
+            "efm", uqrep, "act_Eprime", lambda f: lambda v: f(v).scale(LaurentPoly.q(1)),
+            "raising rule on simples fails at (1,), k=0",
+        ),
+    ],
+)
+def test_check_suite_names_the_identity_that_fails(
+    capsys, monkeypatch, suite, module, name, breaks, line
+):
+    monkeypatch.setattr(module, name, breaks(getattr(module, name)))
+    code, out, _ = run_cli(capsys, "check", "--suite", suite, "--max-n", "4")
+    assert code == 1 and out == f"{suite}: FAIL ({line})\n"
+
+
+def _in_image(fmap, partner, src, dst, x) -> bool:
+    """Whether x lies in the image of partner, given that fmap after
+    partner is a scalar s times the identity."""
+    (s,) = fmap(src, dst, partner(dst, src, dst.generator())).support.values()
+    return partner(dst, src, fmap(src, dst, x)) == x.scale(s)
+
+
+@pytest.mark.parametrize(
+    "name,partner,line",
+    [
+        (
+            "map_i", None,
+            "i not equivariant at M(n=2, p=[], q=[])->M(n=2, p=[], q=[]), w=[2,1], i=1",
+        ),
+        (
+            "map_Q", "map_i",
+            "Q not equivariant at M(n=2, p=[], q=[])->M(n=2, p=[], q=[1]), w=[2,1], i=1",
+        ),
+        (
+            "map_j", None,
+            "j not equivariant at M(n=2, p=[], q=[])->M(n=2, p=[], q=[]), w=[2,1], i=1",
+        ),
+        (
+            "map_z", "map_j",
+            "z not equivariant at M(n=2, p=[], q=[])->M(n=2, p=[1], q=[]), w=[2,1], i=1",
+        ),
+    ],
+)
+def test_induced_suite_names_the_map_that_is_not_equivariant(
+    capsys, monkeypatch, name, partner, line
+):
+    # the map stays right on a standard vector and on the image of its
+    # partner, the inputs of Q(i(x)) == x and z(j(x)) == scale * x, so
+    # the first identity to fail is the equivariance of the map
+    fmap = getattr(inducedmod, name)
+
+    def broken(src, dst, x):
+        y = fmap(src, dst, x)
+        if list(x.support.values()) == [LaurentPoly.one()]:
+            return y
+        if partner and _in_image(fmap, getattr(inducedmod, partner), src, dst, x):
+            return y
+        return y.scale(LaurentPoly.q(1))
+
+    monkeypatch.setattr(inducedmod, name, broken)
+    code, out, _ = run_cli(capsys, "check", "--suite", "induced", "--max-n", "2")
+    assert code == 1 and out == f"induced: FAIL ({line})\n"
+
+
 def test_translate_onto_proper(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -272,10 +353,13 @@ def test_out_path_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the subprocess imports the heckeweb package that this test imported
+    package_root = Path(heckeweb.__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "heckeweb.cli", "canonical", "--comp", "1,1", "--eta", "10"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "v[10] + q*v[01]"
@@ -377,7 +461,7 @@ def test_empty_composition_part_is_a_usage_error(capsys):
     "suite,module,name,size",
     [
         ("triple", uqrep, "canonical_basis_by_bar", lambda comp, eta: len(comp)),
-        ("efm", tabgroth, "lowering_rule_holds", lambda comp, k: sum(comp)),
+        ("efm", uqrep, "act_F", lambda v: sum(v.comp)),
         ("homdim", tabgroth, "hom_dim", lambda eta_w, eta_z: len(eta_w)),
     ],
 )

@@ -121,6 +121,13 @@ MERGE = {"kind": "merge", "i": 1, "comp": [1, 1]}
     (webcat.Web.from_json, ({"source": "11", "slices": []},), "not '11'"),
     (webcat.Web.from_json, ({"source": [1, 1], "slices": [{**MERGE, "i": "1"}]},), "position '1'"),
     (webcat.Web.from_json, ({"source": [1, 1], "slices": [{**MERGE, "i": True}]},), "position True"),
+    # the writer lists each label once, as a bit string
+    (uqrep.TensorVector.from_json, (
+        {"comp": [1, 1], "support": [{"eta": "01", "coeff": ONE}, {"eta": "01", "coeff": ONE}]},
+    ), "eta '01' is listed twice"),
+    (uqrep.TensorVector.from_json, (
+        {"comp": [1, 1], "support": [{"eta": [0, 1], "coeff": ONE}]},
+    ), "malformed bitstring"),
 ])
 def test_json_parsers_name_what_they_cannot_read(parse, args, message):
     with pytest.raises(ValueError, match=message):
@@ -135,6 +142,15 @@ def test_json_parsers_name_what_they_cannot_read(parse, args, message):
     (uqrep.TensorVector.from_json, {"comp": [True, 1], "support": []}),
     (tabgroth.HookTableau.from_json, {"type": [1.5], "row": [1], "column": []}),
     (tabgroth.HookTableau.from_json, {"type": [2.0], "row": [1, 1], "column": []}),
+    (RationalFunction.from_json, {"num": {"0": True}, "den": {"0": 1}}),
+    (RationalFunction.from_json, {"num": {"0": 1}, "den": {"0": "3"}}),
+    (uqrep.TensorVector.from_json, {"comp": [1, 1], "support": [
+        {"eta": "01", "coeff": {"num": {"0": 2.5}, "den": {"0": 1}}},
+    ]}),
+    (inducedmod.InducedModule.from_json, {"n": True, "p_generators": [], "q_generators": []}),
+    (inducedmod.InducedModule.from_json, {"n": "3", "p_generators": [], "q_generators": []}),
+    (inducedmod.InducedModule.from_json, {"n": 3.0, "p_generators": [], "q_generators": []}),
+    (inducedmod.InducedModule.from_json, {"n": 3, "p_generators": [1.5], "q_generators": []}),
 ])
 def test_json_parsers_reject_a_part_that_is_no_int(parse, data):
     with pytest.raises(ValueError, match="must be integers"):
@@ -147,6 +163,17 @@ def test_tableau_json_rejects_an_entry_that_is_no_int(row, column):
     with pytest.raises(ValueError, match="entries must be integers"):
         tabgroth.HookTableau.from_json(data)
     assert str(tabgroth.HookTableau.from_json({**data, "row": [1], "column": [2]})) == "row[1] col[2]"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: uqrep.canonical_basis((1, 1), (True, 0.5)),
+    lambda: uqrep.standard_vector((1, 1), (0, 1.9)),
+    lambda: webcat.LabeledWebDiagram(webcat.merge_web((1, 1), 1), (1, 2), (0,)),
+    lambda: webcat.LabeledWebDiagram(webcat.merge_web((1, 1), 1), (1, 0), (1.0,)),
+])
+def test_a_label_that_is_not_the_int_0_or_1_is_rejected(build):
+    with pytest.raises(ValueError, match="bad 0/1 sequence"):
+        build()
 
 
 def test_unitriangular_shape_check():

@@ -341,24 +341,6 @@ def test_translate_adjoint_consistency():
             assert lhs == rhs * Q(y0_len)
 
 
-def test_kgroup_rules():
-    for n in range(1, 5):
-        for comp in compositions_of(n):
-            for k in range(n - len(comp), n):
-                assert tabgroth.lowering_rule_holds(comp, k)
-                assert tabgroth.raising_rule_holds(comp, k)
-
-
-def test_kgroup_squares_vanish():
-    comp = (1, 1, 1)
-    for k in range(0, 2):
-        for eta, col in tabgroth.kgroup_F(comp, k + 1).items():
-            assert uqrep.act_F(col).is_zero()
-        for eta, col in tabgroth.kgroup_E(comp, k).items():
-            if not col.is_zero():
-                assert uqrep.act_Eprime(col).is_zero()
-
-
 def test_standard_is_factorial_multiple_of_proper():
     for n in range(1, 5):
         comp = (1,) * n

@@ -8,7 +8,7 @@ import pytest
 
 import heckeweb
 from heckeweb.qarith import LaurentPoly, quantum_binom
-from heckeweb import uqrep, webcat
+from heckeweb import checks, uqrep, webcat
 from heckeweb.checks import compositions_of
 
 Q = LaurentPoly.q
@@ -88,16 +88,9 @@ def test_equivariance_of_evaluation():
 
 
 def test_defining_relations():
-    for a in range(1, 4):
-        for b in range(1, 4):
-            assert webcat.check_relation("O53", a=a, b=b)
-    for a, b, c in product(range(1, 3), repeat=3):
-        assert webcat.check_relation("assoc44", a=a, b=b, c=c)
-    assert webcat.check_relation("stl54")
-    for n in range(1, 5):
-        assert webcat.check_relation("eq66", n=n)
-    with pytest.raises(ValueError):
-        webcat.check_relation("nonsense")
+    # loop up to a = b = 3, associativity up to 2,2,2, the three-strand
+    # relation and the bundle loop up to n = 4 all lie within size 6
+    checks.check_web_relations(6)
 
 
 def test_matrix_coefficient_local_rules():
