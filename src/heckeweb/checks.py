@@ -105,13 +105,13 @@ def kl_bruteforce(w: Permutation) -> hecke.HeckeElement:
         rhs = LaurentPoly.zero()
         for v, p_v in coeffs.items():
             rhs = rhs + p_v.bar() * bar_mat[v].coeff(y)
-        if rhs.bar() != -rhs:
-            raise CheckFailure(f"defect at {y} below {w} is not antisymmetric: {rhs}")
+        _require(
+            rhs.bar() == -rhs, lambda: f"defect at {y} below {w} is not antisymmetric: {rhs}"
+        )
         coeffs[y] = LaurentPoly({e: c for e, c in rhs.terms.items() if e > 0})
     support = {v: p for v, p in coeffs.items() if not p.is_zero()}
     out = hecke.HeckeElement(inducedmod.InducedModule.of(n), support)
-    if hecke.bar(out) != out:
-        raise CheckFailure(f"brute-force element at {w} is not bar invariant")
+    _require(hecke.bar(out) == out, lambda: f"brute-force element at {w} is not bar invariant")
     return out
 
 
@@ -543,7 +543,13 @@ def check_homdim(max_n: int = 4) -> None:
             members = uqrep.weight_etas((1,) * n, k)
             for eta_w in members:
                 for eta_z in members:
-                    tabgroth.hom_dim(eta_w, eta_z)  # raises on route disagreement
+                    count = tabgroth.hom_dim(eta_w, eta_z)
+                    form = tabgroth.hom_dim_form_route(eta_w, eta_z)
+                    _require(
+                        count == form,
+                        lambda: f"diagram count {count} disagrees with the form value {form}"
+                        f" at {eta_w}, {eta_z}",
+                    )
 
 
 # -- suite registry ----------------------------------------------------------

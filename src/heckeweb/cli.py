@@ -2,14 +2,15 @@
 
 Exit codes: 0 on success (and when every requested check passes), 1 when
 a check suite fails, 2 on malformed input, 3 when an internal invariant
-breaks (a canonical basis element of the wrong shape, two routes that
-should agree disagreeing, a singular matrix that must be invertible).
+breaks (a canonical basis element of the wrong shape, a singular matrix
+that must be invertible).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .qarith import coeff_to_json
@@ -43,21 +44,19 @@ def _parse_perm(text: str, n: int) -> Permutation:
     if text in ("e", "", "id"):
         return Permutation.identity(n)
     if text.startswith("["):
-        body = text.strip("[]")
         try:
-            entries = tuple(int(p) for p in body.split(","))
+            if not text.endswith("]"):
+                raise ValueError
+            entries = tuple(int(p) for p in text[1:-1].split(","))
         except ValueError:
-            raise ValueError(f"malformed one-line permutation {text!r}")
+            raise ValueError(f"malformed one-line permutation {text!r}") from None
         if len(entries) != n:
             raise ValueError(f"one-line permutation {text!r} does not have n={n} entries")
         return Permutation(entries)
-    word = []
-    for tok in text.split("*"):
-        tok = tok.strip()
-        if not tok.startswith("s"):
-            raise ValueError(f"malformed reduced word {text!r}")
-        word.append(int(tok[1:]))
-    return Permutation.from_word(n, word)
+    gens = [re.fullmatch(r"s(-?\d+)", tok.strip()) for tok in text.split("*")]
+    if None in gens:
+        raise ValueError(f"malformed reduced word {text!r}")
+    return Permutation.from_word(n, [int(g[1]) for g in gens])
 
 
 def _emit(args, text_lines, json_payload) -> None:
@@ -173,43 +172,29 @@ def _cmd_translate(args) -> int:
     if args.basis == "simple" and args.dir != "onto":
         raise ValueError("simple classes translate onto the wall only")
     merged = uqrep.merged_type(comp, i)
+    onto = args.dir == "onto"
+    src, dst = (comp, merged) if onto else (merged, comp)
+    if args.basis == "proper":
+        wall = tabgroth.translate_onto_wall if onto else tabgroth.translate_out_of_wall
+        matrix = wall(comp, i, k)
+    else:
+        translate = tabgroth.translate_simple if onto else tabgroth.translate_projective
     lines = []
     rows = []
-    payload = {"comp": list(comp), "pos": i, "k": k, "basis": args.basis, "dir": args.dir}
-    if args.basis == "proper":
-        if args.dir == "onto":
-            matrix = tabgroth.translate_onto_wall(comp, i, k)
-            src, dst = comp, merged
-        else:
-            matrix = tabgroth.translate_out_of_wall(comp, i, k)
-            src, dst = merged, comp
-        # the matrix is keyed by eta; rows and terms print by index permutation
-        keyed = [(tabgroth.index_perm(src, k, eta), row) for eta, row in matrix.items()]
-        for w, row in _by_length(keyed):
-            terms = [(tabgroth.index_perm(dst, k, gamma), c) for gamma, c in row.items()]
-            terms = _by_length(terms)
+    # the library keys classes by eta; rows and terms print by index permutation
+    keyed = [(tabgroth.index_perm(src, eta), eta) for eta in uqrep.weight_etas(src, k)]
+    for w, eta in _by_length(keyed):
+        if args.basis == "proper":
+            terms = _by_length((tabgroth.index_perm(dst, g), c) for g, c in matrix[eta].items())
             text = " + ".join(f"({c})*[{wp}]" for wp, c in terms) if terms else "0"
-            lines.append(f"[{w}] -> {text}")
-            rows.append(
-                {
-                    "w": list(w.one_line),
-                    "image": [
-                        {"w": list(wp.one_line), "coeff": coeff_to_json(c)} for wp, c in terms
-                    ],
-                }
-            )
-    else:
-        src = merged if args.basis == "projective" else comp
-        for w in tabgroth.enumerate_lambda(src, k):
-            eta = tabgroth.class_eta(w, src, k)
-            if args.basis == "projective":
-                vec = tabgroth.translate_projective(comp, i, eta)
-            else:
-                vec = tabgroth.translate_simple(comp, i, eta)
-            lines.append(f"[{w}] -> {vec}")
-            rows.append({"w": list(w.one_line), "image": vec.to_json()})
-    payload["rows"] = rows
-    _emit(args, lines, payload)
+            image = [{"w": list(wp.one_line), "coeff": coeff_to_json(c)} for wp, c in terms]
+        else:
+            vec = translate(comp, i, eta)
+            text, image = str(vec), vec.to_json()
+        lines.append(f"[{w}] -> {text}")
+        rows.append({"w": list(w.one_line), "image": image})
+    payload = {"comp": list(comp), "pos": i, "k": k, "basis": args.basis, "dir": args.dir}
+    _emit(args, lines, {**payload, "rows": rows})
     return 0
 
 
@@ -321,6 +306,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # RecursionError, the one RuntimeError left, comes from Python itself
     except (ArithmeticError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

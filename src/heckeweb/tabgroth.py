@@ -12,7 +12,8 @@ the definition and the `tableaux` listing.  Every computation below
 takes and returns a class as its eta, whose number of ones fixes the
 weight; `index_perm`, its inverse `class_eta` and `enumerate_lambda`
 are the closed-form bijection with index permutations, for the command
-line and the tests.
+line and the tests.  Only the last two take the weight k, which a
+permutation alone does not fix.
 
 The four distinguished bases of each weight space (standard, proper
 standard, projective, simple) are realized as vectors: a standard
@@ -25,7 +26,9 @@ computation of the matrices via the evaluated merge/split webs
 transported through the class isomorphism is exposed for the
 commutativity check, which the test suite requires to pass for every
 composition at desk scale.  The raising/lowering rules on the class
-bases are stated by the `efm` suite of `checks`.
+bases are stated by the `efm` suite of `checks`.  `hom_dim` counts
+diagram labelings; the `homdim` suite compares that count with the
+bilinear-form route `hom_dim_form_route`.
 """
 
 from __future__ import annotations
@@ -67,8 +70,6 @@ _Q = LaurentPoly.q
 
 @dataclass(frozen=True, slots=True)
 class HookTableau:
-    n: int
-    k: int
     comp: tuple[int, ...]
     column: tuple[int, ...]  # bottom to top, k entries
     row: tuple[int, ...]  # left to right, n-k entries
@@ -79,8 +80,6 @@ class HookTableau:
             raise ValueError(
                 f"entries {self.column + self.row} do not fill type {self.comp}"
             )
-        if len(self.column) != self.k or len(self.row) != self.n - self.k:
-            raise ValueError("column/row lengths do not match the hook shape")
 
     def entries(self) -> tuple[int, ...]:
         """Entries in box order: column bottom to top, then row."""
@@ -102,7 +101,7 @@ class HookTableau:
         row = tuple(data["row"])
         if not all(type(e) is int for e in column + row):
             raise ValueError(f"tableau entries must be integers: {column + row}")
-        return HookTableau(len(column) + len(row), len(column), comp, column, row)
+        return HookTableau(comp, column, row)
 
 
 def _type_sequence(comp) -> tuple[int, ...]:
@@ -115,15 +114,10 @@ def _type_sequence(comp) -> tuple[int, ...]:
 def perm_from_tableau(t: HookTableau) -> Permutation:
     """The index permutation of a tableau: the i-th smallest box holding
     the value j is the image of the i-th position of the block of j."""
-    seq = _type_sequence(t.comp)
-    entries = t.entries()
     positions: dict[int, list[int]] = {}
-    for box, e in enumerate(entries, start=1):
+    for box, e in enumerate(t.entries(), start=1):
         positions.setdefault(e, []).append(box)
-    one_line = [0] * t.n
-    for p, value in enumerate(seq, start=1):
-        one_line[p - 1] = positions[value].pop(0)
-    return Permutation(tuple(one_line))
+    return Permutation(tuple(positions[value].pop(0) for value in _type_sequence(t.comp)))
 
 
 def is_admissible(t: HookTableau) -> bool:
@@ -132,16 +126,16 @@ def is_admissible(t: HookTableau) -> bool:
     return row_ok and col_ok
 
 
-def tableau_of_eta(comp, k: int, eta) -> HookTableau:
+def tableau_of_eta(comp, eta) -> HookTableau:
     """The admissible tableau whose row holds exactly the marked values."""
     comp = composition(comp)
-    eta = _check_class(comp, k, eta)
+    eta = uqrep._check_eta(comp, eta)
     row = tuple(i + 1 for i, e in enumerate(eta) if e == 1)
     column_multiset = list(_type_sequence(comp))
     for value in row:
         column_multiset.remove(value)
     column = tuple(sorted(column_multiset, reverse=True))
-    return HookTableau(sum(comp), k, comp, column, row)
+    return HookTableau(comp, column, row)
 
 
 def admissible_tableaux(comp, k: int) -> list[HookTableau]:
@@ -149,7 +143,7 @@ def admissible_tableaux(comp, k: int) -> list[HookTableau]:
     raises ValueError unless k is a weight of comp."""
     comp = composition(comp)
     check_weight(comp, k)
-    return [tableau_of_eta(comp, k, eta) for eta in uqrep.weight_etas(comp, k)]
+    return [tableau_of_eta(comp, eta) for eta in uqrep.weight_etas(comp, k)]
 
 
 # the most tableaux all_tableaux lists: (1^8) has 8! = 40320, (1^9) too many
@@ -170,7 +164,7 @@ def all_tableaux(comp, k: int) -> list[HookTableau]:
             f"type {comp} has {count} tableaux, more than the {MAX_TABLEAUX} listed at most"
         )
     return [
-        HookTableau(n, k, comp, entries[:k], entries[k:])
+        HookTableau(comp, entries[:k], entries[k:])
         for entries in _multiset_permutations(_type_sequence(comp))
     ]
 
@@ -196,27 +190,20 @@ def _multiset_permutations(seq):
 # -- the eta index ---------------------------------------------------------
 
 
-def _check_class(comp, k: int, eta) -> tuple[int, ...]:
-    """eta as a 0/1 tuple, or ValueError unless it indexes a class at weight k."""
-    eta = uqrep._check_eta(comp, eta)
-    if sum(eta) != sum(comp) - k:
-        raise ValueError(f"{eta} does not index the weight space k={k} of {comp}")
-    return eta
-
-
-def index_perm(comp, k: int, eta) -> Permutation:
-    """The index permutation of the class eta at weight k, equal to
-    perm_from_tableau(tableau_of_eta(comp, k, eta)) in O(n): the block of
+def index_perm(comp, eta) -> Permutation:
+    """The index permutation of the class eta, equal to
+    perm_from_tableau(tableau_of_eta(comp, eta)) in O(n): the block of
     value j goes to its column boxes and then to its row box.  The column
     holds the values that are not in the row, with the largest in box 1.
 
-    >>> print(index_perm((1, 2, 2, 2), 4, (0, 1, 1, 1)))
+    >>> print(index_perm((1, 2, 2, 2), (0, 1, 1, 1)))
     [4,3,5,2,6,1,7]
     """
     comp = composition(comp)
-    eta = _check_class(comp, k, eta)
+    eta = uqrep._check_eta(comp, eta)
     one_line = []
-    top, row = k, k  # column boxes above top and row boxes up to row are filled
+    # column boxes above top and row boxes up to row are filled
+    top = row = uqrep.weight_index(comp, eta)
     for a, e in zip(comp, eta):
         top -= a - e
         one_line.extend(range(top + 1, top + 1 + a - e))
@@ -227,7 +214,7 @@ def index_perm(comp, k: int, eta) -> Permutation:
 
 
 def class_eta(w: Permutation, comp, k: int) -> tuple[int, ...] | None:
-    """The eta with index_perm(comp, k, eta) == w, or None when w indexes
+    """The eta at weight k with index_perm(comp, eta) == w, or None when w indexes
     no class at weight k.  Value j is in the row exactly when the last
     entry of its block of w is past box k.
 
@@ -240,14 +227,14 @@ def class_eta(w: Permutation, comp, k: int) -> tuple[int, ...] | None:
     if w.n != sum(comp):
         return None
     eta = tuple(int(w(end) > k) for end in accumulate(comp))
-    if sum(eta) != w.n - k or index_perm(comp, k, eta) != w:
+    if sum(eta) != w.n - k or index_perm(comp, eta) != w:
         return None
     return eta
 
 
 def enumerate_lambda(comp, k: int) -> list[Permutation]:
     """Index permutations of the classes at weight k, increasing order."""
-    perms = [index_perm(comp, k, eta) for eta in uqrep.weight_etas(comp, k)]
+    perms = [index_perm(comp, eta) for eta in uqrep.weight_etas(comp, k)]
     perms.sort(key=lambda w: (w.length(), w.one_line))
     return perms
 
@@ -404,8 +391,7 @@ def _weight_space(eta_w, eta_z) -> tuple[tuple[int, ...], int]:
 
 def hom_dim(eta_w, eta_z) -> int:
     """k! times the number of weight-space indices whose top labeling
-    gives a nonzero value on both canonical diagrams; cross-checked
-    against the specialized bilinear-form computation."""
+    gives a nonzero value on both canonical diagrams."""
     comp, k = _weight_space(eta_w, eta_z)
     dw = webcat.canonical_basis_diagram(comp, eta_w)
     dz = webcat.canonical_basis_diagram(comp, eta_z)
@@ -421,18 +407,13 @@ def hom_dim(eta_w, eta_z) -> int:
         )
         if not val_z.is_zero():
             count += 1
-    result = factorial(k) * count
-    form_value = hom_dim_form_route(eta_w, eta_z)
-    if form_value != result:
-        raise RuntimeError(
-            f"diagram count {result} disagrees with the form value {form_value}"
-        )
-    return result
+    return factorial(k) * count
 
 
 def hom_dim_form_route(eta_w, eta_z) -> int:
     """The q=1 specialization of the form pairing of the two canonical
-    classes against all standard classes of the weight space."""
+    classes against all standard classes of the weight space: the second
+    route to hom_dim, compared with it by the homdim suite of checks."""
     comp, k = _weight_space(eta_w, eta_z)
     cw = class_vector(comp, eta_w, "projective")
     cz = class_vector(comp, eta_z, "projective")

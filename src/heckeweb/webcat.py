@@ -26,6 +26,7 @@ of `checks` compares the evaluations of both sides of each relation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -302,22 +303,20 @@ def parse_word(comp, word: str) -> Web:
         return web
     for tok in word.split("."):
         tok = tok.strip()
-        if tok.startswith("m"):
-            web = compose(merge_web(web.target, int(tok[1:])), web)
-        elif tok.startswith("s"):
-            body = tok[1:]
-            if ":" in body:
-                idx, parts = body.split(":")
-                a, b = (int(x) for x in parts.split(","))
-                i = int(idx)
-            else:
-                i, a, b = int(body), 1, 1
-                # an out-of-range position is left for split_web to reject
-                if 1 <= i <= len(web.target) and web.target[i - 1] != 2:
-                    raise ValueError(
-                        f"split s{i} on label {web.target[i - 1]} is ambiguous; use s{i}:a,b"
-                    )
-            web = compose(split_web(web.target, i, a, b), web)
-        else:
-            raise ValueError(f"unknown web token {tok!r}")
+        match = re.fullmatch(r"m(-?\d+)|s(-?\d+)(?::(-?\d+),(-?\d+))?", tok)
+        if match is None:
+            raise ValueError(f"malformed web token {tok!r}")
+        merge, split, a, b = match.groups()
+        if merge is not None:
+            web = compose(merge_web(web.target, int(merge)), web)
+            continue
+        i = int(split)
+        if a is None:
+            # an out-of-range position is left for split_web to reject
+            if 1 <= i <= len(web.target) and web.target[i - 1] != 2:
+                raise ValueError(
+                    f"split s{i} on label {web.target[i - 1]} is ambiguous; use s{i}:a,b"
+                )
+            a = b = 1
+        web = compose(split_web(web.target, i, int(a), int(b)), web)
     return web

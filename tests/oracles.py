@@ -360,14 +360,13 @@ def tableaux_by_permutations(comp, k: int):
 
     from heckeweb.tabgroth import HookTableau, _type_sequence
 
-    n = sum(comp)
     seen = set()
     tabs = []
     for arrangement in permutations(_type_sequence(comp)):
         if arrangement in seen:
             continue
         seen.add(arrangement)
-        tabs.append(HookTableau(n, k, tuple(comp), arrangement[:k], arrangement[k:]))
+        tabs.append(HookTableau(tuple(comp), arrangement[:k], arrangement[k:]))
     return tabs
 
 
@@ -383,14 +382,15 @@ def redistribution_targets(t, i, fine_comp):
     bumped = [e + 1 if e > i else e for e in entries]
     slots = [idx for idx, e in enumerate(bumped) if e == i]
     assert len(slots) == ai + aj
+    k = len(t.column)
     out = set()
     for ups in combinations(slots, aj):
         filled = list(bumped)
         for idx in ups:
             filled[idx] = i + 1
-        column = tuple(sorted(filled[: t.k], reverse=True))
-        row = tuple(filled[t.k :])
-        cand = HookTableau(t.n, t.k, tuple(fine_comp), column, row)
+        column = tuple(sorted(filled[:k], reverse=True))
+        row = tuple(filled[k:])
+        cand = HookTableau(tuple(fine_comp), column, row)
         if is_admissible(cand):
             out.add(cand)
     return out
@@ -408,7 +408,7 @@ def decrement_entries(t, i, merged_comp):
 
     column = tuple(dec(e) for e in t.column)
     row = tuple(dec(e) for e in t.row)
-    return HookTableau(t.n, t.k, tuple(merged_comp), column, row)
+    return HookTableau(tuple(merged_comp), column, row)
 
 
 def eta_to_perm(eta, k: int) -> Permutation:
@@ -574,7 +574,7 @@ def minimal_tableau(comp, k: int):
     if not 0 <= k <= n:
         raise ValueError(f"hook parameter k={k} out of range for n={n}")
     seq = tabgroth._type_sequence(comp)
-    return tabgroth.HookTableau(n, k, comp, seq[:k], seq[k:])
+    return tabgroth.HookTableau(comp, seq[:k], seq[k:])
 
 
 def tableau_from_perm(w: Permutation, comp, k: int):
@@ -588,15 +588,16 @@ def tableau_from_perm(w: Permutation, comp, k: int):
     seq = tabgroth._type_sequence(comp)
     wi = w.inverse()
     entries = tuple(seq[wi(b) - 1] for b in range(1, n + 1))
-    return tabgroth.HookTableau(n, k, comp, entries[:k], entries[k:])
+    return tabgroth.HookTableau(comp, entries[:k], entries[k:])
 
 
 def act_on_tableau(w: Permutation, t):
     """Left action permuting boxes: (w.T)(b) = T(w^-1(b))."""
     wi = w.inverse()
     entries = t.entries()
-    moved = tuple(entries[wi(b) - 1] for b in range(1, t.n + 1))
-    return tabgroth.HookTableau(t.n, t.k, t.comp, moved[: t.k], moved[t.k :])
+    k = len(t.column)
+    moved = tuple(entries[wi(b) - 1] for b in range(1, len(entries) + 1))
+    return tabgroth.HookTableau(t.comp, moved[:k], moved[k:])
 
 
 def eta_of_tableau(t) -> tuple[int, ...]:

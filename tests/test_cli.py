@@ -223,6 +223,10 @@ def test_check_suite_failure_reports_the_failing_case(capsys, monkeypatch):
             "efm", uqrep, "act_Eprime", lambda f: lambda v: f(v).scale(LaurentPoly.q(1)),
             "raising rule on simples fails at (1,), k=0",
         ),
+        (
+            "homdim", tabgroth, "hom_dim_form_route", lambda f: lambda a, b: f(a, b) + 1,
+            "diagram count 1 disagrees with the form value 2 at (1,), (1,)",
+        ),
     ],
 )
 def test_check_suite_names_the_identity_that_fails(
@@ -231,6 +235,16 @@ def test_check_suite_names_the_identity_that_fails(
     monkeypatch.setattr(module, name, breaks(getattr(module, name)))
     code, out, _ = run_cli(capsys, "check", "--suite", suite, "--max-n", "4")
     assert code == 1 and out == f"{suite}: FAIL ({line})\n"
+
+
+def test_a_route_disagreement_fails_its_suite_and_the_battery_goes_on(capsys, monkeypatch):
+    form = tabgroth.hom_dim_form_route
+    monkeypatch.setattr(tabgroth, "hom_dim_form_route", lambda a, b: form(a, b) + 1)
+    code, out, _ = run_cli(capsys, "check", "--suite", "all", "--max-n", "2")
+    *passed, failed = out.splitlines()
+    assert code == 1
+    assert passed == [f"{suite}: PASS" for suite in checks.SUITES if suite != "homdim"]
+    assert failed == "homdim: FAIL (diagram count 1 disagrees with the form value 2 at (1,), (1,))"
 
 
 def _in_image(fmap, partner, src, dst, x) -> bool:
@@ -376,6 +390,30 @@ def test_permutation_size_must_match_n(capsys):
     assert HeckeElement.from_json(2, [{"w": [2, 1], "coeff": one}]).n == 2
     with pytest.raises(ValueError):
         HeckeElement.from_json(3, [{"w": [2, 1], "coeff": one}])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("web-eval", "--comp", "2", "--word", "s1:1"), "malformed web token 's1:1'"),
+        (("web-eval", "--comp", "2", "--word", "s1:1,1,1"), "malformed web token 's1:1,1,1'"),
+        (("web-eval", "--comp", "2", "--word", "m"), "malformed web token 'm'"),
+        (("web-eval", "--comp", "2", "--word", "s1:a,b"), "malformed web token 's1:a,b'"),
+        (("kl-basis", "--n", "3", "--w", "s"), "malformed reduced word 's'"),
+        (("kl-basis", "--n", "3", "--w", "sx"), "malformed reduced word 'sx'"),
+        (("kl-basis", "--n", "3", "--w", "[1,2,3"), "malformed one-line permutation '[1,2,3'"),
+        # a well-formed web token with a bad value keeps its own message
+        (("web-eval", "--comp", "2", "--word", "m5"), "merge position 5 out of range for (2,)"),
+        (("web-eval", "--comp", "2", "--word", "s1:0,2"), "cannot split label 2 as 0+2"),
+        (
+            ("web-eval", "--comp", "3", "--word", "s1"),
+            "split s1 on label 3 is ambiguous; use s1:a,b",
+        ),
+    ],
+)
+def test_a_bad_word_exits_2_with_a_message_that_names_it(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_nonpositive_n_is_a_usage_error(capsys):
@@ -538,6 +576,10 @@ JSON_DIGESTS = [
     (("translate", "--comp", "2,1,2", "--pos", "1", "--k", "4",
       "--dir", "onto", "--basis", "simple"),
      "b2ca69901e314204d99624d15e5851cd2d4f684edd886e7561e1f73b0b1f8c00"),
+    (("tableaux", "--comp", "1,2,2,2", "--k", "4", "--admissible-only"),
+     "877b9ac8266c481f8205044a9ff90c0529165d898ed35d66a7506c08567c6aed"),
+    (("tableaux", "--comp", "2,1,2", "--k", "2"),
+     "f8417dbeac7366e81afb0907e0ab833d9496beb8b5066940697e9ccdf4be73d8"),
 ]
 
 
@@ -552,9 +594,9 @@ def test_json_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# SHA-256 of the text stdout of `translate` in each basis/direction mode and
-# of `homdim`: the rows and terms keep their (length, one_line) order of the
-# index permutations, whatever index the library computes with.
+# SHA-256 of the text stdout of `translate` in each basis/direction mode, of
+# `homdim` and of `tableaux`: the rows and terms keep their (length, one_line)
+# order of the index permutations, whatever index the library computes with.
 TEXT_DIGESTS = [
     (("translate", "--comp", "2,1,2", "--pos", "2", "--k", "3",
       "--dir", "onto", "--basis", "proper"),
@@ -590,6 +632,10 @@ TEXT_DIGESTS = [
      "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60"),
     (("homdim", "--n", "4", "--k", "4", "--w", "[4,3,2,1]", "--z", "[4,3,2,1]"),
      "68ca3fba3b7e864770cb61aeb306d4bd4354b68ab4dd38450860c5d823e42a53"),
+    (("tableaux", "--comp", "1,2,2,2", "--k", "4", "--admissible-only"),
+     "7739fc5cba5b4bff6ec9574f42097b220916d21b967859315586efa0048d3dc6"),
+    (("tableaux", "--comp", "2,1,2", "--k", "2"),
+     "c35866d02e09606d5807f4af6da5743bce57e94caafa01ca5c37b99e4c428f1c"),
 ]
 
 
