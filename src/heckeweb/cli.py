@@ -60,21 +60,24 @@ def _parse_perm(text: str, n: int) -> Permutation:
 
 
 def _emit(args, text_lines, json_payload) -> None:
+    """Print the text lines or the JSON payload, and write the payload to
+    --out; each is a function called only when its format is wanted."""
     if args.format == "json" or args.out:
-        payload = json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(json_payload(), indent=2, sort_keys=True) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    sys.stdout.write(payload if args.format == "json" else "\n".join(text_lines) + "\n")
+    sys.stdout.write(payload if args.format == "json" else "\n".join(text_lines()) + "\n")
 
 
 def _cmd_kl_basis(args) -> int:
     w = _parse_perm(args.w, args.n)
     elt = hecke.kl_basis_element(w)
-    _emit(args, [str(elt)], {"n": args.n, "w": list(w.one_line), "element": elt.to_json()})
+    _emit(args, lambda: [str(elt)],
+          lambda: {"n": args.n, "w": list(w.one_line), "element": elt.to_json()})
     return 0
 
 
@@ -82,7 +85,7 @@ def _cmd_mod_basis(args) -> int:
     mod = inducedmod.InducedModule.of(args.n, _parse_gens(args.p), _parse_gens(args.q))
     w = _parse_perm(args.w, args.n)
     elt = inducedmod.canonical_basis_element(mod, w)
-    _emit(args, [str(elt)], elt.to_json())
+    _emit(args, lambda: [str(elt)], elt.to_json)
     return 0
 
 
@@ -91,18 +94,16 @@ def _cmd_canonical(args) -> int:
     if args.eta is not None:
         eta = uqrep.parse_bits(args.eta)
         vec = uqrep.canonical_basis(comp, eta)
-        _emit(args, [str(vec)], vec.to_json())
+        _emit(args, lambda: [str(vec)], vec.to_json)
         return 0
-    lines = []
-    payload = []
     n = sum(comp)
-    for k in range(n, n - len(comp) - 1, -1):
-        for eta in uqrep.weight_etas(comp, k):
-            vec = uqrep.canonical_basis(comp, eta)
-            bits = "".join(str(b) for b in eta)
-            lines.append(f"{bits}: {vec}")
-            payload.append({"eta": bits, "vector": vec.to_json()})
-    _emit(args, lines, payload)
+    rows = [
+        ("".join(str(b) for b in eta), uqrep.canonical_basis(comp, eta))
+        for k in range(n, n - len(comp) - 1, -1)
+        for eta in uqrep.weight_etas(comp, k)
+    ]
+    _emit(args, lambda: [f"{bits}: {vec}" for bits, vec in rows],
+          lambda: [{"eta": bits, "vector": vec.to_json()} for bits, vec in rows])
     return 0
 
 
@@ -111,13 +112,11 @@ def _cmd_web_eval(args) -> int:
     web = webcat.parse_word(comp, args.word)
     matrix = webcat.evaluate_matrix(web)
     tgt = ",".join(str(a) for a in web.target)
-    lines = [f"target type ({tgt})"]
-    payload = {"web": web.to_json(), "target": list(web.target), "columns": []}
-    for eta in sorted(matrix):
-        bits = "".join(str(b) for b in eta)
-        lines.append(f"v[{bits}] -> {matrix[eta]}")
-        payload["columns"].append({"eta": bits, "image": matrix[eta].to_json()})
-    _emit(args, lines, payload)
+    columns = [("".join(str(b) for b in eta), matrix[eta]) for eta in sorted(matrix)]
+    _emit(args, lambda: [f"target type ({tgt})"] + [f"v[{bits}] -> {v}" for bits, v in columns],
+          lambda: {"web": web.to_json(), "target": list(web.target), "columns": [
+              {"eta": bits, "image": v.to_json()} for bits, v in columns
+          ]})
     return 0
 
 
@@ -133,7 +132,8 @@ def _cmd_web_coeff(args) -> int:
     if len(top) != len(web.target):
         raise ValueError(f"top bitstring length {len(top)} != arity {len(web.target)}")
     value = webcat.matrix_coefficient(webcat.LabeledWebDiagram(web, bottom, top))
-    _emit(args, [str(value)], {"web": web.to_json(), "coeff": coeff_to_json(value)})
+    _emit(args, lambda: [str(value)],
+          lambda: {"web": web.to_json(), "coeff": coeff_to_json(value)})
     return 0
 
 
@@ -142,19 +142,16 @@ def _cmd_tableaux(args) -> int:
     n = sum(comp)
     if not 0 <= args.k <= n:
         raise ValueError(f"k={args.k} out of range 0..{n}")
-    lines = []
-    payload = []
     if args.admissible_only:
         tabs = tabgroth.admissible_tableaux(comp, args.k)
     else:
         tabs = tabgroth.all_tableaux(comp, args.k)
-    for t in tabs:
-        adm = tabgroth.is_admissible(t)
-        w = tabgroth.perm_from_tableau(t)
-        mark = "admissible" if adm else "not admissible"
-        lines.append(f"{t}  w={w}  {mark}")
-        payload.append({**t.to_json(), "w": list(w.one_line), "admissible": adm})
-    _emit(args, lines, payload)
+    rows = [(t, tabgroth.perm_from_tableau(t), tabgroth.is_admissible(t)) for t in tabs]
+    _emit(
+        args,
+        lambda: [f"{t}  w={w}  {'admissible' if adm else 'not admissible'}" for t, w, adm in rows],
+        lambda: [{**t.to_json(), "w": list(w.one_line), "admissible": adm} for t, w, adm in rows],
+    )
     return 0
 
 
@@ -174,27 +171,29 @@ def _cmd_translate(args) -> int:
     merged = uqrep.merged_type(comp, i)
     onto = args.dir == "onto"
     src, dst = (comp, merged) if onto else (merged, comp)
+    # the library keys classes by eta; rows and terms print by index permutation
+    keyed = _by_length((tabgroth.index_perm(src, eta), eta) for eta in uqrep.weight_etas(src, k))
     if args.basis == "proper":
         wall = tabgroth.translate_onto_wall if onto else tabgroth.translate_out_of_wall
         matrix = wall(comp, i, k)
+        rows = [
+            (w, _by_length((tabgroth.index_perm(dst, g), c) for g, c in matrix[eta].items()))
+            for w, eta in keyed
+        ]
+
+        def text(terms):
+            return " + ".join(f"({c})*[{wp}]" for wp, c in terms) if terms else "0"
+
+        def image(terms):
+            return [{"w": list(wp.one_line), "coeff": coeff_to_json(c)} for wp, c in terms]
     else:
         translate = tabgroth.translate_simple if onto else tabgroth.translate_projective
-    lines = []
-    rows = []
-    # the library keys classes by eta; rows and terms print by index permutation
-    keyed = [(tabgroth.index_perm(src, eta), eta) for eta in uqrep.weight_etas(src, k)]
-    for w, eta in _by_length(keyed):
-        if args.basis == "proper":
-            terms = _by_length((tabgroth.index_perm(dst, g), c) for g, c in matrix[eta].items())
-            text = " + ".join(f"({c})*[{wp}]" for wp, c in terms) if terms else "0"
-            image = [{"w": list(wp.one_line), "coeff": coeff_to_json(c)} for wp, c in terms]
-        else:
-            vec = translate(comp, i, eta)
-            text, image = str(vec), vec.to_json()
-        lines.append(f"[{w}] -> {text}")
-        rows.append({"w": list(w.one_line), "image": image})
+        rows = [(w, translate(comp, i, eta)) for w, eta in keyed]
+        text, image = str, lambda vec: vec.to_json()
     payload = {"comp": list(comp), "pos": i, "k": k, "basis": args.basis, "dir": args.dir}
-    _emit(args, lines, {**payload, "rows": rows})
+    _emit(args, lambda: [f"[{w}] -> {text(x)}" for w, x in rows], lambda: {
+        **payload, "rows": [{"w": list(w.one_line), "image": image(x)} for w, x in rows]
+    })
     return 0
 
 
@@ -205,22 +204,18 @@ def _cmd_homdim(args) -> int:
     if eta_w is None or eta_z is None:
         raise ValueError("both indices must label classes at this weight")
     value = tabgroth.hom_dim(eta_w, eta_z)
-    _emit(args, [str(value)], {"n": args.n, "k": args.k, "dim": value})
+    _emit(args, lambda: [str(value)], lambda: {"n": args.n, "k": args.k, "dim": value})
     return 0
 
 
 def _cmd_check(args) -> int:
     results = checks.run_suite(args.suite, args.max_n)
-    lines = []
-    payload = []
-    ok = True
-    for name, err in results:
-        status = "PASS" if err is None else f"FAIL ({err})"
-        lines.append(f"{name}: {status}")
-        payload.append({"suite": name, "pass": err is None, "error": err})
-        ok = ok and err is None
-    _emit(args, lines, payload)
-    return 0 if ok else 1
+    _emit(
+        args,
+        lambda: [f"{name}: {'PASS' if err is None else f'FAIL ({err})'}" for name, err in results],
+        lambda: [{"suite": name, "pass": err is None, "error": err} for name, err in results],
+    )
+    return 0 if all(err is None for _, err in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,24 +17,27 @@ exactly when a < b.  A step thus costs O(1) per support term.  This needs
 every support index to be a shortest representative, which the
 constructors that take outside input check.
 
-Every operation on elements runs through one loop over plain
-{label: {exponent: int}} dicts, and each coefficient of its result is
-built once.  For each (module, i) and each diagonal term d (none for the
-action, q for the canonical step H_i + q, q - q^-1 for H_i^-1 in the bar
-involution), a table filled in as labels are met holds the
-(target, exponent shift, coefficient) triples of N_y . (H_i + d), read
-off the four cases with like terms combined; its targets are one object
-per label and module.  The bar images bar(N_w) and N_e . H_w are cached
-as triples in the same form.  An element with fractional coefficients
-is taken as integer numerators over the lcm of its denominators, with
-one division per coefficient of the result.
+Every operation on elements other than the canonical step runs through
+one loop over plain {label: {exponent: int}} dicts, and each coefficient
+of its result is built once.  For each (module, i) and each diagonal
+term d (none for the action, q for the canonical step H_i + q, q - q^-1
+for H_i^-1 in the bar involution), a table filled in as labels are met
+holds the (target, exponent shift, coefficient) triples of
+N_y . (H_i + d), read off the four cases with like terms combined; its
+targets are one object per label and module.  The bar images bar(N_w)
+and N_e . H_w are cached as triples in the same form.  An element with
+fractional coefficients is taken as integer numerators over the lcm of
+its denominators, with one division per coefficient of the result.
 
 The canonical basis is built by multiplying and correcting: C_w is
-C_{w s_i} . (H_i + q) minus integer multiples of lower C_y; each final
-coefficient is a LaurentPoly shared by every canonical element with that
-value (du Cloux, "Computing Kazhdan-Lusztig polynomials for arbitrarily
-large Coxeter groups", 2002, stores each polynomial once in the same
-way).
+C_{w s_i} . (H_i + q), read off the same step table, minus integer
+multiples of lower C_y.  It runs on shared values: every coefficient, at
+every stage, is a LaurentPoly shared by all canonical elements with that
+value, and each step term or correction is one lookup in a memo of sums
+keyed by its two operands, so each distinct sum is computed once and
+unitriangularity is read once per distinct value (du Cloux, "Computing
+Kazhdan-Lusztig polynomials for arbitrarily large Coxeter groups", 2002,
+stores each polynomial once in the same way).
 """
 
 from __future__ import annotations
@@ -237,8 +240,8 @@ def _step_table(mod: InducedModule, i: int, diagonal: tuple) -> _StepTable:
 def _accumulate(work: dict, pairs) -> dict:
     """Add c * coeff q^shift N_target into work, a {label: {exponent: int}}
     dict, for each (c, row) of pairs, c an {exponent: int} dict, and each
-    (target, shift, coeff) triple of row.  Every module operation runs
-    through this loop."""
+    (target, shift, coeff) triple of row.  Every module operation but the
+    canonical step runs through this loop."""
     for c, row in pairs:
         c = c.items()
         for target, shift, coeff in row:
@@ -317,15 +320,37 @@ def _coefficient(terms: tuple) -> LaurentPoly:
 
 
 @cache
+def _sums() -> dict:
+    """The memo of the canonical step on shared values: (id(a), id(b),
+    shift, coeff) -> (a + coeff q^shift b, a, b).  Each entry holds its
+    operands, so no other value can take an id in its key while it
+    lives, whatever else is cleared."""
+    return {}
+
+
+def _add(sums: dict, a: LaurentPoly, b: LaurentPoly, shift: int, coeff: int) -> tuple:
+    """The entry of sums for a + coeff q^shift b, computed once and
+    interned through _coefficient."""
+    poly = dict(a.terms)
+    for e, v in b.terms.items():
+        e += shift
+        poly[e] = poly.get(e, 0) + coeff * v
+    value = _coefficient(tuple(sorted(item for item in poly.items() if item[1])))
+    entry = sums[id(a), id(b), shift, coeff] = (value, a, b)
+    return entry
+
+
+@cache
 def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement:
     """The unique bar-invariant element N_w + (qZ[q]-combination of lower
     N_y), built as C_{w s_i} . (H_i + q) for the last descent i of w,
     corrected by m C_y for each constant term m at a label y != w.
 
-    The product and the corrections run on {label: {exponent: int}}
-    dicts; each C_y has a constant term only at y, so the corrections do
-    not interact.  Equal coefficients of the result are one shared
-    LaurentPoly."""
+    Each label's coefficient is a shared value at every stage: a step
+    term or a correction is one lookup in the memo of sums, so each
+    distinct sum is computed once.  Each C_y has a constant term only at
+    y, so the corrections do not interact.  Unitriangularity is read once
+    per distinct value of the result."""
     _check_index(mod, w)
     descents = w.right_descents()
     if not descents:
@@ -333,20 +358,38 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
     i = descents[-1]
     shorter = canonical_basis_element(mod, w.times_simple(i))
     table = _step_table(mod, i, _H_PLUS_Q)
-    work = _accumulate({}, ((c.terms, table[y]) for y, c in shorter.support.items()))
-    for y, m in [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != w]:
-        _accumulate(work, (
-            (c.terms, ((z, 0, -m),))
-            for z, c in canonical_basis_element(mod, y).support.items()
-        ))
-    support = {}
-    for y, poly in work.items():
-        terms = tuple(sorted(item for item in poly.items() if item[1]))
-        if terms:
-            support[y] = _coefficient(terms)
-    result = ModuleElement(mod, support)
-    result.check_unitriangular(w)
+    sums = _sums()
+    zero = _coefficient(())
+    work = {}
+    for y, c in shorter.support.items():
+        b = id(c)
+        for target, shift, coeff in table[y]:
+            a = work.get(target, zero)
+            entry = sums.get((id(a), b, shift, coeff)) or _add(sums, a, c, shift, coeff)
+            work[target] = entry[0]
+    for y, m in [(y, a.terms[0]) for y, a in work.items() if 0 in a.terms and y != w]:
+        for z, c in canonical_basis_element(mod, y).support.items():
+            a = work.get(z, zero)
+            entry = sums.get((id(a), id(c), 0, -m)) or _add(sums, a, c, 0, -m)
+            work[z] = entry[0]
+    result = ModuleElement(mod, {y: a for y, a in work.items() if a.terms})
+    if not _is_unitriangular(result.support, w):
+        result.check_unitriangular(w)  # the same condition: raises with its message
     return result
+
+
+def _is_unitriangular(support: dict, top: Permutation) -> bool:
+    """SparseVector.check_unitriangular's condition on shared values: the
+    coefficient at top is 1 and no other label has it, and each distinct
+    value at another label lies in qZ[q]."""
+    diag = support.get(top)
+    if diag is None or not diag.is_one():
+        return False
+    values = list(support.values())
+    ids = list(map(id, values))
+    if ids.count(id(diag)) != 1:
+        return False
+    return all(min(c.terms) >= 1 for c in dict(zip(ids, values)).values() if c is not diag)
 
 
 # -- maps between modules with nested parabolic data --------------------

@@ -10,10 +10,10 @@ the index permutations of the classes at weight k, and with the 0/1
 sequences eta marking which values sit in the row.  The tableaux are
 the definition and the `tableaux` listing.  Every computation below
 takes and returns a class as its eta, whose number of ones fixes the
-weight; `index_perm`, its inverse `class_eta` and `enumerate_lambda`
-are the closed-form bijection with index permutations, for the command
-line and the tests.  Only the last two take the weight k, which a
-permutation alone does not fix.
+weight; `index_perm` and its inverse `class_eta` are the closed-form
+bijection with index permutations, for the command line and the tests.
+Only `class_eta` takes the weight k, which a permutation alone does not
+fix.
 
 The four distinguished bases of each weight space (standard, proper
 standard, projective, simple) are realized as vectors: a standard
@@ -52,7 +52,6 @@ __all__ = [
     "all_tableaux",
     "index_perm",
     "class_eta",
-    "enumerate_lambda",
     "class_vector",
     "check_weight",
     "translate_onto_wall",
@@ -230,13 +229,6 @@ def class_eta(w: Permutation, comp, k: int) -> tuple[int, ...] | None:
     if sum(eta) != w.n - k or index_perm(comp, eta) != w:
         return None
     return eta
-
-
-def enumerate_lambda(comp, k: int) -> list[Permutation]:
-    """Index permutations of the classes at weight k, increasing order."""
-    perms = [index_perm(comp, eta) for eta in uqrep.weight_etas(comp, k)]
-    perms.sort(key=lambda w: (w.length(), w.one_line))
-    return perms
 
 
 _KINDS = {

@@ -80,6 +80,36 @@ def canonical_basis_by_products(mod, w: Permutation):
     return result
 
 
+@cache
+def canonical_basis_element_by_accumulate(mod, w: Permutation):
+    """The canonical element of N_w by the integer-dict kernel: C_{w s_i} .
+    (H_i + q) through the step table on {label: {exponent: int}} dicts,
+    corrected by m C_y for each constant term m at a label y != w, each
+    coefficient sorted and interned, then checked by
+    SparseVector.check_unitriangular."""
+    inducedmod._check_index(mod, w)
+    descents = w.right_descents()
+    if not descents:
+        return inducedmod.ModuleElement(mod, {w: inducedmod._coefficient(((0, 1),))})
+    i = descents[-1]
+    shorter = canonical_basis_element_by_accumulate(mod, w.times_simple(i))
+    table = inducedmod._step_table(mod, i, inducedmod._H_PLUS_Q)
+    work = inducedmod._accumulate({}, ((c.terms, table[y]) for y, c in shorter.support.items()))
+    for y, m in [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != w]:
+        inducedmod._accumulate(work, (
+            (c.terms, ((z, 0, -m),))
+            for z, c in canonical_basis_element_by_accumulate(mod, y).support.items()
+        ))
+    support = {}
+    for y, poly in work.items():
+        terms = tuple(sorted(item for item in poly.items() if item[1]))
+        if terms:
+            support[y] = inducedmod._coefficient(terms)
+    result = inducedmod.ModuleElement(mod, support)
+    result.check_unitriangular(w)
+    return result
+
+
 def generator_times_closed_form(mod, w: Permutation):
     """N_e . H_w for any w in S_n: with w = x w', w' the shortest element
     of W_pq w and x = x_p x_q in W_p x W_q, it is
@@ -409,6 +439,13 @@ def decrement_entries(t, i, merged_comp):
     column = tuple(dec(e) for e in t.column)
     row = tuple(dec(e) for e in t.row)
     return HookTableau(tuple(merged_comp), column, row)
+
+
+def enumerate_lambda(comp, k: int) -> list[Permutation]:
+    """Index permutations of the classes at weight k, increasing order."""
+    perms = [tabgroth.index_perm(comp, eta) for eta in uqrep.weight_etas(comp, k)]
+    perms.sort(key=lambda w: (w.length(), w.one_line))
+    return perms
 
 
 def eta_to_perm(eta, k: int) -> Permutation:

@@ -54,6 +54,7 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod._labels",
         "heckeweb.inducedmod._quotient_norm",
         "heckeweb.inducedmod._coefficient",
+        "heckeweb.inducedmod._sums",
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",

@@ -366,6 +366,40 @@ def test_out_path_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
     assert code == 0 and target.read_text() == out
 
 
+TEXT_ONLY_COMMANDS = [
+    ("kl-basis", "--n", "3", "--w", "s1*s2"),
+    ("mod-basis", "--n", "3", "--q", "2", "--w", "s1"),
+    ("canonical", "--comp", "1,1", "--eta", "10"),
+    ("canonical", "--comp", "2,1"),
+    ("web-eval", "--comp", "1,1", "--word", "m1"),
+    ("tableaux", "--comp", "2,1,2", "--k", "2"),
+    ("translate", "--comp", "2,1,2", "--pos", "1", "--k", "3", "--dir", "out", "--basis", "proper"),
+    ("translate", "--comp", "2,1,2", "--pos", "1", "--k", "3", "--dir", "out",
+     "--basis", "projective"),
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_ONLY_COMMANDS, ids=" ".join)
+def test_text_output_builds_no_json(capsys, monkeypatch, tmp_path, argv):
+    want = run_cli(capsys, *argv)
+    json_out = run_cli(capsys, "--format", "json", *argv)[1]
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("JSON built for text output")
+
+    owners = (HeckeElement, inducedmod.ModuleElement, uqrep.TensorVector, webcat.Web,
+              tabgroth.HookTableau)
+    for owner in owners:
+        monkeypatch.setattr(owner, "to_json", no_json)
+    monkeypatch.setattr(cli, "coeff_to_json", no_json)
+    assert run_cli(capsys, *argv) == want
+    monkeypatch.undo()
+    # --out in text mode still prints the text and writes the JSON
+    target = tmp_path / "payload.json"
+    assert run_cli(capsys, "--out", str(target), *argv) == want
+    assert target.read_text() == json_out
+
+
 def test_console_entry_point():
     # the subprocess imports the heckeweb package that this test imported
     package_root = Path(heckeweb.__file__).parent.parent

@@ -1,10 +1,12 @@
+import gc
 from math import factorial
 
 import pytest
 
+import heckeweb
 from heckeweb.qarith import LaurentPoly, RationalFunction
 from heckeweb.symgrp import ParabolicSubgroup, Permutation, all_permutations
-from heckeweb import hecke, inducedmod
+from heckeweb import cli, hecke, inducedmod
 from heckeweb.checks import kl_bruteforce
 
 from oracles import (
@@ -13,6 +15,7 @@ from oracles import (
     act_hecke,
     bar_by_terms,
     canonical_basis_by_products,
+    canonical_basis_element_by_accumulate,
     generator_times_closed_form,
     hecke_generator_inverse,
     map_i_by_terms,
@@ -233,6 +236,110 @@ def test_equal_canonical_coefficients_are_one_object():
             for c in inducedmod.canonical_basis_element(mod, w).support.values():
                 assert shared.setdefault(c, c) is c
     assert len(shared) > 1
+
+
+def test_canonical_basis_matches_the_accumulate_oracle():
+    modules = list(commuting_modules(4)) + [inducedmod.InducedModule.of(5)]
+    for mod in modules:
+        for w in mod.basis_index():
+            got = inducedmod.canonical_basis_element(mod, w)
+            assert got == canonical_basis_element_by_accumulate(mod, w), (mod, w)
+            shared = {}
+            assert all(shared.setdefault(c, c) is c for c in got.support.values()), (mod, w)
+
+
+def test_the_shared_value_check_is_check_unitriangular():
+    one, q = inducedmod._coefficient(((0, 1),)), inducedmod._coefficient(((1, 1),))
+    e, s1, s2 = (Permutation(w) for w in ((1, 2, 3), (2, 1, 3), (1, 3, 2)))
+    supports = [
+        {s1: one, e: q},
+        {s1: one},
+        {s1: one, e: one},  # the diagonal's own object off the diagonal
+        {s1: one, e: LaurentPoly.one()},  # an equal 1 off the diagonal
+        {s1: one, e: LaurentPoly({0: 1, 1: 1})},
+        {s1: one, e: LaurentPoly.q(-1), s2: q},
+        {s1: q, e: q},  # diagonal not 1
+        {s1: LaurentPoly.one(), e: q},  # an unshared diagonal 1
+        {e: q},  # no diagonal
+    ]
+    mod = inducedmod.InducedModule.of(3)
+    for support in supports:
+        try:
+            inducedmod.ModuleElement(mod, support).check_unitriangular(s1)
+            want = True
+        except ArithmeticError:
+            want = False
+        assert inducedmod._is_unitriangular(support, s1) == want, support
+
+
+@pytest.fixture
+def fresh_caches():
+    heckeweb.clear_caches()
+    canonical_basis_element_by_accumulate.cache_clear()
+    yield
+    heckeweb.clear_caches()
+    canonical_basis_element_by_accumulate.cache_clear()
+
+
+def _breaks_the_step(monkeypatch, how):
+    if how == "H_i + q - q^-1":
+        monkeypatch.setattr(inducedmod, "_H_PLUS_Q", inducedmod._H_INVERSE)
+    else:  # the rising step moves 2 N_y
+        key = (inducedmod._RISING, inducedmod._H_PLUS_Q)
+        monkeypatch.setitem(inducedmod._FOLDED, key, ((True, 0, 2), (False, 1, 1)))
+
+
+@pytest.mark.parametrize("how,message", [
+    ("H_i + q - q^-1", "coefficient -q^-1 + q at [1,2] breaks unitriangularity"),
+    ("2 N_y", "diagonal coefficient 2 at [2,1]"),
+])
+def test_a_broken_canonical_step_raises_check_unitriangular_message(
+    fresh_caches, monkeypatch, capsys, how, message
+):
+    _breaks_the_step(monkeypatch, how)
+    mod, w = inducedmod.InducedModule.of(2), Permutation((2, 1))
+    with pytest.raises(ArithmeticError) as want:
+        canonical_basis_element_by_accumulate(mod, w)
+    with pytest.raises(ArithmeticError) as got:
+        inducedmod.canonical_basis_element(mod, w)
+    assert str(got.value) == str(want.value) == message
+    heckeweb.clear_caches()
+    assert cli.main(["mod-basis", "--n", "3", "--q", "2", "--w", "s1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error:")
+
+
+def _s5_with_a_clear_halfway(clear):
+    mod = inducedmod.InducedModule.of(5)
+    index = mod.basis_index()
+    out = []
+    for k, w in enumerate(index):
+        if k == len(index) // 2:
+            clear()
+            gc.collect()
+        out.append(inducedmod.canonical_basis_element(mod, w))
+    return out
+
+
+@pytest.mark.parametrize("table", [
+    "clear_caches", "_sums", "_coefficient", "_labels", "_step_table", "canonical_basis_element",
+])
+def test_a_cleared_table_halfway_changes_no_value(fresh_caches, table):
+    fresh = _s5_with_a_clear_halfway(lambda: None)
+    heckeweb.clear_caches()
+    if table == "clear_caches":
+        clear = heckeweb.clear_caches
+    else:
+        clear = getattr(inducedmod, table).cache_clear
+    assert _s5_with_a_clear_halfway(clear) == fresh
+
+
+def test_each_memo_entry_holds_the_operands_its_key_names(fresh_caches):
+    _s5_with_a_clear_halfway(inducedmod._coefficient.cache_clear)
+    sums = inducedmod._sums()
+    assert sums
+    for (a, b, _, _), (_, *operands) in sums.items():
+        assert [id(x) for x in operands] == [a, b]
 
 
 def _elements(mod, others):
