@@ -34,13 +34,11 @@ class HeckeElement(ModuleElement):
     """sum_w c_w H_w, an element of the regular module `parent`."""
 
     __slots__ = ()
+    PREFIX = "H"
 
     @property
     def n(self) -> int:
         return self.parent.n
-
-    def _label(self, w: Permutation) -> str:
-        return f"H{w}"
 
     def times_generator(self, i: int) -> "HeckeElement":
         """Right multiplication by H_i: H_w H_i = H_{w s_i} if the length
@@ -48,15 +46,13 @@ class HeckeElement(ModuleElement):
         return inducedmod.act_generator(self, i)
 
     def to_json(self):
-        return self._support_json("w", lambda w: list(w.one_line))
+        return self._support_json_by_word()
 
     @staticmethod
     @json_parser
     def from_json(n: int, data) -> "HeckeElement":
         mod = InducedModule.of(n)
-        return HeckeElement._from_support_json(
-            mod, data, "w", lambda w: inducedmod._check_index(mod, Permutation(tuple(w)))
-        )
+        return HeckeElement._from_support_json(mod, data, "w", lambda w: Permutation(tuple(w)))
 
 
 def standard_basis_element(w: Permutation) -> HeckeElement:
@@ -72,4 +68,4 @@ def kl_basis_element(w: Permutation) -> HeckeElement:
     """The canonical basis element: the canonical basis element of the
     regular module, read as an element of the algebra."""
     cb = inducedmod.canonical_basis_element(InducedModule.of(w.n), w)
-    return HeckeElement(cb.parent, cb.support)
+    return HeckeElement._of(cb.parent, cb.support)

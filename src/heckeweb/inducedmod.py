@@ -9,6 +9,17 @@ q^-1).  The bar involution is induced from the Hecke algebra through
 N_w = N_e . H_w.  With both walls empty the module is the Hecke algebra
 itself, acting on itself from the right; `hecke` is a view of that case.
 
+Every computation keys N_w by an int label, the code of w: its one-line
+word packed into bit fields of width B = n.bit_length(), w(j) in bits
+B(j-1) to Bj - 1.  The code is a function of the word alone, so no table
+numbers labels and clearing any cache changes no value, and a module's
+basis is never listed to key it.  Right multiplication by s_i swaps two
+fields.  A Permutation is built or encoded only at the boundary: the
+checked constructors (`InducedModule.standard`, `ModuleElement(...)`,
+`from_json`, `canonical_basis_element`), `coeff`, `permutation_support`,
+printing and JSON (du Cloux's Coxeter programs, cited below, likewise
+keep group elements as small integer data).
+
 Which rule applies is read off the two entries a = w(i), b = w(i+1) that
 s_i swaps (Deodhar, J. Algebra 111, 1987): if they are consecutive values
 j, j+1 with s_j in a wall, then w s_i = s_j w and H_i acts by that wall's
@@ -24,8 +35,9 @@ term d (none for the action, q for the canonical step H_i + q, q - q^-1
 for H_i^-1 in the bar involution), a table filled in as labels are met
 holds the (target, exponent shift, coefficient) triples of
 N_y . (H_i + d), read off the four cases with like terms combined; its
-targets are one object per label and module.  The bar images bar(N_w)
-and N_e . H_w are cached as triples in the same form.  An element with
+targets are one int object per label and module.  The bar images bar(N_w)
+and N_e . H_w are cached as triples in the same form, and so are the
+images of N_w under the inclusions map_i and map_j.  An element with
 fractional coefficients is taken as integer numerators over the lcm of
 its denominators, with one division per coefficient of the result.
 
@@ -90,8 +102,7 @@ class InducedModule:
     # -- element constructors -----------------------------------------
 
     def standard(self, w: Permutation) -> "ModuleElement":
-        _check_index(self, w)
-        return ModuleElement(self, {w: _ONE})
+        return ModuleElement._of(self, {_index(self, w): _ONE})
 
     def generator(self) -> "ModuleElement":
         return self.standard(Permutation.identity(self.n))
@@ -111,16 +122,35 @@ class InducedModule:
 
 class ModuleElement(SparseVector):
     """sum_w c_w N_w in the induced module `parent`, labelled by shortest
-    coset representatives w."""
+    coset representatives w and keyed in `support` by their codes."""
 
     __slots__ = ()
+    PREFIX = "N"  # printed before each basis vector's index
 
-    @staticmethod
-    def _sort_key(w: Permutation):
-        return (w.length(), w.one_line)
+    def __init__(self, parent: InducedModule, support: dict):
+        """The element with a {Permutation: nonzero coefficient} support;
+        each Permutation must index a basis element of parent."""
+        SparseVector.__init__(self, parent, {_index(parent, w): c for w, c in support.items()})
 
-    def _label(self, w: Permutation) -> str:
-        return f"N{w}"
+    def _sort_key(self, code: int):
+        return _term_key(self.parent.n, code)
+
+    def _label(self, code: int) -> str:
+        return f"{self.PREFIX}{_permutation(self.parent.n, code)}"
+
+    def coeff(self, w: Permutation):
+        """The coefficient of N_w."""
+        return SparseVector.coeff(self, _encode(w))
+
+    def permutation_support(self) -> dict:
+        """The support as a new {Permutation: coefficient} dict."""
+        n = self.parent.n
+        return {_permutation(n, code): c for code, c in self.support.items()}
+
+    def check_unitriangular(self, top: Permutation, below=None) -> None:
+        """SparseVector.check_unitriangular, with top, below's arguments
+        and the labels of the message as Permutations."""
+        SparseVector(self.parent, self.permutation_support()).check_unitriangular(top, below)
 
     def act_generator(self, i: int) -> "ModuleElement":
         return act_generator(self, i)
@@ -135,27 +165,91 @@ class ModuleElement(SparseVector):
         return _element(type(self), mod, work, None if den is None else den.bar())
 
     def to_json(self):
-        return {
-            "module": self.parent.to_json(),
-            "support": self._support_json("w", lambda w: list(w.one_line)),
-        }
+        return {"module": self.parent.to_json(), "support": self._support_json_by_word()}
+
+    def _support_json_by_word(self) -> list:
+        """The support as JSON, each index written as its one-line word."""
+        n = self.parent.n
+        return self._support_json("w", lambda code: list(_permutation(n, code).one_line))
 
     @staticmethod
     @json_parser
     def from_json(data) -> "ModuleElement":
         mod = InducedModule.from_json(data["module"])
         return ModuleElement._from_support_json(
-            mod, data["support"], "w", lambda w: _check_index(mod, Permutation(tuple(w)))
+            mod, data["support"], "w", lambda w: Permutation(tuple(w))
         )
+
+
+# -- labels: one-line words packed into ints -----------------------------
+
+
+def _encode(w: Permutation) -> int:
+    """The code of w: w(j) in bits B(j-1) to Bj - 1, B = n.bit_length()."""
+    width = w.n.bit_length()
+    return sum(v << (width * j) for j, v in enumerate(w.one_line))
+
+
+def _entries(n: int, code: int) -> list[int]:
+    """The one-line word packed into code."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    return [(code >> (width * j)) & mask for j in range(n)]
+
+
+@cache
+def _permutation(n: int, code: int) -> Permutation:
+    """The permutation of S_n with this code."""
+    return Permutation._unchecked(tuple(_entries(n, code)))
+
+
+@cache
+def _term_key(n: int, code: int) -> tuple:
+    """(length, one-line word) of the permutation with this code: terms
+    print in this order, leading terms first."""
+    w = _permutation(n, code)
+    return (w.length(), w.one_line)
+
+
+def _times_simple(code: int, i: int, width: int) -> int:
+    """The code of w s_i: the fields of w(i) and w(i+1) swapped."""
+    low = width * (i - 1)
+    flip = ((code >> low) ^ (code >> (low + width))) & ((1 << width) - 1)
+    return code ^ (flip << low) ^ (flip << (low + width))
+
+
+def _last_descent(n: int, code: int) -> int:
+    """The largest i with w(i) > w(i+1), 0 for the identity."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    b = code >> (width * (n - 1))
+    for i in range(n - 1, 0, -1):
+        a = (code >> (width * (i - 1))) & mask
+        if a > b:
+            return i
+        b = a
+    return 0
+
+
+def _index(mod: InducedModule, w: Permutation) -> int:
+    """The code of w, which must index a basis element of mod."""
+    if type(w) is not Permutation:
+        raise TypeError(f"a basis element of {mod} is indexed by a Permutation, not {w!r}")
+    if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq()):
+        raise ValueError(f"{w} does not index a basis element of {mod}")
+    return _encode(w)
 
 
 _SIGN, _TRIVIAL, _RISING, _FALLING = range(4)
 
 
-def _case(mod: InducedModule, w: Permutation, i: int) -> int:
+def _case(mod: InducedModule, code: int, i: int) -> int:
     """Which of the four rules H_i acts on N_w by, read off the entries
     a = w(i), b = w(i+1) that s_i swaps."""
-    a, b = w.one_line[i - 1], w.one_line[i]
+    width = mod.n.bit_length()
+    mask = (1 << width) - 1
+    a = (code >> (width * (i - 1))) & mask
+    b = (code >> (width * i)) & mask
     if a - b in (1, -1):
         j = min(a, b)
         if j in mod.p_gens:
@@ -202,39 +296,42 @@ _FOLDED = {
 
 @cache
 def _labels(mod: InducedModule) -> dict:
-    """Each label of mod that a step table has met, mapped to itself, so
-    that equal labels are one object and dict lookups stop at identity."""
+    """Each label of mod that a table has met, mapped to itself, so that
+    the supports of mod's elements share one int object per label."""
     return {}
 
 
-class _StepTable(dict):
-    """label y -> the (target, exponent shift, coefficient) triples of
-    N_y . (H_i + diagonal), filled in as labels are first met, so that a
-    small element of a large module does not list the whole basis."""
+class _Table(dict):
+    """label -> the row row_of(label), computed the first time the label
+    is met, so that a small element of a large module does not list the
+    whole basis."""
 
-    __slots__ = ("mod", "i", "diagonal")
+    __slots__ = ("row_of",)
 
-    def __init__(self, mod: InducedModule, i: int, diagonal: tuple):
-        self.mod, self.i, self.diagonal = mod, i, diagonal
+    def __init__(self, row_of):
+        self.row_of = row_of
 
-    def __missing__(self, y: Permutation) -> tuple:
-        mod, i = self.mod, self.i
-        labels = _labels(mod)
-        y = labels.setdefault(y, y)
-        terms = _FOLDED[_case(mod, y, i), self.diagonal]
-        if any(move for move, _, _ in terms):
-            moved = y.times_simple(i)
-            moved = labels.setdefault(moved, moved)
-        row = self[y] = tuple(
-            (moved if move else y, shift, coeff) for move, shift, coeff in terms
-        )
+    def __missing__(self, label: int) -> tuple:
+        row = self[label] = self.row_of(label)
         return row
 
 
 @cache
-def _step_table(mod: InducedModule, i: int, diagonal: tuple) -> _StepTable:
-    """The step table of H_i + diagonal on mod."""
-    return _StepTable(mod, i, diagonal)
+def _step_table(mod: InducedModule, i: int, diagonal: tuple) -> _Table:
+    """label y -> the (target, exponent shift, coefficient) triples of
+    N_y . (H_i + diagonal)."""
+    width = mod.n.bit_length()
+
+    def row_of(y: int) -> tuple:
+        labels = _labels(mod)
+        y = labels.setdefault(y, y)
+        terms = _FOLDED[_case(mod, y, i), diagonal]
+        if any(move for move, _, _ in terms):
+            moved = _times_simple(y, i, width)
+            moved = labels.setdefault(moved, moved)
+        return tuple((moved if move else y, shift, coeff) for move, shift, coeff in terms)
+
+    return _Table(row_of)
 
 
 def _accumulate(work: dict, pairs) -> dict:
@@ -277,7 +374,7 @@ def _element(cls, mod: InducedModule, work: dict, den=None) -> ModuleElement:
         if poly:
             c = LaurentPoly._of(poly)
             support[y] = c if den is None else c / den
-    return cls(mod, support)
+    return cls._of(mod, support)
 
 
 def act_generator(x: ModuleElement, i: int) -> ModuleElement:
@@ -290,24 +387,17 @@ def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     return _element(type(x), mod, _accumulate({}, ((c, table[w]) for w, c in terms)), den)
 
 
-def _check_index(mod: InducedModule, w: Permutation) -> Permutation:
-    if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq()):
-        raise ValueError(f"{w} does not index a basis element of {mod}")
-    return w
-
-
 @cache
-def _word_times(mod: InducedModule, w: Permutation, diagonal: tuple) -> tuple:
+def _word_times(mod: InducedModule, code: int, diagonal: tuple) -> tuple:
     """N_e . (H_i1 + diagonal) ... (H_ik + diagonal) along the reduced
     word of w that ends in its last right descent, as (label, exponent,
     coefficient) triples: N_e . H_w for _H, and bar(N_w) = N_e . bar(H_w)
     = N_e . H_i1^-1 ... H_ik^-1 for _H_INVERSE."""
-    descents = w.right_descents()
-    if not descents:
-        return ((_labels(mod).setdefault(w, w), 0, 1),)
-    i = descents[-1]
+    i = _last_descent(mod.n, code)
+    if not i:
+        return ((_labels(mod).setdefault(code, code), 0, 1),)
     table = _step_table(mod, i, diagonal)
-    shorter = _word_times(mod, w.times_simple(i), diagonal)
+    shorter = _word_times(mod, _times_simple(code, i, mod.n.bit_length()), diagonal)
     work = _accumulate({}, (({e: v}, table[y]) for y, e, v in shorter))
     return tuple((y, e, v) for y, poly in work.items() for e, v in poly.items() if v)
 
@@ -343,20 +433,26 @@ def _add(sums: dict, a: LaurentPoly, b: LaurentPoly, shift: int, coeff: int) -> 
 @cache
 def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement:
     """The unique bar-invariant element N_w + (qZ[q]-combination of lower
-    N_y), built as C_{w s_i} . (H_i + q) for the last descent i of w,
-    corrected by m C_y for each constant term m at a label y != w.
+    N_y), for w a basis index of mod.  Cached by w, so a repeated call
+    skips the index check; the element is _canonical's."""
+    return _canonical(mod, _index(mod, w))
+
+
+@cache
+def _canonical(mod: InducedModule, code: int) -> ModuleElement:
+    """The canonical element at the label code, built as C_{w s_i} .
+    (H_i + q) for the last descent i of w, corrected by m C_y for each
+    constant term m at a label y != w.
 
     Each label's coefficient is a shared value at every stage: a step
     term or a correction is one lookup in the memo of sums, so each
     distinct sum is computed once.  Each C_y has a constant term only at
     y, so the corrections do not interact.  Unitriangularity is read once
     per distinct value of the result."""
-    _check_index(mod, w)
-    descents = w.right_descents()
-    if not descents:
-        return ModuleElement(mod, {w: _coefficient(((0, 1),))})
-    i = descents[-1]
-    shorter = canonical_basis_element(mod, w.times_simple(i))
+    i = _last_descent(mod.n, code)
+    if not i:
+        return ModuleElement._of(mod, {_labels(mod).setdefault(code, code): _coefficient(((0, 1),))})
+    shorter = _canonical(mod, _times_simple(code, i, mod.n.bit_length()))
     table = _step_table(mod, i, _H_PLUS_Q)
     sums = _sums()
     zero = _coefficient(())
@@ -367,18 +463,19 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
             a = work.get(target, zero)
             entry = sums.get((id(a), b, shift, coeff)) or _add(sums, a, c, shift, coeff)
             work[target] = entry[0]
-    for y, m in [(y, a.terms[0]) for y, a in work.items() if 0 in a.terms and y != w]:
-        for z, c in canonical_basis_element(mod, y).support.items():
+    for y, m in [(y, a.terms[0]) for y, a in work.items() if 0 in a.terms and y != code]:
+        for z, c in _canonical(mod, y).support.items():
             a = work.get(z, zero)
             entry = sums.get((id(a), id(c), 0, -m)) or _add(sums, a, c, 0, -m)
             work[z] = entry[0]
-    result = ModuleElement(mod, {y: a for y, a in work.items() if a.terms})
-    if not _is_unitriangular(result.support, w):
-        result.check_unitriangular(w)  # the same condition: raises with its message
+    result = ModuleElement._of(mod, {y: a for y, a in work.items() if a.terms})
+    if not _is_unitriangular(result.support, code):
+        # the same condition: raises with its message
+        result.check_unitriangular(_permutation(mod.n, code))
     return result
 
 
-def _is_unitriangular(support: dict, top: Permutation) -> bool:
+def _is_unitriangular(support: dict, top: int) -> bool:
     """SparseVector.check_unitriangular's condition on shared values: the
     coefficient at top is 1 and no other label has it, and each distinct
     value at another label lies in qZ[q]."""
@@ -417,19 +514,41 @@ def _quotient_norm(outer: ParabolicSubgroup, inner_gens: frozenset) -> LaurentPo
     return c_norm
 
 
+@cache
+def _map_table(src: InducedModule, dst: InducedModule) -> _Table:
+    """label w -> the (target, exponent shift, coefficient) triples of the
+    image of N_w under map_i from src to dst when their sign walls agree,
+    else under map_j: with r over the representatives of the shrunk wall,
+    N_w goes to sum_r q^(top - l(r)) N_{r w} under map_i, top the largest
+    l(r), and to sum_r (-q)^l(r) N_{r w} under map_j."""
+    if src.p_gens == dst.p_gens:
+        reps = _short_reps_inside(src.parabolic_q(), dst.q_gens)
+        top = max(length for _, length in reps)
+        reps = tuple((r.one_line, top - length, 1) for r, length in reps)
+    else:
+        reps = _short_reps_inside(src.parabolic_p(), dst.p_gens)
+        reps = tuple((r.one_line, length, -1 if length & 1 else 1) for r, length in reps)
+    n = dst.n
+    width = n.bit_length()
+
+    def row_of(w: int) -> tuple:
+        labels = _labels(dst)
+        entries = _entries(n, w)
+        row = []
+        for r, shift, coeff in reps:
+            # (r w)(j) = r(w(j))
+            target = sum(r[v - 1] << (width * j) for j, v in enumerate(entries))
+            row.append((labels.setdefault(target, target), shift, coeff))
+        return tuple(row)
+
+    return _Table(row_of)
+
+
 def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
     """Inclusion along a shrinking trivial wall: requires the destination
     q-parabolic to sit inside the source one, same p."""
     _check_shrink(src, dst, which="q")
-    if x.parent != src:
-        raise ValueError("element does not live in the source module")
-    reps = _short_reps_inside(src.parabolic_q(), dst.q_gens)
-    top = max(length for _, length in reps)
-    terms, den = _numerators(x)
-    work = _accumulate({}, (
-        (c, [(r * w, top - length, 1) for r, length in reps]) for w, c in terms
-    ))
-    return _element(ModuleElement, dst, work, den)
+    return _include(src, dst, x)
 
 
 def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -445,16 +564,7 @@ def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     """Inclusion along a shrinking sign wall: destination p-parabolic
     inside the source one, same q."""
     _check_shrink(src, dst, which="p")
-    if x.parent != src:
-        raise ValueError("element does not live in the source module")
-    reps = _short_reps_inside(src.parabolic_p(), dst.p_gens)
-    terms, den = _numerators(x)
-    # the factor (-q)^l(r)
-    work = _accumulate({}, (
-        (c, [(r * w, length, -1 if length & 1 else 1) for r, length in reps])
-        for w, c in terms
-    ))
-    return _element(ModuleElement, dst, work, den)
+    return _include(src, dst, x)
 
 
 def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
@@ -463,6 +573,15 @@ def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleEle
     if x.parent != src:
         raise ValueError("element does not live in the source module")
     return _push_forward(dst, x)
+
+
+def _include(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
+    """x's image under map_i or map_j, read off their table."""
+    if x.parent != src:
+        raise ValueError("element does not live in the source module")
+    terms, den = _numerators(x)
+    table = _map_table(src, dst)
+    return _element(ModuleElement, dst, _accumulate({}, ((c, table[w]) for w, c in terms)), den)
 
 
 def _push_forward(dst: InducedModule, x: ModuleElement, norm=None) -> ModuleElement:

@@ -502,9 +502,11 @@ class RationalFunction:
         )
 
 
+@cache
 def coeff_to_json(c) -> dict:
     """The JSON of a coefficient: always a fraction, with denominator
-    {"0": 1} for a LaurentPoly."""
+    {"0": 1} for a LaurentPoly.  Built once per value and shared, so no
+    caller may change it."""
     if isinstance(c, LaurentPoly):
         return {"num": c.to_json(), "den": {"0": 1}}
     num, den = _num_den(c)
@@ -539,7 +541,10 @@ class SparseVector:
     Subclasses fix only the format: `_sort_key(label)` orders the terms
     (leading terms first), `_label(label)` renders a basis vector, and
     `PARENTHESIZE_FRACTIONS` says whether a non-Laurent coefficient is
-    printed in parentheses."""
+    printed in parentheses.  A subclass's constructor may take other
+    labels than it stores (ModuleElement takes Permutations and stores
+    their codes); the vector operations build their results through
+    `_of`, which takes a support over as it is."""
 
     parent: object
     support: dict  # label -> nonzero LaurentPoly or RationalFunction
@@ -547,19 +552,20 @@ class SparseVector:
     PARENTHESIZE_FRACTIONS = False
 
     @classmethod
+    def _of(cls, parent, support: dict):
+        """The vector with this support, taken over as it is: its labels
+        are the ones the class stores, which the constructor may not take."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "parent", parent)
+        object.__setattr__(v, "support", support)
+        return v
+
+    @classmethod
     def from_terms(cls, parent, terms, start=()):
         """The vector sum of c * [label] over the (label, c) pairs of
-        `terms`, added onto the support dict `start`."""
-        out = dict(start)
-        for label, c in terms:
-            prev = out.get(label)
-            if prev is not None:
-                c = prev + c
-            if not c:
-                out.pop(label, None)
-            else:
-                out[label] = c
-        return cls(parent, out)
+        `terms`, added onto the support dict `start`, with labels as the
+        constructor takes them."""
+        return cls(parent, _summed(terms, start))
 
     def coeff(self, label):
         return self.support.get(label, _ZERO)
@@ -576,23 +582,23 @@ class SparseVector:
 
     def __add__(self, other):
         self._check_same_space(other)
-        return self.from_terms(self.parent, other.support.items(), self.support)
+        return self._of(self.parent, _summed(other.support.items(), self.support))
 
     def __neg__(self):
-        return type(self)(self.parent, {k: -c for k, c in self.support.items()})
+        return self._of(self.parent, {k: -c for k, c in self.support.items()})
 
     def __sub__(self, other):
         self._check_same_space(other)
         negated = ((k, -c) for k, c in other.support.items())
-        return self.from_terms(self.parent, negated, self.support)
+        return self._of(self.parent, _summed(negated, self.support))
 
     def scale(self, c):
         """c times the vector, for c an int, LaurentPoly or RationalFunction."""
         if not c:
-            return type(self)(self.parent, {})
+            return self._of(self.parent, {})
         if isinstance(c, int):
             c = LaurentPoly.const(c)
-        return type(self)(self.parent, {k: v * c for k, v in self.support.items()})
+        return self._of(self.parent, {k: v * c for k, v in self.support.items()})
 
     def __eq__(self, other):
         return (
@@ -663,6 +669,20 @@ class SparseVector:
                 raise ValueError(f"{key} {item[key]!r} is listed twice")
             support[label] = RationalFunction.from_json(item["coeff"])
         return cls.from_terms(parent, support.items())
+
+
+def _summed(terms, start) -> dict:
+    """The support dict start plus c * [label] for each (label, c) of terms."""
+    out = dict(start)
+    for label, c in terms:
+        prev = out.get(label)
+        if prev is not None:
+            c = prev + c
+        if not c:
+            out.pop(label, None)
+        else:
+            out[label] = c
+    return out
 
 
 _ZERO = LaurentPoly.zero()

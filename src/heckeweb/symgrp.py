@@ -247,9 +247,10 @@ class ParabolicSubgroup:
 
 def is_shortest_rep(w: Permutation, p: ParabolicSubgroup) -> bool:
     """Shortest representative of the coset W_p w."""
-    # l(s_i w) > l(w) for all generators  <=>  w^-1(i) < w^-1(i+1)
-    wi = w.inverse()
-    return all(wi(i) < wi(i + 1) for i in p.generators)
+    # l(s_i w) > l(w) for all generators  <=>  w^-1(i) < w^-1(i+1): the
+    # value i stands left of i+1 in the one-line word
+    word = w.one_line
+    return all(word.index(i) < word.index(i + 1) for i in p.generators)
 
 
 def shortest_coset_reps(p: ParabolicSubgroup) -> list[Permutation]:

@@ -508,5 +508,5 @@ def psi_iso(x: ModuleElement, k: int) -> TensorVector:
     comp = regular_composition(n)
     eta_min = (0,) * k + (1,) * (n - k)
     return TensorVector.from_terms(
-        comp, ((seq_act_right(eta_min, w), c) for w, c in x.support.items())
+        comp, ((seq_act_right(eta_min, w), c) for w, c in x.permutation_support().items())
     )

@@ -70,7 +70,7 @@ def canonical_basis_by_products(mod, w: Permutation):
     shorter = canonical_basis_by_products(mod, w.times_simple(i))
     result = shorter.act_generator(i) + shorter.scale(LaurentPoly.q(1))
     corrections = [
-        y for y, c in result.support.items() if y != w and c.terms.get(0, 0) != 0
+        y for y, c in result.permutation_support().items() if y != w and c.terms.get(0, 0) != 0
     ]
     corrections.sort(key=lambda y: (y.length(), y.one_line), reverse=True)
     for y in corrections:
@@ -87,7 +87,7 @@ def canonical_basis_element_by_accumulate(mod, w: Permutation):
     corrected by m C_y for each constant term m at a label y != w, each
     coefficient sorted and interned, then checked by
     SparseVector.check_unitriangular."""
-    inducedmod._check_index(mod, w)
+    code = inducedmod._index(mod, w)
     descents = w.right_descents()
     if not descents:
         return inducedmod.ModuleElement(mod, {w: inducedmod._coefficient(((0, 1),))})
@@ -95,17 +95,15 @@ def canonical_basis_element_by_accumulate(mod, w: Permutation):
     shorter = canonical_basis_element_by_accumulate(mod, w.times_simple(i))
     table = inducedmod._step_table(mod, i, inducedmod._H_PLUS_Q)
     work = inducedmod._accumulate({}, ((c.terms, table[y]) for y, c in shorter.support.items()))
-    for y, m in [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != w]:
-        inducedmod._accumulate(work, (
-            (c.terms, ((z, 0, -m),))
-            for z, c in canonical_basis_element_by_accumulate(mod, y).support.items()
-        ))
+    for y, m in [(y, poly[0]) for y, poly in work.items() if poly.get(0) and y != code]:
+        lower = canonical_basis_element_by_accumulate(mod, inducedmod._permutation(mod.n, y))
+        inducedmod._accumulate(work, ((c.terms, ((z, 0, -m),)) for z, c in lower.support.items()))
     support = {}
     for y, poly in work.items():
         terms = tuple(sorted(item for item in poly.items() if item[1]))
         if terms:
             support[y] = inducedmod._coefficient(terms)
-    result = inducedmod.ModuleElement(mod, support)
+    result = inducedmod.ModuleElement._of(mod, support)
     result.check_unitriangular(w)
     return result
 
@@ -207,8 +205,8 @@ def act_generator_by_terms(x, i: int):
     mod = x.parent
     Q = LaurentPoly.q
     terms = []
-    for w, c in x.support.items():
-        case = inducedmod._case(mod, w, i)
+    for w, c in x.permutation_support().items():
+        case = inducedmod._case(mod, inducedmod._encode(w), i)
         if case == inducedmod._SIGN:
             terms.append((w, c * -Q(1)))
         elif case == inducedmod._TRIVIAL:
@@ -226,11 +224,11 @@ def act_hecke(x, h):
     if h.parent.n != x.parent.n:
         raise ValueError("Hecke element size mismatch")
     terms = []
-    for w, c in h.support.items():
+    for w, c in h.permutation_support().items():
         piece = x
         for i in w.reduced_word():
             piece = piece.act_generator(i)
-        terms.extend((k, v * c) for k, v in piece.support.items())
+        terms.extend((k, v * c) for k, v in piece.permutation_support().items())
     return x.from_terms(x.parent, terms)
 
 
@@ -259,8 +257,8 @@ def bar_by_terms(x):
     mod = x.parent
     return x.from_terms(mod, (
         (k, v * c.bar())
-        for w, c in x.support.items()
-        for k, v in bar_of_standard_by_terms(mod, w).support.items()
+        for w, c in x.permutation_support().items()
+        for k, v in bar_of_standard_by_terms(mod, w).permutation_support().items()
     ))
 
 
@@ -268,8 +266,8 @@ def push_forward_by_terms(dst, x):
     """sum_w c_w N_e . H_w in dst."""
     return inducedmod.ModuleElement.from_terms(dst, (
         (k, v * c)
-        for w, c in x.support.items()
-        for k, v in generator_times_by_terms(dst, w).support.items()
+        for w, c in x.permutation_support().items()
+        for k, v in generator_times_by_terms(dst, w).permutation_support().items()
     ))
 
 
@@ -283,7 +281,7 @@ def map_i_by_terms(src, dst, x):
     top = max(length for _, length in reps)
     return inducedmod.ModuleElement.from_terms(dst, (
         (r * w, c * LaurentPoly.q(top - length))
-        for w, c in x.support.items()
+        for w, c in x.permutation_support().items()
         for r, length in reps
     ))
 
@@ -301,7 +299,7 @@ def map_j_by_terms(src, dst, x):
     reps = _reps_inside(src.parabolic_p(), dst.p_gens)
     return inducedmod.ModuleElement.from_terms(dst, (
         (r * w, c * (-LaurentPoly.q()) ** length)
-        for w, c in x.support.items()
+        for w, c in x.permutation_support().items()
         for r, length in reps
     ))
 

@@ -49,6 +49,7 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
     filled = {name for name, fn in cached.items() if fn.cache_info().currsize}
     assert filled >= {
         "heckeweb.inducedmod.canonical_basis_element",
+        "heckeweb.inducedmod._canonical",
         "heckeweb.inducedmod._word_times",
         "heckeweb.inducedmod._step_table",
         "heckeweb.inducedmod._labels",

@@ -2,6 +2,7 @@ import gc
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heckeweb
 from heckeweb.qarith import LaurentPoly, RationalFunction
@@ -87,7 +88,7 @@ def test_regular_module_matches_algebra():
         mod = inducedmod.InducedModule.of(n)
         for w in mod.basis_index():
             cb = inducedmod.canonical_basis_element(mod, w)
-            assert cb.support == kl_bruteforce(w).support
+            assert cb.permutation_support() == kl_bruteforce(w).permutation_support()
 
 
 def test_canonical_examples():
@@ -104,7 +105,7 @@ def test_canonical_bar_invariant_unitriangular():
             cb = inducedmod.canonical_basis_element(mod, w)
             assert cb.bar() == cb
             assert cb.coeff(w).is_one()
-            for y, c in cb.support.items():
+            for y, c in cb.permutation_support().items():
                 if y == w:
                     continue
                 assert isinstance(c, LaurentPoly)
@@ -264,12 +265,13 @@ def test_the_shared_value_check_is_check_unitriangular():
     ]
     mod = inducedmod.InducedModule.of(3)
     for support in supports:
+        x = inducedmod.ModuleElement(mod, support)
         try:
-            inducedmod.ModuleElement(mod, support).check_unitriangular(s1)
+            x.check_unitriangular(s1)
             want = True
         except ArithmeticError:
             want = False
-        assert inducedmod._is_unitriangular(support, s1) == want, support
+        assert inducedmod._is_unitriangular(x.support, inducedmod._encode(s1)) == want, support
 
 
 @pytest.fixture
@@ -323,6 +325,7 @@ def _s5_with_a_clear_halfway(clear):
 
 @pytest.mark.parametrize("table", [
     "clear_caches", "_sums", "_coefficient", "_labels", "_step_table", "canonical_basis_element",
+    "_canonical",
 ])
 def test_a_cleared_table_halfway_changes_no_value(fresh_caches, table):
     fresh = _s5_with_a_clear_halfway(lambda: None)
@@ -398,13 +401,107 @@ def test_step_table_targets_are_one_object_per_label():
         for i in range(1, mod.n):
             table = inducedmod._step_table(mod, i, diagonal)
             for w in mod.basis_index():
-                for target, _, _ in table[Permutation(w.one_line)]:
+                code = inducedmod._encode(w)
+                for target, _, _ in table[code]:
                     assert first.setdefault(target, target) is target, (target, i)
-                    if target != w:
+                    if target != code:
                         met_by.setdefault(target, set()).add(i)
-    assert set(first) == set(mod.basis_index())
+    assert set(first) == {inducedmod._encode(w) for w in mod.basis_index()}
     assert any(len(steps) > 1 for steps in met_by.values())
     # the labels of a result are the table's objects
     for w in mod.basis_index():
         for label in inducedmod.canonical_basis_element(mod, w).support:
             assert first[label] is label
+
+
+def _case_by_products(mod, w, i):
+    """The rule H_i acts on N_w by, read off w s_i w^-1 and the lengths."""
+    ws = w.times_simple(i)
+    simple = [j for j in range(1, w.n) if ws * w.inverse() == Permutation.simple(w.n, j)]
+    if simple and simple[0] in mod.p_gens:
+        return inducedmod._SIGN
+    if simple and simple[0] in mod.q_gens:
+        return inducedmod._TRIVIAL
+    return inducedmod._RISING if ws.length() > w.length() else inducedmod._FALLING
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_code_is_the_one_line_word_and_steps_with_it(data):
+    n = data.draw(st.integers(1, 12))
+    w = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    code = inducedmod._encode(w)
+    assert inducedmod._entries(n, code) == list(w.one_line)
+    assert inducedmod._permutation(n, code) == w
+    assert inducedmod._term_key(n, code) == (w.length(), w.one_line)
+    assert inducedmod._last_descent(n, code) == max(w.right_descents(), default=0)
+    if n == 1:
+        return
+    i = data.draw(st.integers(1, n - 1))
+    moved = w.times_simple(i)
+    assert inducedmod._times_simple(code, i, n.bit_length()) == inducedmod._encode(moved)
+    p = data.draw(st.sets(st.integers(1, n - 1)))
+    free = [g for g in range(1, n) if all(abs(g - h) >= 2 for h in p)]
+    q = data.draw(st.sets(st.sampled_from(free))) if free else set()
+    mod = inducedmod.InducedModule.of(n, p, q)
+    assert inducedmod._case(mod, code, i) == _case_by_products(mod, w, i)
+
+
+def test_codes_of_different_sizes_differ():
+    codes = [inducedmod._encode(w) for n in range(1, 7) for w in all_permutations(n)]
+    assert len(set(codes)) == len(codes)
+
+
+def test_a_small_element_of_s10_lists_only_the_labels_it_meets(fresh_caches):
+    w = Permutation.from_word(10, (1, 3, 2))
+    kl = hecke.kl_basis_element(w)
+    tail = tuple(range(5, 11))
+    below = {
+        inducedmod._encode(Permutation(v.one_line + tail))
+        for v in all_permutations(4)
+        if v.bruhat_leq(Permutation(w.one_line[:4]))
+    }
+    assert set(kl.support) == below
+    mod = inducedmod.InducedModule.of(10)
+    met = set(inducedmod._labels(mod))
+    assert met <= below
+    for i in range(1, 10):
+        for diagonal in (inducedmod._H, inducedmod._H_PLUS_Q, inducedmod._H_INVERSE):
+            assert set(inducedmod._step_table(mod, i, diagonal)) <= met
+
+
+def test_a_support_is_keyed_by_code_whichever_constructor_builds_it():
+    mod = inducedmod.InducedModule.of(3, p_gens=[1])
+    w = Permutation((1, 3, 2))
+    one = LaurentPoly.one()
+    built = [
+        mod.standard(w),
+        inducedmod.ModuleElement(mod, {w: one}),
+        inducedmod.ModuleElement.from_terms(mod, [(w, one)]),
+        inducedmod.ModuleElement.from_json(mod.standard(w).to_json()),
+        mod.standard(w) + mod.generator() - mod.generator(),
+        -mod.standard(w).scale(-1),
+    ]
+    for x in built:
+        assert x == mod.standard(w)
+        assert [type(label) for label in x.support] == [int]
+        assert x.permutation_support() == {w: one} and x.coeff(w) == one
+    regular = hecke.standard_basis_element(w)
+    assert [type(label) for label in regular.support] == [int]
+    assert regular == hecke.HeckeElement(inducedmod.InducedModule.of(3), {w: one})
+
+
+@pytest.mark.parametrize("label,error", [
+    ("code", TypeError),  # a code is not a Permutation
+    ((1, 3, 2), TypeError),
+    (Permutation((2, 1, 3)), ValueError),  # not a shortest representative
+    (Permutation((2, 1)), ValueError),  # not in S_3
+])
+def test_the_constructor_rejects_a_support_it_cannot_encode(label, error):
+    mod = inducedmod.InducedModule.of(3, p_gens=[1])
+    if label == "code":
+        label = inducedmod._encode(Permutation((1, 3, 2)))
+    with pytest.raises(error):
+        inducedmod.ModuleElement(mod, {label: LaurentPoly.one()})
+    with pytest.raises(error):
+        inducedmod.ModuleElement.from_terms(mod, [(label, LaurentPoly.one())])

@@ -1,4 +1,3 @@
-import doctest
 import random
 
 import pytest
@@ -279,8 +278,3 @@ def test_laurent_rational_hashes_as_its_numerator():
         x = (p * quantum_int(3)) / quantum_int(3)
         assert isinstance(x, LaurentPoly) and x == p and hash(x) == hash(p)
     assert {LaurentPoly.q(): "q"}.get(LaurentPoly.q(3) / LaurentPoly.q(2)) == "q"
-
-
-def test_module_doctests():
-    result = doctest.testmod(qarith)
-    assert result.attempted > 0 and result.failed == 0

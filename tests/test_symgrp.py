@@ -1,5 +1,4 @@
 import copy
-import doctest
 import inspect
 import pickle
 
@@ -274,8 +273,3 @@ def test_coset_lemmas_and_tableau_maps_stay_test_references():
     assert defined == []
     for fn in (is_shortest_rep, shortest_coset_reps):
         assert "side" not in inspect.signature(fn).parameters
-
-
-def test_module_doctests():
-    result = doctest.testmod(symgrp)
-    assert result.attempted > 0 and result.failed == 0

@@ -1,4 +1,3 @@
-import doctest
 from math import comb
 
 import pytest
@@ -445,8 +444,3 @@ def test_translations_reject_k_outside_the_weights():
                 args.func(args)
     # weight 0 of (1,1) exists, so out of the wall it is the empty map
     assert tabgroth.translate_out_of_wall((1, 1), 1, 0) == {}
-
-
-def test_module_doctests():
-    result = doctest.testmod(tabgroth)
-    assert result.attempted > 0 and result.failed == 0

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import doctest
 from itertools import product
 from pathlib import Path
 
@@ -253,11 +252,6 @@ def test_json_parser_rejects_what_it_cannot_read():
     data = {"source": [1, 1], "slices": [merge, {**merge, "comp": [1, 1]}]}
     with pytest.raises(ValueError, match=r"web slice 2: .*target \(2,\) vs upper source \(1, 1\)"):
         webcat.Web.from_json(data)
-
-
-def test_module_doctests():
-    result = doctest.testmod(webcat)
-    assert result.attempted > 0 and result.failed == 0
 
 
 def test_a_slice_records_no_type():
