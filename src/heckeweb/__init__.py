@@ -14,7 +14,9 @@ Modules:
 All values are immutable after construction and all operations are pure.
 Every cache is a `functools.cache` on a pure function: the caches grow
 without bound, are safe under concurrent readers (at worst two threads
-compute the same value), and `clear_caches()` empties them all.
+compute the same value), and `clear_caches()` empties them all.  The one
+cached object that is not a value, the CLI's argument parser, is built
+once per process and never changed by parsing.
 """
 
 __version__ = "0.1.0"

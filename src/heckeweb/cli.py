@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .qarith import coeff_to_json
 from .symgrp import Permutation
@@ -218,7 +219,10 @@ def _cmd_check(args) -> int:
     return 0 if all(err is None for _, err in results) else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared: parsing never
+    changes it, and no caller may."""
     parser = argparse.ArgumentParser(
         prog="heckeweb",
         description="Exact canonical-basis, web-calculus and hook-tableau computations.",

@@ -39,7 +39,9 @@ targets are one int object per label and module.  The bar images bar(N_w)
 and N_e . H_w are cached as triples in the same form, and so are the
 images of N_w under the inclusions map_i and map_j.  An element with
 fractional coefficients is taken as integer numerators over the lcm of
-its denominators, with one division per coefficient of the result.
+its denominators; dividing the result's coefficients by it costs one
+reduction per distinct (numerator, denominator) pair, since the
+normalizer of `qarith` is memoized by value.
 
 The canonical basis is built by multiplying and correcting: C_w is
 C_{w s_i} . (H_i + q), read off the same step table, minus integer
@@ -94,7 +96,7 @@ class InducedModule:
 
     def basis_index(self) -> list[Permutation]:
         """Shortest coset representatives, sorted by (length, one-line)."""
-        return shortest_coset_reps(self.parabolic_pq())
+        return shortest_coset_reps(_parabolic_pq(self))
 
     def __str__(self):
         return f"M(n={self.n}, p={sorted(self.p_gens)}, q={sorted(self.q_gens)})"
@@ -136,7 +138,7 @@ class ModuleElement(SparseVector):
         return _term_key(self.parent.n, code)
 
     def _label(self, code: int) -> str:
-        return f"{self.PREFIX}{_permutation(self.parent.n, code)}"
+        return _label_text(self.PREFIX, self.parent.n, code)
 
     def coeff(self, w: Permutation):
         """The coefficient of N_w."""
@@ -211,6 +213,12 @@ def _term_key(n: int, code: int) -> tuple:
     return (w.length(), w.one_line)
 
 
+@cache
+def _label_text(prefix: str, n: int, code: int) -> str:
+    """The printed basis vector with this code, e.g. N[2,1,3]."""
+    return f"{prefix}{_permutation(n, code)}"
+
+
 def _times_simple(code: int, i: int, width: int) -> int:
     """The code of w s_i: the fields of w(i) and w(i+1) swapped."""
     low = width * (i - 1)
@@ -235,9 +243,15 @@ def _index(mod: InducedModule, w: Permutation) -> int:
     """The code of w, which must index a basis element of mod."""
     if type(w) is not Permutation:
         raise TypeError(f"a basis element of {mod} is indexed by a Permutation, not {w!r}")
-    if w.n != mod.n or not is_shortest_rep(w, mod.parabolic_pq()):
+    if w.n != mod.n or not is_shortest_rep(w, _parabolic_pq(mod)):
         raise ValueError(f"{w} does not index a basis element of {mod}")
     return _encode(w)
+
+
+@cache
+def _parabolic_pq(mod: InducedModule) -> ParabolicSubgroup:
+    """mod.parabolic_pq(), built once per module."""
+    return mod.parabolic_pq()
 
 
 _SIGN, _TRIVIAL, _RISING, _FALLING = range(4)

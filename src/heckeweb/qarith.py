@@ -11,7 +11,10 @@ numerator, and the gcd (including the shared integer content)
 cancelled.  The gcd and the exact quotients run on dense integer
 coefficient lists, by the primitive polynomial remainder sequence
 (Brown, J. ACM 18, 1971); a constant denominator needs only the integer
-gcd.  Every operation that can cancel the denominator
+gcd.  The one normalizer behind every division is memoized by its
+operand values, so each distinct quotient is reduced once and its
+result is shared; no value changes after construction, so sharing is
+safe.  Every operation that can cancel the denominator
 (`/`, `inverse`, `bar`, the field operations on fractions and
 `RationalFunction.from_json`) returns a LaurentPoly when it does, so
 each value has exactly one representation and structural equality
@@ -364,10 +367,13 @@ def _poly_gcd(a: list, b: list) -> list:
     return b if g == 1 else [c * g for c in b]
 
 
+@cache
 def _fraction(num: LaurentPoly, den: LaurentPoly):
     """num/den in normal form: the LaurentPoly it equals when den divides
     num, else a RationalFunction.  A constant denominator only shares
-    integer content with the numerator, so it needs no polynomial gcd."""
+    integer content with the numerator, so it needs no polynomial gcd.
+    Memoized by the values of num and den, never by identity; a zero
+    denominator raises on every call, as exceptions are not cached."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     if num.is_zero():
@@ -375,8 +381,9 @@ def _fraction(num: LaurentPoly, den: LaurentPoly):
     vn, p = _dense(num.terms)
     vd, d = _dense(den.terms)
     g = [_int_gcd(d[0], *p)] if len(d) == 1 else _poly_gcd(p, d)
-    if g != [1]:
-        p, d = _divide(p, g), _divide(d, g)
+    # divided also by a unit gcd, so that the shared result holds ints
+    # even when the first operands of its value held bools
+    p, d = _divide(p, g), _divide(d, g)
     if d[-1] < 0:
         p, d = [-c for c in p], [-c for c in d]
     p = _sparse(p, vn - vd)

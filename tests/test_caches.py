@@ -4,8 +4,10 @@ function, and heckeweb.clear_caches() empties every one of them."""
 import importlib
 import pkgutil
 
+import pytest
+
 import heckeweb
-from heckeweb import hecke, inducedmod, uqrep
+from heckeweb import checks, cli, hecke, inducedmod, qarith, uqrep
 from heckeweb.symgrp import Permutation
 
 
@@ -32,7 +34,7 @@ def _compute():
     small = inducedmod.InducedModule.of(4, q_gens=(1,))
     big = inducedmod.InducedModule.of(4, q_gens=(1, 2))
     comp = (2, 1, 2, 1)
-    return [
+    values = [
         hecke.kl_basis_element(w),
         inducedmod.canonical_basis_element(mod, top),
         mod.standard(top).bar(),
@@ -41,6 +43,7 @@ def _compute():
         uqrep.canonical_basis_by_bar(list(comp), [1, 0, 1, 0]),
         uqrep.dual_canonical(comp, (0, 1, 1, 0)),
     ]
+    return values, [str(value) for value in values], cli.build_parser().format_usage()
 
 
 def test_clear_caches_empties_every_cache_and_changes_no_value():
@@ -60,6 +63,11 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",
         "heckeweb.uqrep._dual_canonical_space",
+        "heckeweb.qarith._fraction",
+        "heckeweb.inducedmod._label_text",
+        "heckeweb.inducedmod._parabolic_pq",
+        "heckeweb.hecke._regular_module",
+        "heckeweb.cli.build_parser",
     }
     heckeweb.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in cached.items()} == {
@@ -76,3 +84,17 @@ def test_no_hand_rolled_memo_table():
         if name.endswith("_cache") and isinstance(obj, dict)
     ]
     assert tables == []
+
+
+@pytest.mark.parametrize(
+    "check,max_n",
+    [(checks.check_theorem1, 5), (checks.check_kgroup, 5), (checks.check_induced_maps, 4)],
+)
+def test_most_divisions_repeat_a_reduced_quotient(check, max_n):
+    """A suite asks for few distinct quotients, many times each: counted
+    from a cold start, the memo answers at least five calls from its
+    table for each quotient it reduces."""
+    heckeweb.clear_caches()
+    check(max_n)
+    info = qarith._fraction.cache_info()
+    assert info.misses and info.hits >= 5 * info.misses, info

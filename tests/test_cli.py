@@ -333,6 +333,34 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def _main_output(capsys, argv):
+    """(exit status, stdout, stderr) of cli.main(argv), usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_cached_parser_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
+    calls = [
+        ("check", "--suite", "stl", "--max-n", "3"),
+        ("canonical", "--comp", "2,1"),
+        ("kl-basis", "--n", "0", "--w", "e"),
+        ("--format", "json", "canonical", "--comp", "2,1"),
+        ("check", "--suite", "no-such-suite"),
+        ("canonical", "--comp", "1,1", "--eta", "10", "--format", "json"),
+        ("check", "--suite", "stl", "--max-n", "3", "--format", "json"),
+        ("canonical", "--comp", "2,1"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_main_output(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 2, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_main_output(capsys, argv) for argv in calls] == cached
+
+
 def test_argparse_exit_code_on_bad_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

@@ -278,3 +278,26 @@ def test_laurent_rational_hashes_as_its_numerator():
         x = (p * quantum_int(3)) / quantum_int(3)
         assert isinstance(x, LaurentPoly) and x == p and hash(x) == hash(p)
     assert {LaurentPoly.q(): "q"}.get(LaurentPoly.q(3) / LaurentPoly.q(2)) == "q"
+
+
+@given(fraction_inputs())
+@settings(max_examples=200, deadline=None)
+def test_fraction_memo_shares_each_value_and_never_caches_an_error(pair):
+    num, den = pair
+    got = qarith._fraction(num, den)
+    want = qarith._fraction.__wrapped__(num, den)
+    assert type(got) is type(want) and got == want
+    # equal operands that are other objects hit the same entry
+    again = qarith._fraction(LaurentPoly(dict(num.terms)), LaurentPoly(dict(den.terms)))
+    assert again is got
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            qarith._fraction(num, LaurentPoly.zero())
+
+
+def test_a_bool_operand_leaves_no_bool_in_a_shared_quotient():
+    q = LaurentPoly.q()
+    # True / q fills the entry that 1 / q then reads
+    for x in (True / q, q.inverse(), LaurentPoly({0: True, 1: True}) / 2):
+        parts = (x.num, x.den) if isinstance(x, RationalFunction) else (x,)
+        assert all(type(c) is int for p in parts for c in p.terms.values()), x
