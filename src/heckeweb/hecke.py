@@ -11,6 +11,16 @@ The algebra is the induced module with both walls empty, acting on itself
 from the right (H_w = N_e . H_w), so every operation here is the
 `inducedmod` one on `InducedModule.of(n)`; a HeckeElement only prints its
 basis vectors as H[...] and has its own JSON form.
+
+The canonical basis has two symmetries that only this module has:
+C_{w^-1} is C_w with each H_x replaced by H_{x^-1}, and C_{w0 w w0} is
+C_w with each H_x replaced by H_{w0 x w0}.  The inversion is an
+anti-involution and conjugation by w0 an automorphism (H_i -> H_{n-i});
+both fix q, commute with bar and permute the standard basis, so they
+carry the canonical basis to itself.  `inducedmod` therefore builds one
+element of each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} and relabels it
+for the others.  In a module with a wall both maps lead out of the
+module, so it builds every element.
 """
 
 from __future__ import annotations

@@ -52,11 +52,25 @@ keyed by its two operands, so each distinct sum is computed once and
 unitriangularity is read once per distinct value (du Cloux, "Computing
 Kazhdan-Lusztig polynomials for arbitrarily large Coxeter groups", 2002,
 stores each polynomial once in the same way).
+
+In the regular module (both walls empty) the step runs once per orbit
+of {w, w^-1, w0 w w0, w0 w^-1 w0}.  The anti-involution H_x -> H_{x^-1}
+and the automorphism H_x -> H_{w0 x w0} (conjugation by w0, sending H_i
+to H_{n-i}) both commute with bar, permute the standard basis and keep
+unitriangularity, so they map C_w to C_{w^-1} and C_{w0 w w0}: with
+P_{x,w} the coefficients, P_{x,w} = P_{x^-1,w^-1} = P_{w0 x w0,w0 w w0}
+(Kazhdan and Lusztig, Invent. Math. 53, 1979).  An element whose
+partner in its orbit is already computed is that partner with its
+labels relabelled, sharing its coefficient objects; the others are
+built by the step.  With a wall, the two maps lead out of the module
+(inversion turns the left quotient by the walls into a right one, and
+conjugation by w0 reflects the walls), so every other module runs the
+step for each label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .qarith import LaurentPoly, RationalFunction, SparseVector, common_denominator, json_parser
@@ -70,9 +84,14 @@ _ONE = LaurentPoly.one()
 
 @dataclass(frozen=True, slots=True)
 class InducedModule:
+    """The module given by n and its two walls.  Equal modules have equal
+    (n, p_gens, q_gens); the hash of that triple is computed once, since
+    every module-keyed cache hashes the module on each lookup."""
+
     n: int
     p_gens: frozenset[int]
     q_gens: frozenset[int]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, q = self.parabolic_p(), self.parabolic_q()
@@ -80,6 +99,10 @@ class InducedModule:
             raise ValueError(
                 f"parabolic subgroups {p} and {q} do not commute elementwise"
             )
+        object.__setattr__(self, "_hash", hash((self.n, self.p_gens, self.q_gens)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(n: int, p_gens=(), q_gens=()) -> "InducedModule":
@@ -325,7 +348,7 @@ class _Table(dict):
     def __init__(self, row_of):
         self.row_of = row_of
 
-    def __missing__(self, label: int) -> tuple:
+    def __missing__(self, label: int):
         row = self[label] = self.row_of(label)
         return row
 
@@ -454,6 +477,24 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
 
 @cache
 def _canonical(mod: InducedModule, code: int) -> ModuleElement:
+    """The canonical element at the label code.  In the regular module it
+    is read off a computed member of its symmetry orbit when there is one
+    (see _read_off); otherwise it is built by the canonical step."""
+    if mod.p_gens or mod.q_gens:
+        return _stepped(mod, code)
+    partners = _partners(mod)
+    entry = partners.get(code)
+    if entry is not None:
+        return _read_off(mod, code, *entry)
+    result = _stepped(mod, code)
+    inverse = _inverse_code(mod.n, code)
+    images = (inverse, _conjugate_code(mod.n, code), _conjugate_code(mod.n, inverse))
+    for partner, image in zip(images, _symmetries(mod)):
+        partners.setdefault(partner, (result, code, image))
+    return result
+
+
+def _stepped(mod: InducedModule, code: int) -> ModuleElement:
     """The canonical element at the label code, built as C_{w s_i} .
     (H_i + q) for the last descent i of w, corrected by m C_y for each
     constant term m at a label y != w.
@@ -501,6 +542,66 @@ def _is_unitriangular(support: dict, top: int) -> bool:
     if ids.count(id(diag)) != 1:
         return False
     return all(min(c.terms) >= 1 for c in dict(zip(ids, values)).values() if c is not diag)
+
+
+# -- the symmetries of the regular module ---------------------------------
+
+
+def _inverse_code(n: int, code: int) -> int:
+    """The code of w^-1: field w(j) holds j."""
+    width = n.bit_length()
+    return sum((j + 1) << (width * (v - 1)) for j, v in enumerate(_entries(n, code)))
+
+
+def _conjugate_code(n: int, code: int) -> int:
+    """The code of w0 w w0, the word of w reversed and each entry v
+    replaced by n + 1 - v."""
+    width = n.bit_length()
+    return sum((n + 1 - v) << (width * j) for j, v in enumerate(reversed(_entries(n, code))))
+
+
+@cache
+def _symmetries(mod: InducedModule) -> tuple:
+    """The label maps w -> w^-1, w0 w w0 and w0 w^-1 w0 of the regular
+    module mod, each a table filled in as labels are met, with values
+    interned through _labels."""
+    n = mod.n
+
+    def table(relabel) -> _Table:
+        def row_of(y: int) -> int:
+            y = relabel(n, y)
+            return _labels(mod).setdefault(y, y)
+
+        return _Table(row_of)
+
+    return (
+        table(_inverse_code),
+        table(_conjugate_code),
+        table(lambda n, y: _conjugate_code(n, _inverse_code(n, y))),
+    )
+
+
+@cache
+def _partners(mod: InducedModule) -> dict:
+    """For the regular module mod: each image w^-1, w0 w w0, w0 w^-1 w0
+    of a label w whose canonical element the step has built, mapped to
+    (C_w, w, the label map) to read its canonical element off."""
+    return {}
+
+
+def _read_off(mod: InducedModule, code: int, source: ModuleElement, top: int, image):
+    """The canonical element at code, source = C_top relabelled by image,
+    which maps top to code.  The relabelled element shares source's
+    coefficient objects, so it is checked in O(1): no two labels merge,
+    and its coefficient at code is source's diagonal one."""
+    support = source.support
+    result = dict(zip(map(image.__getitem__, support), support.values()))
+    if len(result) != len(support) or result.get(code) is not support[top]:
+        raise ArithmeticError(
+            f"relabelling the canonical element at {_permutation(mod.n, top)} "
+            f"does not give the one at {_permutation(mod.n, code)}"
+        )
+    return ModuleElement._of(mod, result)
 
 
 # -- maps between modules with nested parabolic data --------------------

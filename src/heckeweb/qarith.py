@@ -64,9 +64,18 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        """The polynomial with the {exponent: coefficient} terms, zeros
+        dropped.  Exponents and coefficients must be ints; a bool is taken
+        as the int it equals, so no bool is stored."""
+        self.terms = out = {}
+        if terms:
+            for e, c in terms.items():
+                if type(e) is not int or type(c) is not int:
+                    if not isinstance(e, int) or not isinstance(c, int):
+                        raise TypeError(f"LaurentPoly terms are ints, not q^{e!r} with {c!r}")
+                    e, c = int(e), int(c)
+                if c:
+                    out[e] = c
 
     @staticmethod
     def _of(terms: dict) -> "LaurentPoly":
@@ -169,7 +178,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -381,9 +390,8 @@ def _fraction(num: LaurentPoly, den: LaurentPoly):
     vn, p = _dense(num.terms)
     vd, d = _dense(den.terms)
     g = [_int_gcd(d[0], *p)] if len(d) == 1 else _poly_gcd(p, d)
-    # divided also by a unit gcd, so that the shared result holds ints
-    # even when the first operands of its value held bools
-    p, d = _divide(p, g), _divide(d, g)
+    if g != [1]:
+        p, d = _divide(p, g), _divide(d, g)
     if d[-1] < 0:
         p, d = [-c for c in p], [-c for c in d]
     p = _sparse(p, vn - vd)

@@ -108,6 +108,40 @@ def canonical_basis_element_by_accumulate(mod, w: Permutation):
     return result
 
 
+@cache
+def canonical_basis_by_step(mod, code: int):
+    """The canonical element at the label code by the canonical step alone,
+    for every module and every label: C_{w s_i} . (H_i + q) on shared
+    values for the last descent i of w, corrected by m C_y for each
+    constant term m at a label y != w, then checked by
+    SparseVector.check_unitriangular.  The production route reads most
+    of the regular module's elements off a computed symmetric one."""
+    n = mod.n
+    i = inducedmod._last_descent(n, code)
+    if not i:
+        return inducedmod.ModuleElement._of(mod, {code: inducedmod._coefficient(((0, 1),))})
+    shorter = canonical_basis_by_step(mod, inducedmod._times_simple(code, i, n.bit_length()))
+    table = inducedmod._step_table(mod, i, inducedmod._H_PLUS_Q)
+    zero = inducedmod._coefficient(())
+    work = {}
+
+    def add(label, c, shift, coeff):
+        a = work.get(label, zero)
+        key = (id(a), id(c), shift, coeff)
+        sums = inducedmod._sums()
+        work[label] = (sums.get(key) or inducedmod._add(sums, a, c, shift, coeff))[0]
+
+    for y, c in shorter.support.items():
+        for target, shift, coeff in table[y]:
+            add(target, c, shift, coeff)
+    for y, m in [(y, a.terms[0]) for y, a in work.items() if 0 in a.terms and y != code]:
+        for z, c in canonical_basis_by_step(mod, y).support.items():
+            add(z, c, 0, -m)
+    result = inducedmod.ModuleElement._of(mod, {y: a for y, a in work.items() if a.terms})
+    result.check_unitriangular(inducedmod._permutation(n, code))
+    return result
+
+
 def generator_times_closed_form(mod, w: Permutation):
     """N_e . H_w for any w in S_n: with w = x w', w' the shortest element
     of W_pq w and x = x_p x_q in W_p x W_q, it is

@@ -8,7 +8,7 @@ import pytest
 
 import heckeweb
 from heckeweb import checks, cli, hecke, inducedmod, qarith, uqrep
-from heckeweb.symgrp import Permutation
+from heckeweb.symgrp import Permutation, all_permutations
 
 
 def _modules():
@@ -36,6 +36,9 @@ def _compute():
     comp = (2, 1, 2, 1)
     values = [
         hecke.kl_basis_element(w),
+        hecke.kl_basis_element(Permutation((3, 1, 4, 2))),
+        # its inverse: read off it when the step built it
+        hecke.kl_basis_element(Permutation((2, 4, 1, 3))),
         inducedmod.canonical_basis_element(mod, top),
         mod.standard(top).bar(),
         inducedmod.map_Q(small, big, small.standard(small.basis_index()[-1])),
@@ -59,6 +62,8 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod._quotient_norm",
         "heckeweb.inducedmod._coefficient",
         "heckeweb.inducedmod._sums",
+        "heckeweb.inducedmod._symmetries",
+        "heckeweb.inducedmod._partners",
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",
@@ -74,6 +79,28 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         name: 0 for name in cached
     }
     assert _compute() == before
+
+
+def _kl_of_s4_from_a_cold_start():
+    """KL of all of S_4 in a fixed order after clear_caches(), and the
+    regular module's label maps and partners it leaves behind."""
+    heckeweb.clear_caches()
+    values = [hecke.kl_basis_element(w) for w in all_permutations(4)]
+    tables = inducedmod._symmetries(inducedmod.InducedModule.of(4))
+    partners = {
+        code: (dict(built.support), top, [table is image for table in tables].index(True))
+        for code, (built, top, image) in inducedmod._partners(inducedmod.InducedModule.of(4)).items()
+    }
+    return values, [dict(table) for table in tables], partners
+
+
+def test_the_symmetry_caches_refill_to_the_same_values():
+    """Which labels the label maps and partners hold depends on the call
+    order; after clear_caches() the same calls refill them alike."""
+    before = _kl_of_s4_from_a_cold_start()
+    _, tables, partners = before
+    assert all(tables) and partners
+    assert _kl_of_s4_from_a_cold_start() == before
 
 
 def test_no_hand_rolled_memo_table():

@@ -1,4 +1,7 @@
+import dataclasses
 import gc
+import pickle
+import random
 from math import factorial
 
 import pytest
@@ -16,6 +19,7 @@ from oracles import (
     act_hecke,
     bar_by_terms,
     canonical_basis_by_products,
+    canonical_basis_by_step,
     canonical_basis_element_by_accumulate,
     generator_times_closed_form,
     hecke_generator_inverse,
@@ -39,6 +43,23 @@ def commuting_modules(max_n):
             for q_bits in range(1 << len(free)):
                 q = {g for k, g in enumerate(free) if q_bits >> k & 1}
                 yield inducedmod.InducedModule.of(n, p, q)
+
+
+def test_equal_modules_hash_alike_and_print_as_their_fields():
+    mod = inducedmod.InducedModule.of(4, p_gens=[1], q_gens=[3])
+    same = inducedmod.InducedModule(4, frozenset({1}), frozenset((3,)))
+    assert mod == same and mod is not same
+    assert hash(mod) == hash(same) == hash((4, frozenset({1}), frozenset({3})))
+    assert mod != inducedmod.InducedModule.of(4, p_gens=[1])
+    assert mod != inducedmod.InducedModule.of(4, q_gens=[1], p_gens=[3])
+    assert len({mod, same, inducedmod.InducedModule.of(4)}) == 2
+    assert repr(mod) == "InducedModule(n=4, p_gens=frozenset({1}), q_gens=frozenset({3}))"
+    for copy in (pickle.loads(pickle.dumps(mod)), dataclasses.replace(mod, n=4)):
+        assert copy == mod and hash(copy) == hash(mod)
+    shrunk = dataclasses.replace(mod, q_gens=frozenset())
+    assert hash(shrunk) == hash(inducedmod.InducedModule.of(4, p_gens=[1]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mod.n = 5
 
 
 def test_commuting_validation():
@@ -505,3 +526,68 @@ def test_the_constructor_rejects_a_support_it_cannot_encode(label, error):
         inducedmod.ModuleElement(mod, {label: LaurentPoly.one()})
     with pytest.raises(error):
         inducedmod.ModuleElement.from_terms(mod, [(label, LaurentPoly.one())])
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_the_orbit_route_gives_the_step_route_in_any_call_order(fresh_caches, order):
+    """Which element of a symmetry orbit the step builds, and which ones
+    are read off it, depends on the call order; no value does."""
+    for n in range(1, 7):
+        mod = inducedmod.InducedModule.of(n)
+        codes = sorted(inducedmod._encode(w) for w in all_permutations(n))
+        if order == "decreasing":
+            codes.reverse()
+        elif order == "shuffled":
+            random.Random(n).shuffle(codes)
+        for code in codes:
+            got = hecke.kl_basis_element(inducedmod._permutation(n, code))
+            assert got.support == canonical_basis_by_step(mod, code).support, (n, code)
+
+
+def _steps(monkeypatch):
+    """The number of canonical elements built by the step from now on."""
+    count = [0]
+    stepped = inducedmod._stepped
+
+    def counted(mod, code):
+        count[0] += 1
+        return stepped(mod, code)
+
+    monkeypatch.setattr(inducedmod, "_stepped", counted)
+    return count
+
+
+@pytest.mark.parametrize("n,orbits", [(5, 45), (6, 230)])
+def test_the_kl_basis_runs_the_step_once_per_symmetry_orbit(fresh_caches, monkeypatch, n, orbits):
+    steps = _steps(monkeypatch)
+    for w in all_permutations(n):
+        hecke.kl_basis_element(w)
+    assert steps[0] == orbits
+
+
+def test_a_module_with_a_wall_runs_the_step_for_every_label(fresh_caches, monkeypatch):
+    steps = _steps(monkeypatch)
+    mod = inducedmod.InducedModule.of(5, q_gens=[1])
+    for w in mod.basis_index():
+        inducedmod.canonical_basis_element(mod, w)
+    assert steps[0] == len(mod.basis_index())
+
+
+@pytest.mark.parametrize("image", ["merges two labels", "misses the diagonal"])
+def test_a_broken_relabelling_is_an_internal_error(fresh_caches, monkeypatch, capsys, image):
+    mod = inducedmod.InducedModule.of(3)
+    w, partner = Permutation((2, 3, 1)), Permutation((3, 1, 2))  # w^-1 = w0 w w0
+    source = hecke.kl_basis_element(w)
+    top, code = inducedmod._encode(w), inducedmod._encode(partner)
+    built, built_top, _ = inducedmod._partners(mod)[code]
+    assert built.support == source.support and built_top == top
+    if image == "merges two labels":
+        broken = inducedmod._Table(lambda y: code)
+    else:
+        broken = inducedmod._Table(lambda y: y)
+    monkeypatch.setitem(inducedmod._partners(mod), code, (source, top, broken))
+    with pytest.raises(ArithmeticError, match=r"relabelling the canonical element at \[2,3,1\]"):
+        hecke.kl_basis_element(partner)
+    assert cli.main(["kl-basis", "--n", "3", "--w", "s2*s1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error:")

@@ -301,3 +301,26 @@ def test_a_bool_operand_leaves_no_bool_in_a_shared_quotient():
     for x in (True / q, q.inverse(), LaurentPoly({0: True, 1: True}) / 2):
         parts = (x.num, x.den) if isinstance(x, RationalFunction) else (x,)
         assert all(type(c) is int for p in parts for c in p.terms.values()), x
+
+
+def test_a_bool_term_is_stored_as_its_int_and_shares_no_bool():
+    # coeff_to_json is memoized by value, and q^-1 with coefficient True
+    # equals q^-1: the entry it fills must be the int one
+    coeff_to_json.cache_clear()
+    assert coeff_to_json(LaurentPoly({-1: True})) == {"num": {"-1": 1}, "den": {"0": 1}}
+    got = coeff_to_json(LaurentPoly.q(-1))
+    assert [type(c) for c in got["num"].values()] == [int]
+    p = LaurentPoly({True: True, 2: False})
+    assert p == LaurentPoly.q() and [type(x) for x in (*p.terms, *p.terms.values())] == [int, int]
+    assert p.to_json() == {"1": 1}
+
+
+@pytest.mark.parametrize("terms", [{0: 1.5}, {0: 2.0}, {0.5: 1}, {"1": 1}, {0: None}])
+def test_a_term_that_is_not_an_int_is_a_type_error(terms):
+    with pytest.raises(TypeError):
+        LaurentPoly(terms)
+
+
+def test_a_product_that_cancels_a_term_stores_no_zero():
+    got = LaurentPoly({0: 1, 1: 1}) * LaurentPoly({0: 1, 1: -1})
+    assert got.terms == {0: 1, 2: -1}
