@@ -435,6 +435,10 @@ def check_canonical_triple(max_n: int = 4) -> None:
             for w in mod.basis_index():
                 eta = uqrep.seq_act_right((0,) * k + (1,) * (n - k), w)
                 bar_route = uqrep.canonical_basis_by_bar(comp, eta)
+                _require(
+                    uqrep.canonical_basis(comp, eta) == bar_route,
+                    lambda: f"closed form differs from bar-fixing at n={n}, eta={eta}",
+                )
                 diagram = webcat.canonical_basis_diagram(comp, eta)
                 web_route = webcat.evaluate_canonical_diagram(diagram)
                 _require(

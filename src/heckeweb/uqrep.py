@@ -11,9 +11,19 @@ Implements the raising/lowering/Cartan actions, the merge and split
 intertwiners, the bar involution built from Theta' = 1 + (q^-1 - q) E x F,
 standard/canonical/dual bases, the bilinear form with rescaled quantum
 multinomial values, the rescaled adjoint E' of F, and the Hecke action on
-tensor powers of the vector representation.  The canonical basis is the
-evaluated canonical basis diagram of webcat; bar-fixing is kept as an
-independent check route.
+tensor powers of the vector representation.
+
+The canonical basis is computed in closed form.  Cut eta before each of
+its 1s: its leading 0s, then one block per 1, the 1 with the 0s after
+it.  c_eta is the tensor product of the leading v_0s and one vector per
+block, the sum over the block's positions j of q^(a_1 + ... + a_(j-1))
+times the block's 1 moved to position j, where a_1, a_2, ... are the
+block's parts.  So every coefficient is a monomial q^d and every term
+appears once.  This is what the canonical basis diagram of webcat
+evaluates to (each split of a 1-labelled edge a+b gives v_10 + q^a v_01).
+Two routes are kept as checks: the evaluated diagram
+(webcat.evaluate_canonical_diagram) and bar-fixing
+(canonical_basis_by_bar).
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from .qarith import (
     quantum_multinom0,
 )
 from .symgrp import seq_act_right
-from .inducedmod import ModuleElement
+from .inducedmod import ModuleElement, _coefficient
 
 __all__ = [
     "composition",
@@ -112,7 +122,7 @@ class TensorVector(SparseVector):
     @staticmethod
     def _sort_key(eta):
         """Leading terms (most inversions) first."""
-        return (_inversions(eta), eta)
+        return _eta_key(eta)
 
     def _label(self, eta) -> str:
         return f"v[{_bits(eta)}]"
@@ -129,6 +139,7 @@ class TensorVector(SparseVector):
         )
 
 
+@cache
 def _bits(eta) -> str:
     return "".join(str(e) for e in eta)
 
@@ -154,6 +165,12 @@ def _inversions(eta) -> int:
     return out
 
 
+@cache
+def _eta_key(eta) -> tuple:
+    """The sort key of eta: (inversions, eta)."""
+    return (_inversions(eta), eta)
+
+
 def eta_leq(eta, gamma) -> bool:
     """Partial order on 0/1 sequences of equal weight: eta below gamma if
     every prefix of eta carries at most as many ones.  Matches the Bruhat
@@ -175,20 +192,25 @@ def weight_index(comp, eta) -> int:
 
 
 def weight_etas(comp, k: int) -> list[tuple[int, ...]]:
-    """All eta with weight index k, sorted increasingly (inversions, lex)."""
-    comp = composition(comp)
+    """All eta with weight index k, sorted increasingly (inversions, lex),
+    as a new list."""
+    return list(_weight_etas(composition(comp), k))
+
+
+@cache
+def _weight_etas(comp, k: int) -> tuple:
     ell = len(comp)
     m = sum(comp) - k
     if m < 0 or m > ell:
-        return []
+        return ()
     out = []
     for ones in combinations(range(ell), m):
         eta = [0] * ell
         for i in ones:
             eta[i] = 1
         out.append(tuple(eta))
-    out.sort(key=TensorVector._sort_key)
-    return out
+    out.sort(key=_eta_key)
+    return tuple(out)
 
 
 # -- generator actions ---------------------------------------------------
@@ -359,18 +381,28 @@ def bar(v: TensorVector) -> TensorVector:
 
 def canonical_basis(comp, eta) -> TensorVector:
     """The unique bar-invariant vector equal to v_eta plus a qZ[q]-linear
-    combination of standard vectors strictly below eta: the evaluated
-    canonical basis diagram, a chain of split intertwiners applied to one
-    standard vector."""
+    combination of standard vectors strictly below eta, by the block
+    product of the module docstring.  The evaluated canonical basis
+    diagram (webcat) and bar-fixing (canonical_basis_by_bar) are its
+    check routes."""
     comp = composition(comp)
     return _canonical_basis(comp, _check_eta(comp, eta))
 
 
 @cache
 def _canonical_basis(comp, eta) -> TensorVector:
-    from . import webcat  # webcat imports this module
-
-    x = webcat.evaluate_canonical_diagram(webcat.canonical_basis_diagram(comp, eta))
+    """The block product on ints: each partial eta carries the exponent of
+    its monomial, and every q^d is interned once by value."""
+    ones = [r for r, e in enumerate(eta) if e == 1] + [len(eta)]
+    terms = {eta[: ones[0]]: 0}
+    for start, end in zip(ones, ones[1:]):
+        choices = []
+        shift = 0
+        for r in range(start, end):
+            choices.append(((0,) * (r - start) + (1,) + (0,) * (end - r - 1), shift))
+            shift += comp[r]
+        terms = {head + bits: d + s for head, d in terms.items() for bits, s in choices}
+    x = TensorVector._of(comp, {g: _coefficient(((d, 1),)) for g, d in terms.items()})
     x.check_unitriangular(eta, eta_leq)
     return x
 
@@ -387,7 +419,7 @@ def _canonical_basis_by_bar(comp, eta) -> TensorVector:
     x = standard_vector(comp, eta)
     defect = bar(x) - x
     while not defect.is_zero():
-        gamma, c = max(defect.support.items(), key=lambda item: TensorVector._sort_key(item[0]))
+        gamma, c = max(defect.support.items(), key=lambda item: _eta_key(item[0]))
         if not isinstance(c, LaurentPoly) or c.bar() != -c:
             raise ArithmeticError(f"bar defect at {gamma} is not antisymmetric: {c}")
         pos = LaurentPoly({e: v for e, v in c.terms.items() if e > 0})
@@ -405,6 +437,11 @@ def _beta(comp, eta) -> tuple[int, ...]:
 def standard_norm(comp, eta) -> LaurentPoly:
     """The form value (v_eta, v_eta): the rescaled quantum multinomial of
     (a_j - eta_j)."""
+    return _standard_norm(tuple(comp), tuple(eta))
+
+
+@cache
+def _standard_norm(comp, eta) -> LaurentPoly:
     return quantum_multinom0(_beta(comp, eta))
 
 

@@ -68,6 +68,10 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",
         "heckeweb.uqrep._dual_canonical_space",
+        "heckeweb.uqrep._bits",
+        "heckeweb.uqrep._eta_key",
+        "heckeweb.uqrep._weight_etas",
+        "heckeweb.uqrep._standard_norm",
         "heckeweb.qarith._fraction",
         "heckeweb.inducedmod._label_text",
         "heckeweb.inducedmod._parabolic_pq",
@@ -101,6 +105,34 @@ def test_the_symmetry_caches_refill_to_the_same_values():
     _, tables, partners = before
     assert all(tables) and partners
     assert _kl_of_s4_from_a_cold_start() == before
+
+
+def test_no_class_carries_a_cache():
+    """clear_caches() reaches module-level caches only: a cached method or
+    staticmethod would be silently left full."""
+    cached = [
+        f"{module.__name__}.{cls.__name__}.{name}"
+        for module in _modules()
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        for name in dir(cls)
+        if hasattr(getattr(cls, name), "cache_info")
+    ]
+    assert cached == []
+
+
+def test_cached_tensor_listings_take_lists_and_hand_out_copies():
+    heckeweb.clear_caches()
+    want = uqrep.weight_etas((1, 2, 1), 2)
+    assert uqrep.weight_etas([1, 2, 1], 2) == want == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    listed = uqrep.weight_etas((1, 2, 1), 2)
+    listed.append((0, 0, 0))
+    listed[0] = (1, 1, 1)
+    listed.sort(reverse=True)
+    assert uqrep.weight_etas((1, 2, 1), 2) == want
+    assert uqrep.weight_etas([1, 2, 1], 2) is not uqrep.weight_etas([1, 2, 1], 2)
+    assert uqrep.standard_norm([2, 1], [1, 0]) == uqrep.standard_norm((2, 1), (1, 0))
+    assert uqrep.standard_norm([2, 1], [1, 0]) == qarith.quantum_multinom0((1, 1))
 
 
 def test_no_hand_rolled_memo_table():

@@ -596,12 +596,12 @@ def test_admissible_listing_rejects_k_outside_the_weights(capsys):
 
 
 def test_fractional_canonical_coefficient_is_an_internal_error(capsys, monkeypatch):
-    built = webcat.evaluate_canonical_diagram
+    interned = uqrep._coefficient
 
-    def with_a_fraction(diagram):
-        return built(diagram).scale(1 / LaurentPoly({0: 1, 2: 1}))
+    def with_a_fraction(terms):
+        return interned(terms) / LaurentPoly({0: 1, 2: 1})
 
-    monkeypatch.setattr(webcat, "evaluate_canonical_diagram", with_a_fraction)
+    monkeypatch.setattr(uqrep, "_coefficient", with_a_fraction)
     heckeweb.clear_caches()
     code, out, err = run_cli(capsys, "canonical", "--comp", "1,1", "--eta", "10")
     assert code == 3 and out == ""
