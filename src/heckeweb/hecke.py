@@ -17,10 +17,10 @@ C_{w^-1} is C_w with each H_x replaced by H_{x^-1}, and C_{w0 w w0} is
 C_w with each H_x replaced by H_{w0 x w0}.  The inversion is an
 anti-involution and conjugation by w0 an automorphism (H_i -> H_{n-i});
 both fix q, commute with bar and permute the standard basis, so they
-carry the canonical basis to itself.  `inducedmod` therefore builds one
-element of each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} and relabels it
-for the others.  In a module with a wall both maps lead out of the
-module, so it builds every element.
+carry the canonical basis to itself.  `inducedmod` therefore steps the
+least label of each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} and relabels
+its element for the others.  In a module with a wall both maps lead out
+of the module, so it builds every element.
 """
 
 from __future__ import annotations

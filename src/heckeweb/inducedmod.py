@@ -34,10 +34,9 @@ of its result is built once.  For each (module, i) and each diagonal
 term d (none for the action, q for the canonical step H_i + q, q - q^-1
 for H_i^-1 in the bar involution), a table filled in as labels are met
 holds the (target, exponent shift, coefficient) triples of
-N_y . (H_i + d), read off the four cases with like terms combined; its
-targets are one int object per label and module.  The bar images bar(N_w)
-and N_e . H_w are cached as triples in the same form, and so are the
-images of N_w under the inclusions map_i and map_j.  An element with
+N_y . (H_i + d), read off the four cases with like terms combined.  The
+bar images bar(N_w) and N_e . H_w are cached as triples in the same
+form, and so are the images of N_w under the inclusions map_i and map_j.  An element with
 fractional coefficients is taken as integer numerators over the lcm of
 its denominators; dividing the result's coefficients by it costs one
 reduction per distinct (numerator, denominator) pair, since the
@@ -59,13 +58,13 @@ and the automorphism H_x -> H_{w0 x w0} (conjugation by w0, sending H_i
 to H_{n-i}) both commute with bar, permute the standard basis and keep
 unitriangularity, so they map C_w to C_{w^-1} and C_{w0 w w0}: with
 P_{x,w} the coefficients, P_{x,w} = P_{x^-1,w^-1} = P_{w0 x w0,w0 w w0}
-(Kazhdan and Lusztig, Invent. Math. 53, 1979).  An element whose
-partner in its orbit is already computed is that partner with its
-labels relabelled, sharing its coefficient objects; the others are
-built by the step.  With a wall, the two maps lead out of the module
-(inversion turns the left quotient by the walls into a right one, and
-conjugation by w0 reflects the walls), so every other module runs the
-step for each label.
+(Kazhdan and Lusztig, Invent. Math. 53, 1979).  The least label of each
+orbit is stepped, and every other element of the orbit is read off it
+with its labels relabelled, sharing its coefficient objects, so the
+labels the step builds do not depend on the call order.  With a wall,
+the two maps lead out of the module (inversion turns the left quotient
+by the walls into a right one, and conjugation by w0 reflects the
+walls), so every other module runs the step for each label.
 """
 
 from __future__ import annotations
@@ -73,7 +72,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .qarith import LaurentPoly, RationalFunction, SparseVector, common_denominator, json_parser
+from .qarith import (
+    LaurentPoly, RationalFunction, SparseVector, _coefficient, common_denominator, json_parser
+)
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
 
 __all__ = ["InducedModule", "ModuleElement", "map_i", "map_Q", "map_j", "map_z"]
@@ -262,6 +263,19 @@ def _last_descent(n: int, code: int) -> int:
     return 0
 
 
+def _first_descent(n: int, code: int) -> int:
+    """The least i with w(i) > w(i+1), 0 for the identity."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    a = code & mask
+    for i in range(1, n):
+        b = (code >> (width * i)) & mask
+        if a > b:
+            return i
+        a = b
+    return 0
+
+
 def _index(mod: InducedModule, w: Permutation) -> int:
     """The code of w, which must index a basis element of mod."""
     if type(w) is not Permutation:
@@ -331,13 +345,6 @@ _FOLDED = {
 }
 
 
-@cache
-def _labels(mod: InducedModule) -> dict:
-    """Each label of mod that a table has met, mapped to itself, so that
-    the supports of mod's elements share one int object per label."""
-    return {}
-
-
 class _Table(dict):
     """label -> the row row_of(label), computed the first time the label
     is met, so that a small element of a large module does not list the
@@ -360,12 +367,8 @@ def _step_table(mod: InducedModule, i: int, diagonal: tuple) -> _Table:
     width = mod.n.bit_length()
 
     def row_of(y: int) -> tuple:
-        labels = _labels(mod)
-        y = labels.setdefault(y, y)
         terms = _FOLDED[_case(mod, y, i), diagonal]
-        if any(move for move, _, _ in terms):
-            moved = _times_simple(y, i, width)
-            moved = labels.setdefault(moved, moved)
+        moved = _times_simple(y, i, width)
         return tuple((moved if move else y, shift, coeff) for move, shift, coeff in terms)
 
     return _Table(row_of)
@@ -432,18 +435,11 @@ def _word_times(mod: InducedModule, code: int, diagonal: tuple) -> tuple:
     = N_e . H_i1^-1 ... H_ik^-1 for _H_INVERSE."""
     i = _last_descent(mod.n, code)
     if not i:
-        return ((_labels(mod).setdefault(code, code), 0, 1),)
+        return ((code, 0, 1),)
     table = _step_table(mod, i, diagonal)
     shorter = _word_times(mod, _times_simple(code, i, mod.n.bit_length()), diagonal)
     work = _accumulate({}, (({e: v}, table[y]) for y, e, v in shorter))
     return tuple((y, e, v) for y, poly in work.items() for e, v in poly.items() if v)
-
-
-@cache
-def _coefficient(terms: tuple) -> LaurentPoly:
-    """The Laurent polynomial with these sorted nonzero (exponent,
-    coefficient) pairs, one shared object per value."""
-    return LaurentPoly(dict(terms))
 
 
 @cache
@@ -477,36 +473,36 @@ def canonical_basis_element(mod: InducedModule, w: Permutation) -> ModuleElement
 
 @cache
 def _canonical(mod: InducedModule, code: int) -> ModuleElement:
-    """The canonical element at the label code.  In the regular module it
-    is read off a computed member of its symmetry orbit when there is one
-    (see _read_off); otherwise it is built by the canonical step."""
+    """The canonical element at the label code, built by the canonical
+    step.  In the regular module only the least label of each symmetry
+    orbit is stepped, and any other label is read off it (see _read_off)
+    through the label map that takes code to it: each map is an
+    involution, so it takes the least label back to code."""
     if mod.p_gens or mod.q_gens:
         return _stepped(mod, code)
-    partners = _partners(mod)
-    entry = partners.get(code)
-    if entry is not None:
-        return _read_off(mod, code, *entry)
-    result = _stepped(mod, code)
-    inverse = _inverse_code(mod.n, code)
-    images = (inverse, _conjugate_code(mod.n, code), _conjugate_code(mod.n, inverse))
-    for partner, image in zip(images, _symmetries(mod)):
-        partners.setdefault(partner, (result, code, image))
-    return result
+    image = min(_symmetries(mod), key=lambda table: table[code])
+    top = image[code]
+    if top >= code:
+        return _stepped(mod, code)
+    return _read_off(mod, code, _canonical(mod, top), top, image)
 
 
 def _stepped(mod: InducedModule, code: int) -> ModuleElement:
     """The canonical element at the label code, built as C_{w s_i} .
-    (H_i + q) for the last descent i of w, corrected by m C_y for each
-    constant term m at a label y != w.
+    (H_i + q) for the first descent i of w, corrected by m C_y for each
+    constant term m at a label y != w.  Any descent gives C_w; at the
+    least labels of the regular module's orbits the first one meets about
+    half the corrections of the last (416,140 against 784,184 terms for
+    S_7).
 
     Each label's coefficient is a shared value at every stage: a step
     term or a correction is one lookup in the memo of sums, so each
     distinct sum is computed once.  Each C_y has a constant term only at
     y, so the corrections do not interact.  Unitriangularity is read once
     per distinct value of the result."""
-    i = _last_descent(mod.n, code)
+    i = _first_descent(mod.n, code)
     if not i:
-        return ModuleElement._of(mod, {_labels(mod).setdefault(code, code): _coefficient(((0, 1),))})
+        return ModuleElement._of(mod, {code: _coefficient(((0, 1),))})
     shorter = _canonical(mod, _times_simple(code, i, mod.n.bit_length()))
     table = _step_table(mod, i, _H_PLUS_Q)
     sums = _sums()
@@ -563,30 +559,18 @@ def _conjugate_code(n: int, code: int) -> int:
 @cache
 def _symmetries(mod: InducedModule) -> tuple:
     """The label maps w -> w^-1, w0 w w0 and w0 w^-1 w0 of the regular
-    module mod, each a table filled in as labels are met, with values
-    interned through _labels."""
+    module mod, each an involution and a table filled in as labels are
+    met."""
     n = mod.n
 
     def table(relabel) -> _Table:
-        def row_of(y: int) -> int:
-            y = relabel(n, y)
-            return _labels(mod).setdefault(y, y)
-
-        return _Table(row_of)
+        return _Table(lambda y: relabel(n, y))
 
     return (
         table(_inverse_code),
         table(_conjugate_code),
         table(lambda n, y: _conjugate_code(n, _inverse_code(n, y))),
     )
-
-
-@cache
-def _partners(mod: InducedModule) -> dict:
-    """For the regular module mod: each image w^-1, w0 w w0, w0 w^-1 w0
-    of a label w whose canonical element the step has built, mapped to
-    (C_w, w, the label map) to read its canonical element off."""
-    return {}
 
 
 def _read_off(mod: InducedModule, code: int, source: ModuleElement, top: int, image):
@@ -647,14 +631,12 @@ def _map_table(src: InducedModule, dst: InducedModule) -> _Table:
     width = n.bit_length()
 
     def row_of(w: int) -> tuple:
-        labels = _labels(dst)
         entries = _entries(n, w)
-        row = []
-        for r, shift, coeff in reps:
-            # (r w)(j) = r(w(j))
-            target = sum(r[v - 1] << (width * j) for j, v in enumerate(entries))
-            row.append((labels.setdefault(target, target), shift, coeff))
-        return tuple(row)
+        # (r w)(j) = r(w(j))
+        return tuple(
+            (sum(r[v - 1] << (width * j) for j, v in enumerate(entries)), shift, coeff)
+            for r, shift, coeff in reps
+        )
 
     return _Table(row_of)
 

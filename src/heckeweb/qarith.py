@@ -129,9 +129,6 @@ class LaurentPoly:
             g = _int_gcd(g, abs(c))
         return g
 
-    def leading_coeff(self) -> int:
-        return self.terms[self.max_exp()]
-
     # -- ring operations ---------------------------------------------
 
     # An operand that is neither a LaurentPoly nor an int gives
@@ -197,22 +194,6 @@ class LaurentPoly:
 
     def inverse(self):
         return _fraction(LaurentPoly.one(), self)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if len(self.terms) == 1:
-                ((e, c),) = self.terms.items()
-                if c in (1, -1):
-                    return LaurentPoly({e * n: c**(-n) if c == -1 else 1})
-            raise ValueError("negative power of a non-monomial Laurent polynomial")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -295,6 +276,13 @@ def _to_laurent(x):
     if isinstance(x, int):
         return LaurentPoly.const(x)
     return NotImplemented
+
+
+@cache
+def _coefficient(terms: tuple) -> LaurentPoly:
+    """The Laurent polynomial with these sorted nonzero (exponent,
+    coefficient) pairs, one shared object per value."""
+    return LaurentPoly(dict(terms))
 
 
 # -- polynomials over Z[q] as dense coefficient lists ------------------

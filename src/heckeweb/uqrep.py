@@ -34,6 +34,7 @@ from itertools import combinations
 from .qarith import (
     LaurentPoly,
     SparseVector,
+    _coefficient,
     json_parser,
     quantum_binom,
     quantum_int,
@@ -41,7 +42,7 @@ from .qarith import (
     quantum_multinom0,
 )
 from .symgrp import seq_act_right
-from .inducedmod import ModuleElement, _coefficient
+from .inducedmod import ModuleElement
 
 __all__ = [
     "composition",

@@ -169,11 +169,11 @@ def primitive(p: LaurentPoly) -> LaurentPoly:
 def pseudo_rem(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Pseudo-remainder of a by b, both ordinary polynomials."""
     db = b.max_exp()
-    lead_b = b.leading_coeff()
+    lead_b = b.terms[b.max_exp()]
     r = a
     while not r.is_zero() and r.max_exp() >= db:
         k = r.max_exp() - db
-        r = r * lead_b - b * LaurentPoly.q(k, r.leading_coeff())
+        r = r * lead_b - b * LaurentPoly.q(k, r.terms[r.max_exp()])
     return r
 
 
@@ -184,7 +184,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     a, b = primitive(a), primitive(b)
     while not b.is_zero():
         a, b = b, primitive(pseudo_rem(a, b))
-    if a.leading_coeff() < 0:
+    if a.terms[a.max_exp()] < 0:
         a = -a
     return a * g
 
@@ -226,7 +226,7 @@ def fraction_normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple:
     p, d = num.shift(-vn), den.shift(-vd)
     g = poly_gcd(p, d)
     p, d = divexact(p, g), divexact(d, g)
-    if d.leading_coeff() < 0:
+    if d.terms[d.max_exp()] < 0:
         p, d = -p, -d
     return p.shift(vn - vd), d
 
@@ -332,7 +332,7 @@ def map_Q_by_terms(src, dst, x):
 def map_j_by_terms(src, dst, x):
     reps = _reps_inside(src.parabolic_p(), dst.p_gens)
     return inducedmod.ModuleElement.from_terms(dst, (
-        (r * w, c * (-LaurentPoly.q()) ** length)
+        (r * w, c * LaurentPoly.q(length, (-1) ** length))
         for w, c in x.permutation_support().items()
         for r, length in reps
     ))

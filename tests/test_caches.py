@@ -37,7 +37,7 @@ def _compute():
     values = [
         hecke.kl_basis_element(w),
         hecke.kl_basis_element(Permutation((3, 1, 4, 2))),
-        # its inverse: read off it when the step built it
+        # its inverse: read off it, the least label of their orbit
         hecke.kl_basis_element(Permutation((2, 4, 1, 3))),
         inducedmod.canonical_basis_element(mod, top),
         mod.standard(top).bar(),
@@ -58,12 +58,10 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod._canonical",
         "heckeweb.inducedmod._word_times",
         "heckeweb.inducedmod._step_table",
-        "heckeweb.inducedmod._labels",
         "heckeweb.inducedmod._quotient_norm",
-        "heckeweb.inducedmod._coefficient",
+        "heckeweb.qarith._coefficient",
         "heckeweb.inducedmod._sums",
         "heckeweb.inducedmod._symmetries",
-        "heckeweb.inducedmod._partners",
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",
@@ -87,23 +85,17 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
 
 def _kl_of_s4_from_a_cold_start():
     """KL of all of S_4 in a fixed order after clear_caches(), and the
-    regular module's label maps and partners it leaves behind."""
+    regular module's label maps it leaves behind."""
     heckeweb.clear_caches()
     values = [hecke.kl_basis_element(w) for w in all_permutations(4)]
     tables = inducedmod._symmetries(inducedmod.InducedModule.of(4))
-    partners = {
-        code: (dict(built.support), top, [table is image for table in tables].index(True))
-        for code, (built, top, image) in inducedmod._partners(inducedmod.InducedModule.of(4)).items()
-    }
-    return values, [dict(table) for table in tables], partners
+    return values, [dict(table) for table in tables]
 
 
 def test_the_symmetry_caches_refill_to_the_same_values():
-    """Which labels the label maps and partners hold depends on the call
-    order; after clear_caches() the same calls refill them alike."""
+    """After clear_caches() the same calls refill the label maps alike."""
     before = _kl_of_s4_from_a_cold_start()
-    _, tables, partners = before
-    assert all(tables) and partners
+    assert all(before[1])
     assert _kl_of_s4_from_a_cold_start() == before
 
 

@@ -345,7 +345,7 @@ def _s5_with_a_clear_halfway(clear):
 
 
 @pytest.mark.parametrize("table", [
-    "clear_caches", "_sums", "_coefficient", "_labels", "_step_table", "canonical_basis_element",
+    "clear_caches", "_sums", "_coefficient", "_step_table", "canonical_basis_element",
     "_canonical",
 ])
 def test_a_cleared_table_halfway_changes_no_value(fresh_caches, table):
@@ -414,9 +414,9 @@ def test_module_operations_match_the_term_by_term_oracles():
     assert mixed > 20, mixed
 
 
-def test_step_table_targets_are_one_object_per_label():
+def test_step_table_targets_are_the_basis_codes():
     mod = inducedmod.InducedModule.of(4, q_gens=(1,))
-    first = {}
+    targets = set()
     met_by = {}
     for diagonal in (inducedmod._H, inducedmod._H_PLUS_Q, inducedmod._H_INVERSE):
         for i in range(1, mod.n):
@@ -424,15 +424,11 @@ def test_step_table_targets_are_one_object_per_label():
             for w in mod.basis_index():
                 code = inducedmod._encode(w)
                 for target, _, _ in table[code]:
-                    assert first.setdefault(target, target) is target, (target, i)
+                    targets.add(target)
                     if target != code:
                         met_by.setdefault(target, set()).add(i)
-    assert set(first) == {inducedmod._encode(w) for w in mod.basis_index()}
+    assert targets == {inducedmod._encode(w) for w in mod.basis_index()}
     assert any(len(steps) > 1 for steps in met_by.values())
-    # the labels of a result are the table's objects
-    for w in mod.basis_index():
-        for label in inducedmod.canonical_basis_element(mod, w).support:
-            assert first[label] is label
 
 
 def _case_by_products(mod, w, i):
@@ -456,6 +452,7 @@ def test_a_code_is_the_one_line_word_and_steps_with_it(data):
     assert inducedmod._permutation(n, code) == w
     assert inducedmod._term_key(n, code) == (w.length(), w.one_line)
     assert inducedmod._last_descent(n, code) == max(w.right_descents(), default=0)
+    assert inducedmod._first_descent(n, code) == min(w.right_descents(), default=0)
     if n == 1:
         return
     i = data.draw(st.integers(1, n - 1))
@@ -477,18 +474,27 @@ def test_a_small_element_of_s10_lists_only_the_labels_it_meets(fresh_caches):
     w = Permutation.from_word(10, (1, 3, 2))
     kl = hecke.kl_basis_element(w)
     tail = tuple(range(5, 11))
-    below = {
-        inducedmod._encode(Permutation(v.one_line + tail))
+    interval = [
+        Permutation(v.one_line + tail)
         for v in all_permutations(4)
         if v.bruhat_leq(Permutation(w.one_line[:4]))
-    }
+    ]
+    below = set(map(inducedmod._encode, interval))
     assert set(kl.support) == below
+    # the step may run at another member of w's symmetry orbit
+    w0 = Permutation(tuple(range(10, 0, -1)))
+    images = {
+        inducedmod._encode(x)
+        for v in interval
+        for x in (v.inverse(), w0 * v * w0, w0 * v.inverse() * w0)
+    }
     mod = inducedmod.InducedModule.of(10)
-    met = set(inducedmod._labels(mod))
-    assert met <= below
+    met = set()
     for i in range(1, 10):
         for diagonal in (inducedmod._H, inducedmod._H_PLUS_Q, inducedmod._H_INVERSE):
-            assert set(inducedmod._step_table(mod, i, diagonal)) <= met
+            table = inducedmod._step_table(mod, i, diagonal)
+            met |= set(table) | {target for row in table.values() for target, _, _ in row}
+    assert met <= below | images
 
 
 def test_a_support_is_keyed_by_code_whichever_constructor_builds_it():
@@ -530,8 +536,8 @@ def test_the_constructor_rejects_a_support_it_cannot_encode(label, error):
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
 def test_the_orbit_route_gives_the_step_route_in_any_call_order(fresh_caches, order):
-    """Which element of a symmetry orbit the step builds, and which ones
-    are read off it, depends on the call order; no value does."""
+    """In any call order, the orbit route gives the values of the step
+    route, which steps every label."""
     for n in range(1, 7):
         mod = inducedmod.InducedModule.of(n)
         codes = sorted(inducedmod._encode(w) for w in all_permutations(n))
@@ -542,6 +548,35 @@ def test_the_orbit_route_gives_the_step_route_in_any_call_order(fresh_caches, or
         for code in codes:
             got = hecke.kl_basis_element(inducedmod._permutation(n, code))
             assert got.support == canonical_basis_by_step(mod, code).support, (n, code)
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+def test_the_step_builds_the_least_label_of_each_orbit_in_any_call_order(
+    fresh_caches, monkeypatch, order
+):
+    stepped = []
+    step = inducedmod._stepped
+
+    def recorded(mod, code):
+        stepped.append(code)
+        return step(mod, code)
+
+    monkeypatch.setattr(inducedmod, "_stepped", recorded)
+    for n in range(1, 7):
+        w0 = Permutation(tuple(range(n, 0, -1)))
+        orbits = {
+            frozenset(map(inducedmod._encode, (w, w.inverse(), w0 * w * w0, w0 * w.inverse() * w0)))
+            for w in all_permutations(n)
+        }
+        codes = sorted(inducedmod._encode(w) for w in all_permutations(n))
+        if order == "decreasing":
+            codes.reverse()
+        elif order == "shuffled":
+            random.Random(n).shuffle(codes)
+        stepped.clear()
+        for code in codes:
+            hecke.kl_basis_element(inducedmod._permutation(n, code))
+        assert sorted(stepped) == sorted(min(orbit) for orbit in orbits), n
 
 
 def _steps(monkeypatch):
@@ -577,15 +612,15 @@ def test_a_module_with_a_wall_runs_the_step_for_every_label(fresh_caches, monkey
 def test_a_broken_relabelling_is_an_internal_error(fresh_caches, monkeypatch, capsys, image):
     mod = inducedmod.InducedModule.of(3)
     w, partner = Permutation((2, 3, 1)), Permutation((3, 1, 2))  # w^-1 = w0 w w0
-    source = hecke.kl_basis_element(w)
+    hecke.kl_basis_element(w)
     top, code = inducedmod._encode(w), inducedmod._encode(partner)
-    built, built_top, _ = inducedmod._partners(mod)[code]
-    assert built.support == source.support and built_top == top
+    assert min(table[code] for table in inducedmod._symmetries(mod)) == top
+    # each broken map still takes code to top, so partner is read off w
     if image == "merges two labels":
-        broken = inducedmod._Table(lambda y: code)
+        broken = inducedmod._Table(lambda y: top if y == code else code)
     else:
-        broken = inducedmod._Table(lambda y: y)
-    monkeypatch.setitem(inducedmod._partners(mod), code, (source, top, broken))
+        broken = inducedmod._Table(lambda y: top if y == code else y)
+    monkeypatch.setattr(inducedmod, "_symmetries", lambda mod: (broken,))
     with pytest.raises(ArithmeticError, match=r"relabelling the canonical element at \[2,3,1\]"):
         hecke.kl_basis_element(partner)
     assert cli.main(["kl-basis", "--n", "3", "--w", "s2*s1"]) == 3
