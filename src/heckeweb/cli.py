@@ -9,7 +9,6 @@ that must be invertible).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from functools import cache
@@ -64,6 +63,8 @@ def _emit(args, text_lines, json_payload) -> None:
     """Print the text lines or the JSON payload, and write the payload to
     --out; each is a function called only when its format is wanted."""
     if args.format == "json" or args.out:
+        import json  # here, not at the top: only JSON output pays for it
+
         payload = json.dumps(json_payload(), indent=2, sort_keys=True) + "\n"
     if args.out:
         try:

@@ -69,11 +69,11 @@ walls), so every other module runs the step for each label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .qarith import (
-    LaurentPoly, RationalFunction, SparseVector, _coefficient, common_denominator, json_parser
+    Immutable, LaurentPoly, RationalFunction, SparseVector, _coefficient, common_denominator,
+    json_parser,
 )
 from .symgrp import ParabolicSubgroup, Permutation, is_shortest_rep, shortest_coset_reps
 
@@ -83,27 +83,38 @@ _Q = LaurentPoly.q
 _ONE = LaurentPoly.one()
 
 
-@dataclass(frozen=True, slots=True)
-class InducedModule:
-    """The module given by n and its two walls.  Equal modules have equal
-    (n, p_gens, q_gens); the hash of that triple is computed once, since
-    every module-keyed cache hashes the module on each lookup."""
+class InducedModule(Immutable):
+    """The module given by n and its two walls, frozensets of generators.
+    Equal modules have equal (n, p_gens, q_gens); the hash of that triple
+    is computed once, since every module-keyed cache hashes the module on
+    each lookup."""
 
-    n: int
-    p_gens: frozenset[int]
-    q_gens: frozenset[int]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "p_gens", "q_gens", "_hash")
 
-    def __post_init__(self):
-        p, q = self.parabolic_p(), self.parabolic_q()
+    def __init__(self, n: int, p_gens: frozenset[int], q_gens: frozenset[int]):
+        p, q = ParabolicSubgroup(n, p_gens), ParabolicSubgroup(n, q_gens)
         if not p.commutes_elementwise_with(q):
             raise ValueError(
                 f"parabolic subgroups {p} and {q} do not commute elementwise"
             )
-        object.__setattr__(self, "_hash", hash((self.n, self.p_gens, self.q_gens)))
+        _N(self, n)
+        _P_GENS(self, p_gens)
+        _Q_GENS(self, q_gens)
+        _HASH(self, hash((n, p_gens, q_gens)))
+
+    def __eq__(self, other):
+        if type(other) is not InducedModule:
+            return NotImplemented
+        return self.n == other.n and self.p_gens == other.p_gens and self.q_gens == other.q_gens
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return InducedModule, (self.n, self.p_gens, self.q_gens)
+
+    def __repr__(self):
+        return f"InducedModule(n={self.n!r}, p_gens={self.p_gens!r}, q_gens={self.q_gens!r})"
 
     @staticmethod
     def of(n: int, p_gens=(), q_gens=()) -> "InducedModule":
@@ -146,6 +157,13 @@ class InducedModule:
         return InducedModule.of(data["n"], data["p_generators"], data["q_generators"])
 
 
+# The slot setters, which bypass the refusing __setattr__.
+_N, _P_GENS, _Q_GENS, _HASH = (
+    InducedModule.n.__set__, InducedModule.p_gens.__set__,
+    InducedModule.q_gens.__set__, InducedModule._hash.__set__,
+)
+
+
 class ModuleElement(SparseVector):
     """sum_w c_w N_w in the induced module `parent`, labelled by shortest
     coset representatives w and keyed in `support` by their codes."""
@@ -174,7 +192,7 @@ class ModuleElement(SparseVector):
         return {_permutation(n, code): c for code, c in self.support.items()}
 
     def check_unitriangular(self, top: Permutation, below=None) -> None:
-        """SparseVector.check_unitriangular, with top, below's arguments
+        """SparseVector.check_unitriangular, with top, below's argument
         and the labels of the message as Permutations."""
         SparseVector(self.parent, self.permutation_support()).check_unitriangular(top, below)
 

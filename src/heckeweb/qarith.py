@@ -36,7 +36,6 @@ representations all use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, wraps
 from math import gcd as _int_gcd
 
@@ -56,6 +55,20 @@ __all__ = [
     "quantum_binom0",
     "quantum_multinom0",
 ]
+
+
+class Immutable:
+    """The base of the value classes with named fields: their slots are
+    written once, by the constructor through the slot descriptors, and
+    never again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name}")
 
 
 class LaurentPoly:
@@ -534,8 +547,7 @@ def common_denominator(coeffs):
 # -- finite linear combinations ------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SparseVector:
+class SparseVector(Immutable):
     """A finite linear combination of labelled basis vectors of the space
     `parent`, stored as a dict from label to nonzero coefficient (a
     LaurentPoly, or a RationalFunction after a division); no zero
@@ -549,19 +561,27 @@ class SparseVector:
     their codes); the vector operations build their results through
     `_of`, which takes a support over as it is."""
 
-    parent: object
-    support: dict  # label -> nonzero LaurentPoly or RationalFunction
-
+    __slots__ = ("parent", "support")
     PARENTHESIZE_FRACTIONS = False
+
+    def __init__(self, parent, support: dict):
+        _PARENT(self, parent)
+        _SUPPORT(self, support)
 
     @classmethod
     def _of(cls, parent, support: dict):
         """The vector with this support, taken over as it is: its labels
         are the ones the class stores, which the constructor may not take."""
         v = object.__new__(cls)
-        object.__setattr__(v, "parent", parent)
-        object.__setattr__(v, "support", support)
+        _PARENT(v, parent)
+        _SUPPORT(v, support)
         return v
+
+    def __reduce__(self):
+        return self._of, (self.parent, self.support)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(parent={self.parent!r}, support={self.support!r})"
 
     @classmethod
     def from_terms(cls, parent, terms, start=()):
@@ -644,17 +664,26 @@ class SparseVector:
 
     def check_unitriangular(self, top, below=None) -> None:
         """Raise ArithmeticError unless the coefficient at `top` is 1 and
-        every other one lies in qZ[q], at a label with below(label, top)
-        when `below` is given: the shape of a canonical basis element."""
+        every other one lies in qZ[q], at a label with below(label) when
+        the predicate `below` is given: the shape of a canonical basis
+        element.  Each distinct coefficient object off the diagonal is
+        checked once; the first label in support order that breaks the
+        shape is reported."""
         if top not in self.support:
             raise ArithmeticError(f"no diagonal coefficient at {top}")
+        good = set()  # ids of the off-diagonal coefficients found in qZ[q]
         for label, c in self.support.items():
-            if not isinstance(c, LaurentPoly):
-                raise ArithmeticError(f"coefficient {c} at {label} is not a Laurent polynomial")
-            if label == top:
-                if not c.is_one():
-                    raise ArithmeticError(f"diagonal coefficient {c} at {top}")
-            elif c.min_exp() < 1 or (below is not None and not below(label, top)):
+            if label == top or id(c) not in good:
+                if not isinstance(c, LaurentPoly):
+                    raise ArithmeticError(f"coefficient {c} at {label} is not a Laurent polynomial")
+                if label == top:
+                    if not c.is_one():
+                        raise ArithmeticError(f"diagonal coefficient {c} at {top}")
+                    continue
+                if c.min_exp() < 1:
+                    raise ArithmeticError(f"coefficient {c} at {label} breaks unitriangularity")
+                good.add(id(c))
+            if below is not None and not below(label):
                 raise ArithmeticError(f"coefficient {c} at {label} breaks unitriangularity")
 
     def _support_json(self, key: str, label_json) -> list:
@@ -672,6 +701,10 @@ class SparseVector:
                 raise ValueError(f"{key} {item[key]!r} is listed twice")
             support[label] = RationalFunction.from_json(item["coeff"])
         return cls.from_terms(parent, support.items())
+
+
+# The slot setters, which bypass the refusing __setattr__.
+_PARENT, _SUPPORT = SparseVector.parent.__set__, SparseVector.support.__set__
 
 
 def _summed(terms, start) -> dict:

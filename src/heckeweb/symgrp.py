@@ -16,9 +16,10 @@ word, left multiplication swaps the values i, i+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations as _itperms
+
+from .qarith import Immutable
 
 __all__ = [
     "Permutation",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 
-class Permutation:
+class Permutation(Immutable):
     """An immutable permutation in one-line notation.  The constructor
     validates its input; products, inverses and `times_simple` build their
     results unchecked, since they are permutations by construction.  The
@@ -50,12 +51,6 @@ class Permutation:
         w = object.__new__(cls)
         _init(w, one_line)
         return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Permutation is immutable; cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Permutation is immutable; cannot delete {name}")
 
     def __eq__(self, other):
         if type(other) is not Permutation:
@@ -167,14 +162,14 @@ class Permutation:
 
 
 # The slot setters, which bypass the class's refusing __setattr__.
-_ONE_LINE, _HASH = Permutation.one_line, Permutation._hash
+_ONE_LINE, _HASH = Permutation.one_line.__set__, Permutation._hash.__set__
 
 
 def _init(w: Permutation, one_line: tuple[int, ...]) -> None:
-    _ONE_LINE.__set__(w, one_line)
-    # hashed as a 1-tuple, the dataclass hash, so sets of permutations
-    # keep the iteration order they had
-    _HASH.__set__(w, hash((one_line,)))
+    _ONE_LINE(w, one_line)
+    # hashed as a 1-tuple, the field-tuple hash every value class uses, so
+    # sets of permutations keep the iteration order they had
+    _HASH(w, hash((one_line,)))
 
 
 def seq_act_right(eta, w: Permutation):
@@ -192,19 +187,34 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(perms)
 
 
-@dataclass(frozen=True, slots=True)
-class ParabolicSubgroup:
-    n: int
-    generators: frozenset[int]
+class ParabolicSubgroup(Immutable):
+    """The subgroup of S_n generated by the simple transpositions s_i, i
+    in the frozenset `generators`."""
 
-    def __post_init__(self):
-        if type(self.n) is not int or any(type(i) is not int for i in self.generators):
-            raise ValueError(
-                f"n and the generators must be integers: n={self.n!r}, {set(self.generators)}"
-            )
-        bad = [i for i in self.generators if not 1 <= i <= self.n - 1]
+    __slots__ = ("n", "generators")
+
+    def __init__(self, n: int, generators: frozenset[int]):
+        if type(n) is not int or any(type(i) is not int for i in generators):
+            raise ValueError(f"n and the generators must be integers: n={n!r}, {set(generators)}")
+        bad = [i for i in generators if not 1 <= i <= n - 1]
         if bad:
-            raise ValueError(f"generators {bad} out of range for S_{self.n}")
+            raise ValueError(f"generators {bad} out of range for S_{n}")
+        _N(self, n)
+        _GENERATORS(self, generators)
+
+    def __eq__(self, other):
+        if type(other) is not ParabolicSubgroup:
+            return NotImplemented
+        return self.n == other.n and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.n, self.generators))
+
+    def __reduce__(self):
+        return ParabolicSubgroup, (self.n, self.generators)
+
+    def __repr__(self):
+        return f"ParabolicSubgroup(n={self.n!r}, generators={self.generators!r})"
 
     @staticmethod
     def of(n: int, gens) -> "ParabolicSubgroup":
@@ -243,6 +253,10 @@ class ParabolicSubgroup:
     def __str__(self):
         gens = ",".join(str(i) for i in sorted(self.generators))
         return f"<{gens}>" if gens else "<>"
+
+
+# The slot setters, which bypass the refusing __setattr__.
+_N, _GENERATORS = ParabolicSubgroup.n.__set__, ParabolicSubgroup.generators.__set__
 
 
 def is_shortest_rep(w: Permutation, p: ParabolicSubgroup) -> bool:

@@ -33,11 +33,10 @@ bilinear-form route `hom_dim_form_route`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial, prod
 
-from .qarith import LaurentPoly, json_parser, quantum_binom0
+from .qarith import Immutable, LaurentPoly, json_parser, quantum_binom0
 from .symgrp import Permutation
 from . import uqrep, webcat
 from .uqrep import TensorVector, bilinear_form, composition
@@ -67,18 +66,32 @@ __all__ = [
 _Q = LaurentPoly.q
 
 
-@dataclass(frozen=True, slots=True)
-class HookTableau:
-    comp: tuple[int, ...]
-    column: tuple[int, ...]  # bottom to top, k entries
-    row: tuple[int, ...]  # left to right, n-k entries
+class HookTableau(Immutable):
+    """A hook tableau of type comp: its column, bottom to top (k entries),
+    and its row, left to right (n-k entries)."""
 
-    def __post_init__(self):
-        expected = sorted(_type_sequence(self.comp))
-        if sorted(self.column + self.row) != expected:
-            raise ValueError(
-                f"entries {self.column + self.row} do not fill type {self.comp}"
-            )
+    __slots__ = ("comp", "column", "row")
+
+    def __init__(self, comp: tuple[int, ...], column: tuple[int, ...], row: tuple[int, ...]):
+        if sorted(column + row) != sorted(_type_sequence(comp)):
+            raise ValueError(f"entries {column + row} do not fill type {comp}")
+        _COMP(self, comp)
+        _COLUMN(self, column)
+        _ROW(self, row)
+
+    def __eq__(self, other):
+        if type(other) is not HookTableau:
+            return NotImplemented
+        return self.comp == other.comp and self.column == other.column and self.row == other.row
+
+    def __hash__(self):
+        return hash((self.comp, self.column, self.row))
+
+    def __reduce__(self):
+        return HookTableau, (self.comp, self.column, self.row)
+
+    def __repr__(self):
+        return f"HookTableau(comp={self.comp!r}, column={self.column!r}, row={self.row!r})"
 
     def entries(self) -> tuple[int, ...]:
         """Entries in box order: column bottom to top, then row."""
@@ -101,6 +114,10 @@ class HookTableau:
         if not all(type(e) is int for e in column + row):
             raise ValueError(f"tableau entries must be integers: {column + row}")
         return HookTableau(comp, column, row)
+
+
+# The slot setters, which bypass the refusing __setattr__.
+_COMP, _COLUMN, _ROW = HookTableau.comp.__set__, HookTableau.column.__set__, HookTableau.row.__set__
 
 
 def _type_sequence(comp) -> tuple[int, ...]:

@@ -29,7 +29,8 @@ Two routes are kept as checks: the evaluated diagram
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import le
 
 from .qarith import (
     LaurentPoly,
@@ -176,15 +177,18 @@ def eta_leq(eta, gamma) -> bool:
     """Partial order on 0/1 sequences of equal weight: eta below gamma if
     every prefix of eta carries at most as many ones.  Matches the Bruhat
     order on shortest coset representatives under the standard bijection."""
-    if len(eta) != len(gamma) or sum(eta) != sum(gamma):
-        return False
-    se = sg = 0
-    for e, g in zip(eta, gamma):
-        se += e
-        sg += g
-        if se > sg:
-            return False
-    return True
+    return _below(gamma)(eta)
+
+
+def _below(gamma):
+    """The predicate eta -> eta_leq(eta, gamma), which compares the prefix
+    sums of eta with those of gamma, computed once."""
+    size, weight, bound = len(gamma), sum(gamma), tuple(accumulate(gamma))
+
+    def below(eta) -> bool:
+        return len(eta) == size and sum(eta) == weight and all(map(le, accumulate(eta), bound))
+
+    return below
 
 
 def weight_index(comp, eta) -> int:
@@ -404,7 +408,7 @@ def _canonical_basis(comp, eta) -> TensorVector:
             shift += comp[r]
         terms = {head + bits: d + s for head, d in terms.items() for bits, s in choices}
     x = TensorVector._of(comp, {g: _coefficient(((d, 1),)) for g, d in terms.items()})
-    x.check_unitriangular(eta, eta_leq)
+    x.check_unitriangular(eta, _below(eta))
     return x
 
 
@@ -427,7 +431,7 @@ def _canonical_basis_by_bar(comp, eta) -> TensorVector:
         lower = _canonical_basis_by_bar(comp, gamma)
         x = x + lower.scale(pos)
         defect = defect - lower.scale(c)
-    x.check_unitriangular(eta, eta_leq)
+    x.check_unitriangular(eta, _below(eta))
     return x
 
 

@@ -27,11 +27,10 @@ of `checks` compares the evaluations of both sides of each relation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
-from .qarith import LaurentPoly, json_parser, quantum_binom
+from .qarith import Immutable, LaurentPoly, json_parser, quantum_binom
 from . import uqrep
 from .uqrep import TensorVector, composition, standard_vector
 
@@ -58,11 +57,30 @@ __all__ = [
 _Q = LaurentPoly.q
 
 
-@dataclass(frozen=True, slots=True)
-class Slice:
-    kind: str  # "merge" or "split"
-    i: int  # 1-based position
-    parts: tuple[int, int] | None  # split only: (left, right)
+class Slice(Immutable):
+    """A slice of kind "merge" or "split" at the 1-based position i; the
+    parts of a split are its labels (left, right), those of a merge None."""
+
+    __slots__ = ("kind", "i", "parts")
+
+    def __init__(self, kind: str, i: int, parts: tuple[int, int] | None):
+        _KIND(self, kind)
+        _I(self, i)
+        _PARTS(self, parts)
+
+    def __eq__(self, other):
+        if type(other) is not Slice:
+            return NotImplemented
+        return self.kind == other.kind and self.i == other.i and self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.kind, self.i, self.parts))
+
+    def __reduce__(self):
+        return Slice, (self.kind, self.i, self.parts)
+
+    def __repr__(self):
+        return f"Slice(kind={self.kind!r}, i={self.i!r}, parts={self.parts!r})"
 
     def target(self, comp) -> tuple[int, ...]:
         """The type this slice reaches from comp; ValueError if it cannot act there."""
@@ -71,18 +89,34 @@ class Slice:
         return uqrep.split_type(comp, self.i, *self.parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Web:
-    source: tuple[int, ...]
-    slices: tuple[Slice, ...]
-    # types[j] is the type slice j acts on; types[-1] is the target
-    types: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+class Web(Immutable):
+    """The word `slices`, read bottom to top, on the type `source`.  It is
+    compared, hashed and printed by (source, slices); types[j] is the type
+    slice j acts on, and types[-1] is the target."""
 
-    def __post_init__(self):
-        types = [self.source]
-        for s in self.slices:
+    __slots__ = ("source", "slices", "types")
+
+    def __init__(self, source: tuple[int, ...], slices: tuple[Slice, ...]):
+        types = [source]
+        for s in slices:
             types.append(s.target(types[-1]))
-        object.__setattr__(self, "types", tuple(types))
+        _SOURCE(self, source)
+        _SLICES(self, slices)
+        _TYPES(self, tuple(types))
+
+    def __eq__(self, other):
+        if type(other) is not Web:
+            return NotImplemented
+        return self.source == other.source and self.slices == other.slices
+
+    def __hash__(self):
+        return hash((self.source, self.slices))
+
+    def __reduce__(self):
+        return Web, (self.source, self.slices)
+
+    def __repr__(self):
+        return f"Web(source={self.source!r}, slices={self.slices!r})"
 
     @property
     def target(self) -> tuple[int, ...]:
@@ -180,20 +214,42 @@ def evaluate_matrix(web: Web) -> dict:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledWebDiagram:
-    web: Web
-    bottom: tuple[int, ...]
-    top: tuple[int, ...] | None = None
+class LabeledWebDiagram(Immutable):
+    """A web with a 0/1 labeling of its bottom edges and, for a matrix
+    coefficient, of its top edges."""
 
-    def __post_init__(self):
-        if len(self.bottom) != len(self.web.source):
+    __slots__ = ("web", "bottom", "top")
+
+    def __init__(self, web: Web, bottom: tuple[int, ...], top: tuple[int, ...] | None = None):
+        if len(bottom) != len(web.source):
             raise ValueError("bottom labeling does not match the web source")
-        if self.top is not None and len(self.top) != len(self.web.target):
+        if top is not None and len(top) != len(web.target):
             raise ValueError("top labeling does not match the web target")
-        object.__setattr__(self, "bottom", uqrep._check_eta(self.web.source, self.bottom))
-        if self.top is not None:
-            object.__setattr__(self, "top", uqrep._check_eta(self.web.target, self.top))
+        _WEB(self, web)
+        _BOTTOM(self, uqrep._check_eta(web.source, bottom))
+        _TOP(self, None if top is None else uqrep._check_eta(web.target, top))
+
+    def __eq__(self, other):
+        if type(other) is not LabeledWebDiagram:
+            return NotImplemented
+        return self.web == other.web and self.bottom == other.bottom and self.top == other.top
+
+    def __hash__(self):
+        return hash((self.web, self.bottom, self.top))
+
+    def __reduce__(self):
+        return LabeledWebDiagram, (self.web, self.bottom, self.top)
+
+    def __repr__(self):
+        return f"LabeledWebDiagram(web={self.web!r}, bottom={self.bottom!r}, top={self.top!r})"
+
+
+# The slot setters, which bypass the refusing __setattr__.
+_KIND, _I, _PARTS = Slice.kind.__set__, Slice.i.__set__, Slice.parts.__set__
+_SOURCE, _SLICES, _TYPES = Web.source.__set__, Web.slices.__set__, Web.types.__set__
+_WEB, _BOTTOM, _TOP = (
+    LabeledWebDiagram.web.__set__, LabeledWebDiagram.bottom.__set__, LabeledWebDiagram.top.__set__
+)
 
 
 def matrix_coefficient(d: LabeledWebDiagram) -> LaurentPoly:

@@ -441,6 +441,28 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "v[10] + q*v[01]"
 
 
+def test_importing_the_cli_loads_no_introspection_or_json_module():
+    # a fresh interpreter, so that no module this test run loaded hides one
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import heckeweb.cli\n"
+        "heckeweb.cli.build_parser()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    package_root = Path(heckeweb.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "heckeweb.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}), added
+
+
 def test_permutation_size_must_match_n(capsys):
     code, out, err = run_cli(capsys, "kl-basis", "--n", "3", "--w", "[2,1]")
     assert code == 2 and out == "" and "error:" in err

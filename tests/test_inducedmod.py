@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import pickle
 import random
@@ -54,11 +53,12 @@ def test_equal_modules_hash_alike_and_print_as_their_fields():
     assert mod != inducedmod.InducedModule.of(4, q_gens=[1], p_gens=[3])
     assert len({mod, same, inducedmod.InducedModule.of(4)}) == 2
     assert repr(mod) == "InducedModule(n=4, p_gens=frozenset({1}), q_gens=frozenset({3}))"
-    for copy in (pickle.loads(pickle.dumps(mod)), dataclasses.replace(mod, n=4)):
+    copies = (pickle.loads(pickle.dumps(mod)), inducedmod.InducedModule(mod.n, mod.p_gens, mod.q_gens))
+    for copy in copies:
         assert copy == mod and hash(copy) == hash(mod)
-    shrunk = dataclasses.replace(mod, q_gens=frozenset())
+    shrunk = inducedmod.InducedModule(mod.n, mod.p_gens, frozenset())
     assert hash(shrunk) == hash(inducedmod.InducedModule.of(4, p_gens=[1]))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         mod.n = 5
 
 

@@ -191,7 +191,7 @@ def test_unitriangular_shape_check():
         with pytest.raises(ArithmeticError):
             SparseVector.from_terms("V", terms).check_unitriangular("a")
     with pytest.raises(ArithmeticError):
-        good.check_unitriangular("a", below=lambda label, top: label < top)
+        good.check_unitriangular("a", below=lambda label: label < "a")
     # the off-diagonal 1 is the diagonal's own object, not only an equal one
     shared = SparseVector("V", {"a": one, "b": one})
     assert shared.support["b"] is shared.support["a"]

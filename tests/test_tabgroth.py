@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -297,6 +298,27 @@ def test_translations_match_the_y0_routes():
                     for w in enumerate_lambda(comp, k):
                         got = tabgroth.translate_simple(comp, i, tabgroth.class_eta(w, comp, k))
                         assert got == translate_simple_by_y0(comp, i, k, w), (comp, i, k, w)
+
+
+def test_translations_match_the_merge_and_split_images():
+    # the projective class is the split image of the merged canonical
+    # vector, the simple class the merge image of the dual canonical one
+    cases = 0
+    for n in range(1, 6):
+        for comp in compositions_of(n):
+            for i in range(1, len(comp)):
+                merged = uqrep.merged_type(comp, i)
+                for eta in product((0, 1), repeat=len(merged)):
+                    want = uqrep.phi_split(
+                        uqrep.canonical_basis(merged, eta), i, comp[i - 1], comp[i]
+                    )
+                    assert tabgroth.translate_projective(comp, i, eta) == want, (comp, i, eta)
+                    cases += 1
+                for eta in product((0, 1), repeat=len(comp)):
+                    want = uqrep.phi_merge(uqrep.dual_canonical(comp, eta), i)
+                    assert tabgroth.translate_simple(comp, i, eta) == want, (comp, i, eta)
+                    cases += 1
+    assert cases == 852
 
 
 def test_survival_flips_match_the_index_permutations():

@@ -158,6 +158,23 @@ def test_canonical_unitriangular():
                 assert c.terms.get(0, 0) == 0 and c.min_exp() >= 1
 
 
+@pytest.mark.parametrize("top, support, message", [
+    ((0, 1), {(0, 1): 0, (1, 0): 1}, "coefficient q at (1, 0) breaks unitriangularity"),
+    # q at a label below top, then the same object at one that is not
+    ((1, 0, 1), {(1, 0, 1): 0, (0, 1, 1): 1, (1, 1, 0): 1},
+     "coefficient q at (1, 1, 0) breaks unitriangularity"),
+    ((1, 0, 1), {(1, 0, 1): 0, (1, 0, 0): 2}, "coefficient q^2 at (1, 0, 0) breaks unitriangularity"),
+    ((1, 0), {(1, 0): 1, (0, 1): 1}, "diagonal coefficient q at (1, 0)"),
+])
+def test_a_label_not_below_top_or_a_diagonal_not_1_is_refused(top, support, message):
+    # exponent d stands for q^d, one shared object per exponent
+    monomials = {d: Q(d) for d in set(support.values())}
+    x = uqrep.TensorVector((1,) * len(top), {eta: monomials[d] for eta, d in support.items()})
+    with pytest.raises(ArithmeticError) as refused:
+        x.check_unitriangular(top, uqrep._below(top))
+    assert str(refused.value) == message
+
+
 def test_bilinear_form_values():
     assert uqrep.bilinear_form(v((1, 1), (0, 1)), v((1, 1), (0, 1))).is_one()
     assert uqrep.bilinear_form(v((1, 1), (0, 0)), v((1, 1), (0, 0))) == Q(0) + Q(2)
