@@ -15,9 +15,11 @@ All values are immutable after construction and all operations are pure.
 The value classes with named fields (Permutation, ParabolicSubgroup,
 InducedModule, SparseVector and its subclasses, HookTableau, Slice, Web,
 LabeledWebDiagram) keep it by `__slots__` and the refusing `__setattr__`
-and `__delattr__` of their base `qarith.Immutable`: each constructor
-writes its slots once, through their descriptors.  A LaurentPoly or a
-RationalFunction has its slots written only where it is built.
+and `__delattr__` of their base `qarith.Immutable`, which also derives
+their equality, hash, pickling and repr from their `FIELDS`: each
+constructor writes its slots once, through `object.__setattr__`.  A
+LaurentPoly or a RationalFunction has its slots written only where it
+is built.
 Every cache is a `functools.cache` on a pure function: the caches grow
 without bound, are safe under concurrent readers (at worst two threads
 compute the same value), and `clear_caches()` empties them all.  The one

@@ -90,6 +90,7 @@ class InducedModule(Immutable):
     each lookup."""
 
     __slots__ = ("n", "p_gens", "q_gens", "_hash")
+    FIELDS = ("n", "p_gens", "q_gens")
 
     def __init__(self, n: int, p_gens: frozenset[int], q_gens: frozenset[int]):
         p, q = ParabolicSubgroup(n, p_gens), ParabolicSubgroup(n, q_gens)
@@ -97,24 +98,13 @@ class InducedModule(Immutable):
             raise ValueError(
                 f"parabolic subgroups {p} and {q} do not commute elementwise"
             )
-        _N(self, n)
-        _P_GENS(self, p_gens)
-        _Q_GENS(self, q_gens)
-        _HASH(self, hash((n, p_gens, q_gens)))
-
-    def __eq__(self, other):
-        if type(other) is not InducedModule:
-            return NotImplemented
-        return self.n == other.n and self.p_gens == other.p_gens and self.q_gens == other.q_gens
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p_gens", p_gens)
+        object.__setattr__(self, "q_gens", q_gens)
+        object.__setattr__(self, "_hash", hash((n, p_gens, q_gens)))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return InducedModule, (self.n, self.p_gens, self.q_gens)
-
-    def __repr__(self):
-        return f"InducedModule(n={self.n!r}, p_gens={self.p_gens!r}, q_gens={self.q_gens!r})"
 
     @staticmethod
     def of(n: int, p_gens=(), q_gens=()) -> "InducedModule":
@@ -155,13 +145,6 @@ class InducedModule(Immutable):
     @json_parser
     def from_json(data) -> "InducedModule":
         return InducedModule.of(data["n"], data["p_generators"], data["q_generators"])
-
-
-# The slot setters, which bypass the refusing __setattr__.
-_N, _P_GENS, _Q_GENS, _HASH = (
-    InducedModule.n.__set__, InducedModule.p_gens.__set__,
-    InducedModule.q_gens.__set__, InducedModule._hash.__set__,
-)
 
 
 class ModuleElement(SparseVector):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from functools import cache, wraps
 from math import gcd as _int_gcd
+from operator import attrgetter
 
 __all__ = [
     "LaurentPoly",
@@ -58,11 +59,36 @@ __all__ = [
 
 
 class Immutable:
-    """The base of the value classes with named fields: their slots are
-    written once, by the constructor through the slot descriptors, and
-    never again."""
+    """The base of the value classes with named fields.  A class lists its
+    compared fields once, in `FIELDS`; equality (with its own class only),
+    the hash of the field tuple, pickling through the constructor and the
+    repr `Class(field=value, ...)` follow from that list.  A constructor
+    writes each slot once, past the refusing `__setattr__`, through
+    `object.__setattr__`."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field tuple, read at C speed (attrgetter of one name gives a bare value)
+        get = attrgetter(*cls.FIELDS)
+        cls._values = property(get if len(cls.FIELDS) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.FIELDS, self._values))
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
@@ -561,27 +587,25 @@ class SparseVector(Immutable):
     their codes); the vector operations build their results through
     `_of`, which takes a support over as it is."""
 
-    __slots__ = ("parent", "support")
+    __slots__ = FIELDS = ("parent", "support")
+    __hash__ = None  # the support is a dict
     PARENTHESIZE_FRACTIONS = False
 
     def __init__(self, parent, support: dict):
-        _PARENT(self, parent)
-        _SUPPORT(self, support)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def _of(cls, parent, support: dict):
         """The vector with this support, taken over as it is: its labels
         are the ones the class stores, which the constructor may not take."""
         v = object.__new__(cls)
-        _PARENT(v, parent)
-        _SUPPORT(v, support)
+        object.__setattr__(v, "parent", parent)
+        object.__setattr__(v, "support", support)
         return v
 
     def __reduce__(self):
         return self._of, (self.parent, self.support)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(parent={self.parent!r}, support={self.support!r})"
 
     @classmethod
     def from_terms(cls, parent, terms, start=()):
@@ -622,13 +646,6 @@ class SparseVector(Immutable):
         if isinstance(c, int):
             c = LaurentPoly.const(c)
         return self._of(self.parent, {k: v * c for k, v in self.support.items()})
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.parent == self.parent
-            and other.support == self.support
-        )
 
     def bilinear_form(self, other):
         """The form making the labelled basis orthonormal."""
@@ -701,10 +718,6 @@ class SparseVector(Immutable):
                 raise ValueError(f"{key} {item[key]!r} is listed twice")
             support[label] = RationalFunction.from_json(item["coeff"])
         return cls.from_terms(parent, support.items())
-
-
-# The slot setters, which bypass the refusing __setattr__.
-_PARENT, _SUPPORT = SparseVector.parent.__set__, SparseVector.support.__set__
 
 
 def _summed(terms, start) -> dict:

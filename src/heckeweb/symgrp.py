@@ -38,6 +38,7 @@ class Permutation(Immutable):
     hash is computed once."""
 
     __slots__ = ("one_line", "_hash")
+    FIELDS = ("one_line",)
 
     def __init__(self, one_line):
         one_line = tuple(one_line)
@@ -52,19 +53,8 @@ class Permutation(Immutable):
         _init(w, one_line)
         return w
 
-    def __eq__(self, other):
-        if type(other) is not Permutation:
-            return NotImplemented
-        return self.one_line == other.one_line
-
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return Permutation, (self.one_line,)
-
-    def __repr__(self):
-        return f"Permutation(one_line={self.one_line!r})"
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -161,15 +151,11 @@ class Permutation(Immutable):
         return "*".join(f"s{i}" for i in word) if word else "e"
 
 
-# The slot setters, which bypass the class's refusing __setattr__.
-_ONE_LINE, _HASH = Permutation.one_line.__set__, Permutation._hash.__set__
-
-
 def _init(w: Permutation, one_line: tuple[int, ...]) -> None:
-    _ONE_LINE(w, one_line)
+    object.__setattr__(w, "one_line", one_line)
     # hashed as a 1-tuple, the field-tuple hash every value class uses, so
     # sets of permutations keep the iteration order they had
-    _HASH(w, hash((one_line,)))
+    object.__setattr__(w, "_hash", hash((one_line,)))
 
 
 def seq_act_right(eta, w: Permutation):
@@ -191,7 +177,7 @@ class ParabolicSubgroup(Immutable):
     """The subgroup of S_n generated by the simple transpositions s_i, i
     in the frozenset `generators`."""
 
-    __slots__ = ("n", "generators")
+    __slots__ = FIELDS = ("n", "generators")
 
     def __init__(self, n: int, generators: frozenset[int]):
         if type(n) is not int or any(type(i) is not int for i in generators):
@@ -199,22 +185,8 @@ class ParabolicSubgroup(Immutable):
         bad = [i for i in generators if not 1 <= i <= n - 1]
         if bad:
             raise ValueError(f"generators {bad} out of range for S_{n}")
-        _N(self, n)
-        _GENERATORS(self, generators)
-
-    def __eq__(self, other):
-        if type(other) is not ParabolicSubgroup:
-            return NotImplemented
-        return self.n == other.n and self.generators == other.generators
-
-    def __hash__(self):
-        return hash((self.n, self.generators))
-
-    def __reduce__(self):
-        return ParabolicSubgroup, (self.n, self.generators)
-
-    def __repr__(self):
-        return f"ParabolicSubgroup(n={self.n!r}, generators={self.generators!r})"
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
 
     @staticmethod
     def of(n: int, gens) -> "ParabolicSubgroup":
@@ -253,10 +225,6 @@ class ParabolicSubgroup(Immutable):
     def __str__(self):
         gens = ",".join(str(i) for i in sorted(self.generators))
         return f"<{gens}>" if gens else "<>"
-
-
-# The slot setters, which bypass the refusing __setattr__.
-_N, _GENERATORS = ParabolicSubgroup.n.__set__, ParabolicSubgroup.generators.__set__
 
 
 def is_shortest_rep(w: Permutation, p: ParabolicSubgroup) -> bool:

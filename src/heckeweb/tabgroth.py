@@ -70,28 +70,14 @@ class HookTableau(Immutable):
     """A hook tableau of type comp: its column, bottom to top (k entries),
     and its row, left to right (n-k entries)."""
 
-    __slots__ = ("comp", "column", "row")
+    __slots__ = FIELDS = ("comp", "column", "row")
 
     def __init__(self, comp: tuple[int, ...], column: tuple[int, ...], row: tuple[int, ...]):
         if sorted(column + row) != sorted(_type_sequence(comp)):
             raise ValueError(f"entries {column + row} do not fill type {comp}")
-        _COMP(self, comp)
-        _COLUMN(self, column)
-        _ROW(self, row)
-
-    def __eq__(self, other):
-        if type(other) is not HookTableau:
-            return NotImplemented
-        return self.comp == other.comp and self.column == other.column and self.row == other.row
-
-    def __hash__(self):
-        return hash((self.comp, self.column, self.row))
-
-    def __reduce__(self):
-        return HookTableau, (self.comp, self.column, self.row)
-
-    def __repr__(self):
-        return f"HookTableau(comp={self.comp!r}, column={self.column!r}, row={self.row!r})"
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "row", row)
 
     def entries(self) -> tuple[int, ...]:
         """Entries in box order: column bottom to top, then row."""
@@ -114,10 +100,6 @@ class HookTableau(Immutable):
         if not all(type(e) is int for e in column + row):
             raise ValueError(f"tableau entries must be integers: {column + row}")
         return HookTableau(comp, column, row)
-
-
-# The slot setters, which bypass the refusing __setattr__.
-_COMP, _COLUMN, _ROW = HookTableau.comp.__set__, HookTableau.column.__set__, HookTableau.row.__set__
 
 
 def _type_sequence(comp) -> tuple[int, ...]:

@@ -441,13 +441,15 @@ def _beta(comp, eta) -> tuple[int, ...]:
 
 def standard_norm(comp, eta) -> LaurentPoly:
     """The form value (v_eta, v_eta): the rescaled quantum multinomial of
-    (a_j - eta_j)."""
+    (a_j - eta_j); ValueError unless comp is a composition and eta a 0/1
+    sequence with one entry per part."""
     return _standard_norm(tuple(comp), tuple(eta))
 
 
 @cache
 def _standard_norm(comp, eta) -> LaurentPoly:
-    return quantum_multinom0(_beta(comp, eta))
+    # checked on a cache miss only: tensor products call this per term
+    return quantum_multinom0(_beta(comp, _check_eta(composition(comp), eta)))
 
 
 def bilinear_form(v: TensorVector, w: TensorVector):

@@ -61,26 +61,17 @@ class Slice(Immutable):
     """A slice of kind "merge" or "split" at the 1-based position i; the
     parts of a split are its labels (left, right), those of a merge None."""
 
-    __slots__ = ("kind", "i", "parts")
+    __slots__ = FIELDS = ("kind", "i", "parts")
 
     def __init__(self, kind: str, i: int, parts: tuple[int, int] | None):
-        _KIND(self, kind)
-        _I(self, i)
-        _PARTS(self, parts)
-
-    def __eq__(self, other):
-        if type(other) is not Slice:
-            return NotImplemented
-        return self.kind == other.kind and self.i == other.i and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.kind, self.i, self.parts))
-
-    def __reduce__(self):
-        return Slice, (self.kind, self.i, self.parts)
-
-    def __repr__(self):
-        return f"Slice(kind={self.kind!r}, i={self.i!r}, parts={self.parts!r})"
+        if not (
+            kind == "merge" and parts is None
+            or kind == "split" and type(parts) is tuple and len(parts) == 2
+        ):
+            raise ValueError(f"bad slice {kind!r}, parts {parts!r}: a merge has none, a split two")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "parts", parts)
 
     def target(self, comp) -> tuple[int, ...]:
         """The type this slice reaches from comp; ValueError if it cannot act there."""
@@ -95,28 +86,15 @@ class Web(Immutable):
     slice j acts on, and types[-1] is the target."""
 
     __slots__ = ("source", "slices", "types")
+    FIELDS = ("source", "slices")
 
     def __init__(self, source: tuple[int, ...], slices: tuple[Slice, ...]):
         types = [source]
         for s in slices:
             types.append(s.target(types[-1]))
-        _SOURCE(self, source)
-        _SLICES(self, slices)
-        _TYPES(self, tuple(types))
-
-    def __eq__(self, other):
-        if type(other) is not Web:
-            return NotImplemented
-        return self.source == other.source and self.slices == other.slices
-
-    def __hash__(self):
-        return hash((self.source, self.slices))
-
-    def __reduce__(self):
-        return Web, (self.source, self.slices)
-
-    def __repr__(self):
-        return f"Web(source={self.source!r}, slices={self.slices!r})"
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "types", tuple(types))
 
     @property
     def target(self) -> tuple[int, ...]:
@@ -218,38 +196,16 @@ class LabeledWebDiagram(Immutable):
     """A web with a 0/1 labeling of its bottom edges and, for a matrix
     coefficient, of its top edges."""
 
-    __slots__ = ("web", "bottom", "top")
+    __slots__ = FIELDS = ("web", "bottom", "top")
 
     def __init__(self, web: Web, bottom: tuple[int, ...], top: tuple[int, ...] | None = None):
         if len(bottom) != len(web.source):
             raise ValueError("bottom labeling does not match the web source")
         if top is not None and len(top) != len(web.target):
             raise ValueError("top labeling does not match the web target")
-        _WEB(self, web)
-        _BOTTOM(self, uqrep._check_eta(web.source, bottom))
-        _TOP(self, None if top is None else uqrep._check_eta(web.target, top))
-
-    def __eq__(self, other):
-        if type(other) is not LabeledWebDiagram:
-            return NotImplemented
-        return self.web == other.web and self.bottom == other.bottom and self.top == other.top
-
-    def __hash__(self):
-        return hash((self.web, self.bottom, self.top))
-
-    def __reduce__(self):
-        return LabeledWebDiagram, (self.web, self.bottom, self.top)
-
-    def __repr__(self):
-        return f"LabeledWebDiagram(web={self.web!r}, bottom={self.bottom!r}, top={self.top!r})"
-
-
-# The slot setters, which bypass the refusing __setattr__.
-_KIND, _I, _PARTS = Slice.kind.__set__, Slice.i.__set__, Slice.parts.__set__
-_SOURCE, _SLICES, _TYPES = Web.source.__set__, Web.slices.__set__, Web.types.__set__
-_WEB, _BOTTOM, _TOP = (
-    LabeledWebDiagram.web.__set__, LabeledWebDiagram.bottom.__set__, LabeledWebDiagram.top.__set__
-)
+        object.__setattr__(self, "web", web)
+        object.__setattr__(self, "bottom", uqrep._check_eta(web.source, bottom))
+        object.__setattr__(self, "top", None if top is None else uqrep._check_eta(web.target, top))
 
 
 def matrix_coefficient(d: LabeledWebDiagram) -> LaurentPoly:

@@ -8,6 +8,7 @@ from heckeweb.qarith import (
     quantum_factorial0,
     quantum_int,
     quantum_int0,
+    quantum_multinom0,
 )
 from heckeweb.symgrp import Permutation
 from heckeweb import inducedmod, uqrep
@@ -188,6 +189,24 @@ def test_bilinear_form_values():
                 assert val == quantum_factorial0(k)
     with pytest.raises(ValueError):
         uqrep.bilinear_form(v((1, 1), (0, 1)), v((2,), (0,)))
+
+
+@pytest.mark.parametrize("comp, eta", [
+    ((1, 2), (0,)),  # eta too short: zip would drop the second part
+    ((1,), (0, 1)),  # eta too long
+    ((1,), (-1,)),  # not a 0/1 entry
+    ((0, 1), (0, 0)),  # not a composition
+])
+def test_standard_norm_refuses_a_bad_eta_or_composition(comp, eta):
+    with pytest.raises(ValueError):
+        uqrep.standard_norm(comp, eta)
+
+
+def test_standard_norm_is_the_multinomial_of_the_lowered_parts():
+    for comp in [(1,), (3,), (2, 1), (1, 3, 2)]:
+        for eta in all_etas(comp):
+            beta = tuple(a - e for a, e in zip(comp, eta))
+            assert uqrep.standard_norm(list(comp), list(eta)) == quantum_multinom0(beta)
 
 
 def test_pairing_adjunction_of_phi():

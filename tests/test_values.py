@@ -3,12 +3,16 @@ objects with equal hashes, hashed as their field tuple, and printed as
 `Class(field=value, ...)`."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from heckeweb import inducedmod, qarith, symgrp, tabgroth, uqrep, webcat
+import heckeweb
+from heckeweb import hecke, inducedmod, qarith, symgrp, tabgroth, uqrep, webcat
 
 _ONE = qarith.LaurentPoly.one()
 _WEB = webcat.parse_word((1, 1, 2), "m1.s2:1,1")
@@ -29,6 +33,12 @@ CASES = {
         {"parent": (1, 1), "support": {(1, 0): _ONE, (0, 1): qarith.LaurentPoly.q()}},
         "TensorVector(parent=(1, 1), support={(1, 0): LaurentPoly(1), (0, 1): LaurentPoly(q)})",
     ),
+    "HeckeElement": (
+        hecke.standard_basis_element(symgrp.Permutation((2, 1, 3))),
+        {"parent": inducedmod.InducedModule.of(3), "support": {54: _ONE}},
+        "HeckeElement(parent=InducedModule(n=3, p_gens=frozenset(), q_gens=frozenset()), "
+        "support={54: LaurentPoly(1)})",
+    ),
     "ModuleElement": (
         inducedmod.InducedModule.of(3, [1]).standard(symgrp.Permutation((1, 3, 2))),
         {"parent": inducedmod.InducedModule.of(3, [1]), "support": {45: _ONE}},
@@ -39,6 +49,11 @@ CASES = {
         inducedmod.InducedModule.of(4, [1], [3]),
         {"n": 4, "p_gens": frozenset({1}), "q_gens": frozenset({3})},
         "InducedModule(n=4, p_gens=frozenset({1}), q_gens=frozenset({3}))",
+    ),
+    "Permutation": (
+        symgrp.Permutation((2, 3, 1)),
+        {"one_line": (2, 3, 1)},
+        "Permutation(one_line=(2, 3, 1))",
     ),
     "ParabolicSubgroup": (
         symgrp.ParabolicSubgroup(4, frozenset({1, 3})),
@@ -91,6 +106,8 @@ def test_a_pickled_or_copied_value_is_equal_with_an_equal_hash(name):
         assert type(twin) is type(value) and twin == value and not twin != value
         if type(value).__hash__ is not None:
             assert hash(twin) == hash(value)
+        if isinstance(value, webcat.Web):  # types is derived, not compared
+            assert twin.types == value.types == ((1, 1, 2), (2, 2), (2, 1, 1))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -116,3 +133,39 @@ def test_an_object_of_another_class_with_the_same_fields_is_not_equal(name):
     assert value != other and other != value
     assert not value == other
 
+
+def _value_classes():
+    """Every Immutable subclass that a heckeweb module defines."""
+    for info in pkgutil.iter_modules(heckeweb.__path__):
+        importlib.import_module(f"heckeweb.{info.name}")
+    found, todo = [], [qarith.Immutable]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found += [cls for cls in subclasses if cls.__module__.startswith("heckeweb.")]
+        todo += subclasses
+    return found
+
+
+def test_every_value_class_has_a_case():
+    names = {cls.__name__ for cls in _value_classes()}
+    assert names and names <= {type(value).__name__ for value, _, _ in CASES.values()}
+
+
+def test_a_value_class_states_its_fields_and_inherits_the_rest():
+    # the overrides that stay: a stored hash (Permutation, InducedModule),
+    # and SparseVector's rebuild through _of and its unhashable dict support
+    overrides = {
+        "Permutation": {"__hash__"},
+        "InducedModule": {"__hash__"},
+        "SparseVector": {"__hash__", "__reduce__"},
+    }
+    for cls in _value_classes():
+        defined = {"__eq__", "__hash__", "__reduce__", "__repr__"} & set(vars(cls))
+        assert defined == overrides.get(cls.__name__, set()), cls
+    setters = [
+        f"{path.name}: {line.strip()}"
+        for path in Path(heckeweb.__file__).parent.glob("*.py")
+        for line in path.read_text().splitlines()
+        if ".__set__" in line
+    ]
+    assert setters == []

@@ -257,6 +257,18 @@ def test_a_slice_records_no_type():
     assert webcat.Slice.__slots__ == ("kind", "i", "parts")
 
 
+@pytest.mark.parametrize("kind, parts", [
+    ("bogus", None),  # no such kind
+    ("split", None),  # a split without its pair
+    ("split", (1,)),
+    ("split", [1, 1]),
+    ("merge", (1, 1)),  # a merge with parts
+])
+def test_a_slice_refuses_a_bad_kind_or_parts(kind, parts):
+    with pytest.raises(ValueError, match="bad slice"):
+        webcat.Slice(kind, 1, parts)
+
+
 def test_each_type_rule_error_is_raised_in_one_place():
     raisers = {"merge position": set(), "split position": set(), "cannot split label": set()}
     for path in Path(heckeweb.__file__).parent.glob("*.py"):
