@@ -149,100 +149,130 @@ def _longest_rep_between(n: int, outer: frozenset, inner: frozenset) -> Permutat
     return max(reps, key=lambda x: x.length())
 
 
-def _require_equivariant(name, fmap, src, dst, w, x, img) -> None:
+def _standard_images(mod) -> list:
+    """(w, N_w, [N_w . H_i for i = 1, ..., n-1], bar(N_w)) for each basis
+    index w of mod: each operand is built once for every identity that
+    compares it."""
+    images = []
+    for w in mod.basis_index():
+        x = mod.standard(w)
+        images.append((w, x, [x.act_generator(i) for i in range(1, mod.n)], x.bar()))
+    return images
+
+
+def _require_equivariant(name, fmap, src, dst, w, moved, img) -> None:
     """fmap(src, dst, x . H_i) == img . H_i for every generator H_i, where
-    img is fmap(src, dst, x) and x is the standard vector N_w."""
-    for i in range(1, src.n):
+    moved lists the x . H_i, img is fmap(src, dst, x) and x is N_w."""
+    for i, x_i in enumerate(moved, start=1):
         _require(
-            fmap(src, dst, x.act_generator(i)) == img.act_generator(i),
+            fmap(src, dst, x_i) == img.act_generator(i),
             lambda: f"{name} not equivariant at {src}->{dst}, w={w}, i={i}",
         )
 
 
-def _require_bar_compatible(name, fmap, src, dst, w, x, img) -> None:
-    """fmap(src, dst, bar(x)) == bar(img), where img is fmap(src, dst, x)."""
+def _require_bar_compatible(name, fmap, src, dst, w, x_bar, img) -> None:
+    """fmap(src, dst, bar(x)) == bar(img), where x_bar is bar(x) and img
+    is fmap(src, dst, x)."""
     _require(
-        fmap(src, dst, x.bar()) == img.bar(),
+        fmap(src, dst, x_bar) == img.bar(),
         lambda: f"{name} does not commute with bar at {src}->{dst}, w={w}",
     )
 
 
 def check_induced_maps(max_n: int = 4) -> None:
+    """The four maps between every two modules whose walls are nested:
+    i and Q along a trivial wall, j and z along a sign wall.  The pairs
+    are grouped by their module with the shrunk wall, which has the
+    larger basis: its standard images are built once for all its pairs,
+    the other module's once per pair, so at most two modules' images are
+    held at a time."""
     for n in range(2, max_n + 1):
-        for p_gens, q_gens in _commuting_pairs(n):
-            mod = inducedmod.InducedModule.of(n, p_gens, q_gens)
-            basis = mod.basis_index()
-            # shrink the trivial wall
-            for q_sub in _subsets(q_gens):
-                dst = inducedmod.InducedModule.of(n, p_gens, q_sub)
-                for w in basis:
-                    x = mod.standard(w)
-                    img = inducedmod.map_i(mod, dst, x)
-                    back = inducedmod.map_Q(dst, mod, img)
-                    _require(back == x, lambda: f"Q(i(N_{w})) != N_{w} on {mod} -> {dst}")
-                    _require_equivariant("i", inducedmod.map_i, mod, dst, w, x, img)
-                    _require_bar_compatible("i", inducedmod.map_i, mod, dst, w, x, img)
-                for w in dst.basis_index():
-                    x = dst.standard(w)
-                    img = inducedmod.map_Q(dst, mod, x)
-                    _require_equivariant("Q", inducedmod.map_Q, dst, mod, w, x, img)
-                # canonical transport
-                top = _longest_rep_between(n, q_gens, q_sub)
-                for w in basis:
-                    img = inducedmod.map_i(mod, dst, inducedmod.canonical_basis_element(mod, w))
-                    want = inducedmod.canonical_basis_element(dst, top * w)
-                    _require(
-                        img == want,
-                        lambda: f"i(canonical {w}) != canonical {top * w} at {mod}->{dst}",
-                    )
-                # naturality through intermediate walls
-                for q_mid in _subsets(q_gens):
-                    if not q_sub <= q_mid:
-                        continue
-                    mid = inducedmod.InducedModule.of(n, p_gens, q_mid)
-                    for w in basis:
-                        x = mod.standard(w)
-                        once = inducedmod.map_i(mod, dst, x)
-                        twice = inducedmod.map_i(mid, dst, inducedmod.map_i(mod, mid, x))
-                        _require(
-                            once == twice,
-                            lambda: f"naturality fails {mod}->{mid}->{dst} at {w}",
-                        )
-            # shrink the sign wall
-            for p_sub in _subsets(p_gens):
-                dst = inducedmod.InducedModule.of(n, p_sub, q_gens)
-                scale = LaurentPoly.zero()
-                big = ParabolicSubgroup.of(n, p_gens)
-                small = ParabolicSubgroup.of(n, p_sub)
-                for x_elt in big.elements():
-                    if is_shortest_rep(x_elt, small):
-                        scale = scale + _Q(2 * x_elt.length())
-                for w in basis:
-                    x = mod.standard(w)
-                    img = inducedmod.map_j(mod, dst, x)
-                    back = inducedmod.map_z(dst, mod, img)
-                    _require(
-                        back == x.scale(scale),
-                        lambda: f"z(j(N_{w})) != scale * N_{w} on {mod} -> {dst}",
-                    )
-                    _require_equivariant("j", inducedmod.map_j, mod, dst, w, x, img)
-                for w in dst.basis_index():
-                    x = dst.standard(w)
-                    img = inducedmod.map_z(dst, mod, x)
-                    _require_equivariant("z", inducedmod.map_z, dst, mod, w, x, img)
-                    _require_bar_compatible("z", inducedmod.map_z, dst, mod, w, x, img)
-                    cb = inducedmod.canonical_basis_element(dst, w)
-                    img_cb = inducedmod.map_z(dst, mod, cb)
-                    if w in basis:
-                        _require(
-                            img_cb == inducedmod.canonical_basis_element(mod, w),
-                            lambda: f"z(canonical {w}) wrong at {dst}->{mod}",
-                        )
-                    else:
-                        _require(
-                            img_cb.is_zero(),
-                            lambda: f"z(canonical {w}) nonzero at {dst}->{mod}",
-                        )
+        walls = list(_commuting_pairs(n))
+        for p_gens, q_gens in walls:
+            dst = inducedmod.InducedModule.of(n, p_gens, q_gens)
+            dst_images = _standard_images(dst)
+            for p, q in walls:
+                if p == p_gens and q_gens <= q:
+                    _check_trivial_wall(inducedmod.InducedModule.of(n, p, q), dst, dst_images)
+            for p, q in walls:
+                if q == q_gens and p_gens <= p:
+                    _check_sign_wall(inducedmod.InducedModule.of(n, p, q), dst, dst_images)
+
+
+def _check_trivial_wall(mod, dst, dst_images) -> None:
+    """i from mod to dst, which has the same sign wall and a trivial wall
+    inside mod's, and Q back; dst_images are dst's standard images."""
+    n = mod.n
+    mod_images = dst_images if mod == dst else _standard_images(mod)
+    included = []  # i(N_w) for each w of mod's basis, in order
+    for w, x, moved, x_bar in mod_images:
+        img = inducedmod.map_i(mod, dst, x)
+        included.append(img)
+        back = inducedmod.map_Q(dst, mod, img)
+        _require(back == x, lambda: f"Q(i(N_{w})) != N_{w} on {mod} -> {dst}")
+        _require_equivariant("i", inducedmod.map_i, mod, dst, w, moved, img)
+        _require_bar_compatible("i", inducedmod.map_i, mod, dst, w, x_bar, img)
+    for w, x, moved, _ in dst_images:
+        img = inducedmod.map_Q(dst, mod, x)
+        _require_equivariant("Q", inducedmod.map_Q, dst, mod, w, moved, img)
+    # canonical transport
+    top = _longest_rep_between(n, mod.q_gens, dst.q_gens)
+    for w, *_ in mod_images:
+        img = inducedmod.map_i(mod, dst, inducedmod.canonical_basis_element(mod, w))
+        want = inducedmod.canonical_basis_element(dst, top * w)
+        _require(
+            img == want,
+            lambda: f"i(canonical {w}) != canonical {top * w} at {mod}->{dst}",
+        )
+    # naturality through intermediate walls
+    for q_mid in _subsets(mod.q_gens):
+        if not dst.q_gens <= q_mid:
+            continue
+        mid = inducedmod.InducedModule.of(n, mod.p_gens, q_mid)
+        for (w, x, *_), once in zip(mod_images, included):
+            twice = inducedmod.map_i(mid, dst, inducedmod.map_i(mod, mid, x))
+            _require(
+                once == twice,
+                lambda: f"naturality fails {mod}->{mid}->{dst} at {w}",
+            )
+
+
+def _check_sign_wall(mod, dst, dst_images) -> None:
+    """j from mod to dst, which has the same trivial wall and a sign wall
+    inside mod's, and z back; dst_images are dst's standard images."""
+    n = mod.n
+    mod_images = dst_images if mod == dst else _standard_images(mod)
+    scale = LaurentPoly.zero()
+    big = ParabolicSubgroup.of(n, mod.p_gens)
+    small = ParabolicSubgroup.of(n, dst.p_gens)
+    for x_elt in big.elements():
+        if is_shortest_rep(x_elt, small):
+            scale = scale + _Q(2 * x_elt.length())
+    for w, x, moved, _ in mod_images:
+        img = inducedmod.map_j(mod, dst, x)
+        back = inducedmod.map_z(dst, mod, img)
+        _require(
+            back == x.scale(scale),
+            lambda: f"z(j(N_{w})) != scale * N_{w} on {mod} -> {dst}",
+        )
+        _require_equivariant("j", inducedmod.map_j, mod, dst, w, moved, img)
+    basis = {w for w, *_ in mod_images}
+    for w, x, moved, x_bar in dst_images:
+        img = inducedmod.map_z(dst, mod, x)
+        _require_equivariant("z", inducedmod.map_z, dst, mod, w, moved, img)
+        _require_bar_compatible("z", inducedmod.map_z, dst, mod, w, x_bar, img)
+        cb = inducedmod.canonical_basis_element(dst, w)
+        img_cb = inducedmod.map_z(dst, mod, cb)
+        if w in basis:
+            _require(
+                img_cb == inducedmod.canonical_basis_element(mod, w),
+                lambda: f"z(canonical {w}) wrong at {dst}->{mod}",
+            )
+        else:
+            _require(
+                img_cb.is_zero(),
+                lambda: f"z(canonical {w}) nonzero at {dst}->{mod}",
+            )
 
 
 # -- criterion 4: representation identities --------------------------------
@@ -299,13 +329,15 @@ def check_rep_identities(max_n: int = 5) -> None:
                     )
     for n in range(1, min(max_n, 4) + 1):
         for comp in compositions_of(n):
-            for eta in product((0, 1), repeat=len(comp)):
-                for gamma in product((0, 1), repeat=len(comp)):
-                    v = uqrep.standard_vector(comp, eta)
-                    w = uqrep.standard_vector(comp, gamma)
+            etas = list(product((0, 1), repeat=len(comp)))
+            vs = [uqrep.standard_vector(comp, eta) for eta in etas]
+            # F v and E' w once per vector, for every pair that pairs them
+            lowered = [uqrep.act_F(v) for v in vs]
+            raised = [uqrep.act_Eprime(w) for w in vs]
+            for eta, v, f_v in zip(etas, vs, lowered):
+                for gamma, w, e_w in zip(etas, vs, raised):
                     _require(
-                        uqrep.bilinear_form(uqrep.act_F(v), w)
-                        == uqrep.bilinear_form(v, uqrep.act_Eprime(w)),
+                        uqrep.bilinear_form(f_v, w) == uqrep.bilinear_form(v, e_w),
                         lambda: f"F/E' adjunction fails on {comp} at {eta},{gamma}",
                     )
 

@@ -38,9 +38,10 @@ N_y . (H_i + d), read off the four cases with like terms combined.  The
 bar images bar(N_w) and N_e . H_w are cached as triples in the same
 form, and so are the images of N_w under the inclusions map_i and map_j.  An element with
 fractional coefficients is taken as integer numerators over the lcm of
-its denominators; dividing the result's coefficients by it costs one
-reduction per distinct (numerator, denominator) pair, since the
-normalizer of `qarith` is memoized by value.
+its denominators, a coefficient already over the lcm without a
+division; dividing the result's coefficients by it costs one reduction
+per distinct (numerator, denominator) pair, since the normalizer of
+`qarith` is memoized by value.
 
 The canonical basis is built by multiplying and correcting: C_w is
 C_{w s_i} . (H_i + q), read off the same step table, minus integer
@@ -108,7 +109,16 @@ class InducedModule(Immutable):
 
     @staticmethod
     def of(n: int, p_gens=(), q_gens=()) -> "InducedModule":
-        return InducedModule(n, frozenset(p_gens), frozenset(q_gens))
+        """The module of S_n with these walls, interned: equal arguments
+        give one object, so the module-keyed caches find it by identity
+        instead of comparing fields.  The constructor builds an equal
+        twin; `clear_caches()` forgets the interned modules.  Only int
+        arguments are interned, since True or 1.0 equals 1 as a key and
+        the constructor must still reject them."""
+        p_gens, q_gens = frozenset(p_gens), frozenset(q_gens)
+        if type(n) is int and all(type(g) is int for g in p_gens | q_gens):
+            return _interned(n, p_gens, q_gens)
+        return InducedModule(n, p_gens, q_gens)
 
     def parabolic_p(self) -> ParabolicSubgroup:
         return ParabolicSubgroup(self.n, self.p_gens)
@@ -145,6 +155,12 @@ class InducedModule(Immutable):
     @json_parser
     def from_json(data) -> "InducedModule":
         return InducedModule.of(data["n"], data["p_generators"], data["q_generators"])
+
+
+@cache
+def _interned(n: int, p_gens: frozenset, q_gens: frozenset) -> InducedModule:
+    """The one module InducedModule.of hands out for these fields."""
+    return InducedModule(n, p_gens, q_gens)
 
 
 class ModuleElement(SparseVector):
@@ -395,14 +411,18 @@ def _accumulate(work: dict, pairs) -> dict:
 def _numerators(x: ModuleElement) -> tuple[list, LaurentPoly | None]:
     """x's coefficients as {exponent: int} numerators over one denominator,
     the lcm of theirs: the (label, numerator) pairs and the denominator,
-    None when every coefficient is a LaurentPoly."""
+    None when every coefficient is a LaurentPoly.  A coefficient already
+    over the lcm gives its numerator without a division."""
     den = common_denominator(x.support.values())
     if den is None:
         return [(w, c.terms) for w, c in x.support.items()], None
-    return [
-        (w, (c.num * den.divexact(c.den) if isinstance(c, RationalFunction) else c * den).terms)
-        for w, c in x.support.items()
-    ], den
+
+    def numerator(c) -> LaurentPoly:
+        if not isinstance(c, RationalFunction):
+            return c * den
+        return c.num if c.den == den else c.num * den.divexact(c.den)
+
+    return [(w, numerator(c).terms) for w, c in x.support.items()], den
 
 
 def _element(cls, mod: InducedModule, work: dict, den=None) -> ModuleElement:

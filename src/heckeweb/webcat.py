@@ -199,10 +199,6 @@ class LabeledWebDiagram(Immutable):
     __slots__ = FIELDS = ("web", "bottom", "top")
 
     def __init__(self, web: Web, bottom: tuple[int, ...], top: tuple[int, ...] | None = None):
-        if len(bottom) != len(web.source):
-            raise ValueError("bottom labeling does not match the web source")
-        if top is not None and len(top) != len(web.target):
-            raise ValueError("top labeling does not match the web target")
         object.__setattr__(self, "web", web)
         object.__setattr__(self, "bottom", uqrep._check_eta(web.source, bottom))
         object.__setattr__(self, "top", None if top is None else uqrep._check_eta(web.target, top))

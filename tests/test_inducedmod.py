@@ -62,6 +62,26 @@ def test_equal_modules_hash_alike_and_print_as_their_fields():
         mod.n = 5
 
 
+def test_of_interns_the_module_until_the_caches_are_cleared():
+    mod = inducedmod.InducedModule.of(4, [1], [3])
+    assert inducedmod.InducedModule.of(4, (1,), {3}) is mod
+    assert inducedmod.InducedModule.of(4, p_gens=frozenset({1}), q_gens=[3]) is mod
+    heckeweb.clear_caches()
+    fresh = inducedmod.InducedModule.of(4, [1], [3])
+    assert fresh == mod and fresh is not mod
+    assert inducedmod.InducedModule.of(4, [1], [3]) is fresh
+
+
+@pytest.mark.parametrize("n,p_gens,q_gens", [(True, (), ()), (2, (True,), ()), (2, (), (1.0,))])
+def test_of_rejects_a_non_int_equal_to_an_interned_one(n, p_gens, q_gens):
+    # True and 1.0 equal 1 as cache keys
+    inducedmod.InducedModule.of(1)
+    inducedmod.InducedModule.of(2, [1])
+    inducedmod.InducedModule.of(2, (), [1])
+    with pytest.raises(ValueError, match="must be integers"):
+        inducedmod.InducedModule.of(n, p_gens, q_gens)
+
+
 def test_commuting_validation():
     with pytest.raises(ValueError):
         inducedmod.InducedModule.of(3, p_gens=[1], q_gens=[2])

@@ -170,6 +170,9 @@ def test_tableau_json_rejects_an_entry_that_is_no_int(row, column):
     lambda: uqrep.standard_vector((1, 1), (0, 1.9)),
     lambda: webcat.LabeledWebDiagram(webcat.merge_web((1, 1), 1), (1, 2), (0,)),
     lambda: webcat.LabeledWebDiagram(webcat.merge_web((1, 1), 1), (1, 0), (1.0,)),
+    # one label too many or too few
+    lambda: webcat.LabeledWebDiagram(webcat.merge_web((1, 1), 1), (1, 0, 0), (0,)),
+    lambda: webcat.LabeledWebDiagram(webcat.merge_web((1, 1), 1), (1, 0), ()),
 ])
 def test_a_label_that_is_not_the_int_0_or_1_is_rejected(build):
     with pytest.raises(ValueError, match="bad 0/1 sequence"):
