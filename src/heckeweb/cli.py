@@ -3,7 +3,7 @@
 Exit codes: 0 on success (and when every requested check passes), 1 when
 a check suite fails, 2 on malformed input, 3 when an internal invariant
 breaks (a canonical basis element of the wrong shape, a singular matrix
-that must be invertible).
+that must be invertible), 4 when the computation runs out of memory.
 """
 
 from __future__ import annotations
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'the input is too large'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

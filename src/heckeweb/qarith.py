@@ -14,7 +14,12 @@ coefficient lists, by the primitive polynomial remainder sequence
 gcd.  The one normalizer behind every division is memoized by its
 operand values, so each distinct quotient is reduced once and its
 result is shared; no value changes after construction, so sharing is
-safe.  Every operation that can cancel the denominator
+safe.  For the same reason a LaurentPoly computes its hash once, on
+first use, and keeps it, so a value that keys many memo lookups is
+hashed once; and values are shared, not copied, where they can be:
+`quantum_int` is memoized, a product with 1 is the other operand itself,
+and `LaurentPoly.q` builds a monomial of exact ints without the
+constructor's checks.  Every operation that can cancel the denominator
 (`/`, `inverse`, `bar`, the field operations on fractions and
 `RationalFunction.from_json`) returns a LaurentPoly when it does, so
 each value has exactly one representation and structural equality
@@ -100,7 +105,9 @@ class Immutable:
 class LaurentPoly:
     """Sparse Laurent polynomial in q with integer coefficients."""
 
-    __slots__ = ("terms",)
+    # _hash is written on the first hash() and never copied: pickling and
+    # copying rebuild a value from its terms alone
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         """The polynomial with the {exponent: coefficient} terms, zeros
@@ -136,7 +143,10 @@ class LaurentPoly:
 
     @staticmethod
     def q(exp: int = 1, coeff: int = 1) -> "LaurentPoly":
-        """The monomial coeff * q^exp."""
+        """The monomial coeff * q^exp; checked by the constructor unless
+        both are exact ints."""
+        if type(exp) is int and type(coeff) is int:
+            return LaurentPoly._of({exp: coeff} if coeff else {})
         return LaurentPoly({exp: coeff})
 
     @staticmethod
@@ -198,13 +208,20 @@ class LaurentPoly:
         return -self + other
 
     def __mul__(self, other):
+        """The product; the other operand itself when one side is 1."""
         if isinstance(other, int):
             if not other:
                 return LaurentPoly._of({})
+            if other == 1:
+                return self
             return LaurentPoly._of({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if len(other.terms) == 1 and other.terms.get(0) == 1:
+            return self
         if len(self.terms) == 1:
+            if self.terms.get(0) == 1:
+                return other
             self, other = other, self
         if len(other.terms) == 1:
             ((e2, c2),) = other.terms.items()
@@ -242,10 +259,20 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         # a constant hashes as the int it equals
         if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
+            h = hash(self.terms.get(0, 0))
+        else:
+            h = hash(frozenset(self.terms.items()))
+        self._hash = h
+        return h
+
+    def __reduce__(self):
+        return LaurentPoly, (self.terms,)
 
     def __bool__(self):
         return bool(self.terms)
@@ -743,6 +770,7 @@ _ZERO = LaurentPoly.zero()
 # nothing mutates a LaurentPoly after construction.
 
 
+@cache
 def quantum_int(k: int) -> LaurentPoly:
     """[k] = (q^k - q^-k)/(q - q^-1) = q^(k-1) + q^(k-3) + ... + q^(1-k)."""
     if k < 0:

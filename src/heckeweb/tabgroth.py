@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _Q = LaurentPoly.q
+_ONE = LaurentPoly.one()
 
 
 class HookTableau(Immutable):
@@ -270,7 +271,7 @@ def translate_onto_wall(comp, i: int, k: int) -> dict:
     merged = uqrep.merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
-    for eta in uqrep.weight_etas(comp, k):
+    for eta in uqrep._weight_etas(comp, k):
         pattern = eta[i - 1 : i + 1]
         if pattern == (1, 1):
             out[eta] = {}
@@ -291,7 +292,7 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
     merged = uqrep.merged_type(comp, i)
     ai, aj = comp[i - 1], comp[i]
     out = {}
-    for eta in uqrep.weight_etas(merged, k):
+    for eta in uqrep._weight_etas(merged, k):
         split = lambda pair: eta[: i - 1] + pair + eta[i:]
         if eta[i - 1] == 1:
             row = {
@@ -308,8 +309,19 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     """The same matrices through the evaluated webs and the class
     isomorphism sending a proper standard class to its normalized
     standard vector v_eta / (v_eta, v_eta): the web is applied to the
-    plain standard vector and each entry divided once."""
+    plain standard vector and each entry divided once.  Raises ValueError
+    unless k is a weight of comp, as the closed forms do."""
     comp = composition(comp)
+    check_weight(comp, k)
+    return _web_route(comp, i, direction)(k)
+
+
+def _web_route(comp, i: int, direction: str):
+    """The function k -> web_translation_matrix(comp, i, k, direction)
+    for a valid composition comp and weight k: i and the direction are
+    checked here, once.  Each standard vector goes through
+    uqrep.phi_merge or uqrep.phi_split, looked up on every call, and each
+    entry is divided by the source norm with `/`."""
     merged = uqrep.merged_type(comp, i)
     if direction == "onto":
         src, dst = comp, merged
@@ -320,26 +332,31 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
         apply_web = lambda v: uqrep.phi_split(v, i, ai, aj)
     else:
         raise ValueError(f"direction must be 'onto' or 'out', got {direction!r}")
-    out = {}
-    for eta in uqrep.weight_etas(src, k):
-        norm_src = uqrep.standard_norm(src, eta)
-        image = apply_web(uqrep.standard_vector(src, eta))
-        out[eta] = {
-            gamma: c * uqrep.standard_norm(dst, gamma) / norm_src
-            for gamma, c in image.support.items()
-        }
-    return out
+
+    def matrix(k: int) -> dict:
+        out = {}
+        for eta in uqrep._weight_etas(src, k):
+            norm_src = uqrep._standard_norm(src, eta)
+            image = apply_web(TensorVector._of(src, {eta: _ONE}))
+            out[eta] = {
+                gamma: c * uqrep._standard_norm(dst, gamma) / norm_src
+                for gamma, c in image.support.items()
+            }
+        return out
+
+    return matrix
 
 
 def theorem1_check(comp, i: int) -> bool:
     """The case analysis on eta equals the web route, both directions, all
-    weights."""
+    weights.  comp, i and the direction are checked once per direction,
+    not once per weight."""
     comp = composition(comp)
     n = sum(comp)
-    for k in range(n - len(comp), n + 1):
-        if translate_onto_wall(comp, i, k) != web_translation_matrix(comp, i, k, "onto"):
-            return False
-        if translate_out_of_wall(comp, i, k) != web_translation_matrix(comp, i, k, "out"):
+    weights = range(n - len(comp), n + 1)
+    for direction, closed_form in (("onto", translate_onto_wall), ("out", translate_out_of_wall)):
+        web = _web_route(comp, i, direction)
+        if any(closed_form(comp, i, k) != web(k) for k in weights):
             return False
     return True
 

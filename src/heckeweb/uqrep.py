@@ -311,32 +311,37 @@ def split_type(comp, i: int, a: int, b: int) -> tuple[int, ...]:
 
 
 def phi_merge(v: TensorVector, i: int) -> TensorVector:
-    """Project the adjacent factors i, i+1 (1-based) onto their merge."""
+    """Project the adjacent factors i, i+1 (1-based) onto their merge:
+    v_00, v_01 and v_10 of V(a) x V(b) go to qbin(a+b, a) v_0,
+    qbin(a+b-1, a) v_1 and q^-b qbin(a+b-1, b) v_1, and v_11 to zero.
+    The three scalars are computed once per (a, b) and shared, so each
+    term costs one product."""
     comp = v.comp
     new_comp = merged_type(comp, i)
-    a, b = comp[i - 1], comp[i]
+    scalars = _merge_scalars(comp[i - 1], comp[i])
     terms = []
     for eta, c in v.support.items():
-        pair = (eta[i - 1], eta[i])
-        rest = eta[: i - 1] + eta[i + 1 :]
-        if pair == (1, 1):
-            continue
-        if pair == (1, 0):
-            coeff = c * _Q(-b) * quantum_binom(a + b - 1, b)
-            new_eta = rest[: i - 1] + (1,) + rest[i - 1 :]
-        elif pair == (0, 1):
-            coeff = c * quantum_binom(a + b - 1, a)
-            new_eta = rest[: i - 1] + (1,) + rest[i - 1 :]
-        else:
-            coeff = c * quantum_binom(a + b, a)
-            new_eta = rest[: i - 1] + (0,) + rest[i - 1 :]
-        terms.append((new_eta, coeff))
+        x, y = eta[i - 1], eta[i]
+        if not (x and y):
+            terms.append((eta[: i - 1] + (x | y,) + eta[i + 1 :], c * scalars[2 * x + y]))
     return TensorVector.from_terms(new_comp, terms)
+
+
+@cache
+def _merge_scalars(a: int, b: int) -> tuple:
+    """The merge's scalars on v_00, v_01 and v_10, indexed by the pair
+    read as a binary number."""
+    return (
+        quantum_binom(a + b, a),
+        quantum_binom(a + b - 1, a),
+        _Q(-b) * quantum_binom(a + b - 1, b),
+    )
 
 
 def phi_split(v: TensorVector, i: int, a: int, b: int) -> TensorVector:
     """Embed the factor i of type a+b into a pair of factors (a, b)."""
     new_comp = split_type(v.comp, i, a, b)
+    qa = _Q(a)
     terms = []
     for eta, c in v.support.items():
         head, tail = eta[: i - 1], eta[i:]
@@ -344,7 +349,7 @@ def phi_split(v: TensorVector, i: int, a: int, b: int) -> TensorVector:
             terms.append((head + (0, 0) + tail, c))
         else:
             terms.append((head + (1, 0) + tail, c))
-            terms.append((head + (0, 1) + tail, c * _Q(a)))
+            terms.append((head + (0, 1) + tail, c * qa))
     return TensorVector.from_terms(new_comp, terms)
 
 

@@ -545,6 +545,18 @@ def test_broken_invariant_exits_3_not_1(capsys, monkeypatch):
     assert code == 3 and err.startswith("internal error:")
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("no room for the listing")])
+def test_running_out_of_memory_exits_4_not_1(capsys, monkeypatch, exc):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(inducedmod, "canonical_basis_element", exhausted)
+    code, out, err = run_cli(capsys, "mod-basis", "--n", "2", "--w", "e")
+    assert code == 4 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert str(exc) in err
+
+
 def test_translate_rejects_a_position_outside_the_parts(capsys):
     # (1,1,1) has merge positions 1 and 2
     for pos in ("0", "3"):

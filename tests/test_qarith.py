@@ -295,6 +295,73 @@ def test_fraction_memo_shares_each_value_and_never_caches_an_error(pair):
             qarith._fraction(num, LaurentPoly.zero())
 
 
+def _built_every_way(terms: dict) -> list:
+    """The polynomial with these terms, built by each route that makes one."""
+    import copy
+    import pickle
+
+    p = LaurentPoly(terms)
+    shift = LaurentPoly.q(3)
+    return [
+        LaurentPoly(dict(terms)),
+        LaurentPoly._of({e: c for e, c in terms.items() if c}),
+        qarith._coefficient(tuple(sorted(p.terms.items()))),
+        (p + shift) - shift,
+        p * shift * LaurentPoly.q(-3),
+        LaurentPoly.from_json(p.to_json()),
+        pickle.loads(pickle.dumps(LaurentPoly(terms))),
+        copy.copy(LaurentPoly(terms)),
+        copy.deepcopy(LaurentPoly(terms)),
+    ]
+
+
+@pytest.mark.parametrize("terms", [{}, {0: 3}, {0: -1}, {2: 1, -2: 1, 0: 1}, {1: -4, 5: 2, 7: 0}])
+def test_equal_polynomials_hash_alike_however_built_and_first_hashed(terms):
+    count = len(_built_every_way(terms))
+    for first in range(count):
+        qarith._coefficient.cache_clear()
+        built = _built_every_way(terms)
+        want = hash(built[first])  # the hash is first read on this one only
+        for x in built:
+            assert x == built[first] and hash(x) == want, (first, x)
+
+
+def test_a_hash_read_changes_no_pickle_and_no_copy():
+    import copy
+    import pickle
+
+    for x in (LaurentPoly({-1: 2, 3: 5}), quantum_int(4), LaurentPoly.const(7)):
+        before = pickle.dumps(x)
+        hash(x)
+        assert pickle.dumps(x) == before
+        for twin in (pickle.loads(before), copy.copy(x), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x)
+            assert twin.terms is not x.terms
+
+
+def test_the_shortcuts_keep_the_checks():
+    for p in (LaurentPoly.q(True), LaurentPoly.q(1, True), LaurentPoly.q(True, True)):
+        assert p == LaurentPoly.q()
+        assert [type(x) for x in (*p.terms, *p.terms.values())] == [int, int]
+    assert LaurentPoly.q(4, 0).terms == {}
+    for args in [(1.0,), (1, 1.0), ("1",), (1, None)]:
+        with pytest.raises(TypeError):
+            LaurentPoly.q(*args)
+    # exceptions are not cached
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            quantum_int(-1)
+    assert quantum_int(3) is quantum_int(3)
+    # an equal float is another cache key, so it still reaches range()
+    with pytest.raises(TypeError):
+        quantum_int(3.0)
+    one = LaurentPoly.one()
+    for x in (quantum_int(3), LaurentPoly.q(-2, 5), LaurentPoly.zero(), quantum_int(3) / quantum_int0(2)):
+        assert x * one == x == one * x == x * 1 == 1 * x
+        if isinstance(x, LaurentPoly):
+            assert x * one is x and one * x is x and x * 1 is x
+
+
 def test_a_bool_operand_leaves_no_bool_in_a_shared_quotient():
     q = LaurentPoly.q()
     # True / q fills the entry that 1 / q then reads

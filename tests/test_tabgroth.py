@@ -277,6 +277,30 @@ def test_theorem1_check_detects_a_wrong_merge_scalar(monkeypatch):
             assert not tabgroth.theorem1_check(comp, i), (comp, i)
 
 
+@pytest.mark.parametrize("wrong", range(3))
+def test_theorem1_check_detects_one_wrong_cached_merge_scalar(monkeypatch, wrong):
+    scalars = uqrep._merge_scalars
+
+    def one_wrong(a, b):
+        out = list(scalars(a, b))
+        out[wrong] = out[wrong] * Q(1)
+        return tuple(out)
+
+    monkeypatch.setattr(uqrep, "_merge_scalars", one_wrong)
+    for comp in [(1, 1), (2, 1, 1), (1, 3)]:
+        for i in range(1, len(comp)):
+            assert not tabgroth.theorem1_check(comp, i), (comp, i)
+
+
+def test_the_cached_merge_scalars_cannot_be_changed():
+    scalars = uqrep._merge_scalars(2, 3)
+    with pytest.raises(TypeError):
+        scalars[0] = Q(1)
+    assert uqrep._merge_scalars(2, 3) is scalars
+    v = uqrep.standard_vector((2, 3), (0, 1))
+    assert uqrep.phi_merge(v, 1).coeff((1,)) is scalars[1]
+
+
 def test_translate_projective_examples():
     (src,) = enumerate_lambda((2,), 1)
     got = tabgroth.translate_projective((1, 1), 1, tabgroth.class_eta(src, (2,), 1))
@@ -450,8 +474,14 @@ def test_tableau_rendering_and_json():
 
 def test_translations_reject_k_outside_the_weights():
     # (1,1) has weights 0, 1, 2; the merged type (2) has 1, 2
-    for k in (-1, 3, 9):
-        for translate in (tabgroth.translate_onto_wall, tabgroth.translate_out_of_wall):
+    web = tabgroth.web_translation_matrix
+    for k in (-1, 3, 5, 9):
+        for translate in (
+            tabgroth.translate_onto_wall,
+            tabgroth.translate_out_of_wall,
+            lambda comp, i, k: web(comp, i, k, "onto"),
+            lambda comp, i, k: web(comp, i, k, "out"),
+        ):
             with pytest.raises(ValueError, match="not a weight"):
                 translate((1, 1), 1, k)
         # the class translations take an eta, which fixes its weight: the
@@ -466,3 +496,4 @@ def test_translations_reject_k_outside_the_weights():
                 args.func(args)
     # weight 0 of (1,1) exists, so out of the wall it is the empty map
     assert tabgroth.translate_out_of_wall((1, 1), 1, 0) == {}
+    assert tabgroth.web_translation_matrix((1, 1), 1, 0, "out") == {}
