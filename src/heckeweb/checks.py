@@ -484,6 +484,18 @@ def check_canonical_triple(max_n: int = 4) -> None:
                     hecke_route == bar_route,
                     lambda: f"Hecke route differs from bar-fixing at n={n}, eta={eta}",
                 )
+        # the dual canonical basis pairs with the canonical one to delta
+        for comp in compositions_of(n):
+            for k in range(n - len(comp), n + 1):
+                etas = uqrep.weight_etas(comp, k)
+                for h in etas:
+                    c_h = uqrep.canonical_basis(comp, h)
+                    for g in etas:
+                        _require(
+                            uqrep.bilinear_form(c_h, uqrep.dual_canonical(comp, g))
+                            == (1 if h == g else 0),
+                            lambda: f"dual canonical pairing fails on {comp} at {h},{g}",
+                        )
 
 
 # -- criterion 8: translation matrices vs webs ------------------------------

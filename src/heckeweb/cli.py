@@ -127,12 +127,6 @@ def _cmd_web_coeff(args) -> int:
     web = webcat.parse_word(comp, args.word)
     bottom = uqrep.parse_bits(args.bottom)
     top = uqrep.parse_bits(args.top)
-    if len(bottom) != len(web.source):
-        raise ValueError(
-            f"bottom bitstring length {len(bottom)} != arity {len(web.source)}"
-        )
-    if len(top) != len(web.target):
-        raise ValueError(f"top bitstring length {len(top)} != arity {len(web.target)}")
     value = webcat.matrix_coefficient(webcat.LabeledWebDiagram(web, bottom, top))
     _emit(args, lambda: [str(value)],
           lambda: {"web": web.to_json(), "coeff": coeff_to_json(value)})

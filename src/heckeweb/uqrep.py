@@ -13,17 +13,18 @@ standard/canonical/dual bases, the bilinear form with rescaled quantum
 multinomial values, the rescaled adjoint E' of F, and the Hecke action on
 tensor powers of the vector representation.
 
-The canonical basis is computed in closed form.  Cut eta before each of
-its 1s: its leading 0s, then one block per 1, the 1 with the 0s after
-it.  c_eta is the tensor product of the leading v_0s and one vector per
-block, the sum over the block's positions j of q^(a_1 + ... + a_(j-1))
-times the block's 1 moved to position j, where a_1, a_2, ... are the
-block's parts.  So every coefficient is a monomial q^d and every term
-appears once.  This is what the canonical basis diagram of webcat
-evaluates to (each split of a 1-labelled edge a+b gives v_10 + q^a v_01).
-Two routes are kept as checks: the evaluated diagram
-(webcat.evaluate_canonical_diagram) and bar-fixing
-(canonical_basis_by_bar).
+The canonical basis and its dual are block products in closed form.  Cut
+eta before each of its 1s: its leading 0s, then one block per 1, the 1
+with the 0s after it.  c_eta is the tensor product of the leading v_0s and
+one vector per block, the sum over the block's positions j of
+q^(a_1 + ... + a_(j-1)) times the block's 1 moved to position j, where a_1,
+a_2, ... are the block's parts: every coefficient is a monomial q^d.  This
+is what the canonical basis diagram of webcat evaluates to (each split of
+a 1-labelled edge a+b gives v_10 + q^a v_01); that diagram and bar-fixing
+(canonical_basis_by_bar) are its check routes.  d_eta mirrors it in the
+dual standard basis v^e = v_e / (v_e, v_e): the 0s move instead, the block
+of a 0 holds the 1s after it, and moving the 0 j places gives
+(-1)^j q^(a_1 + ... + a_j).  The triple suite checks (c_h, d_eta) = delta.
 """
 
 from __future__ import annotations
@@ -198,7 +199,9 @@ def weight_index(comp, eta) -> int:
 
 def weight_etas(comp, k: int) -> list[tuple[int, ...]]:
     """All eta with weight index k, sorted increasingly (inversions, lex),
-    as a new list."""
+    as a new list; ValueError unless k is an int."""
+    if type(k) is not int:
+        raise ValueError(f"weight index k must be an integer, not {k!r}")
     return list(_weight_etas(composition(comp), k))
 
 
@@ -401,20 +404,27 @@ def canonical_basis(comp, eta) -> TensorVector:
 
 @cache
 def _canonical_basis(comp, eta) -> TensorVector:
-    """The block product on ints: each partial eta carries the exponent of
-    its monomial, and every q^d is interned once by value."""
-    ones = [r for r, e in enumerate(eta) if e == 1] + [len(eta)]
-    terms = {eta[: ones[0]]: 0}
-    for start, end in zip(ones, ones[1:]):
+    """The block product on ints, every q^d interned once by value."""
+    x = TensorVector._of(comp, {g: _coefficient(((d, 1),)) for g, d in _blocks(comp, eta, 1).items()})
+    x.check_unitriangular(eta, _below(eta))
+    return x
+
+
+def _blocks(comp, eta, mover) -> dict:
+    """The block product of the module docstring as {label: d}: eta is cut
+    before each entry equal to mover, which moves right in its block, and
+    the term's monomial is q^d, d the sum of the parts the movers passed."""
+    cuts = [r for r, e in enumerate(eta) if e == mover] + [len(eta)]
+    pad, mark = (1 - mover,), (mover,)
+    terms = {eta[: cuts[0]]: 0}
+    for start, end in zip(cuts, cuts[1:]):
         choices = []
         shift = 0
         for r in range(start, end):
-            choices.append(((0,) * (r - start) + (1,) + (0,) * (end - r - 1), shift))
+            choices.append((pad * (r - start) + mark + pad * (end - r - 1), shift))
             shift += comp[r]
         terms = {head + bits: d + s for head, d in terms.items() for bits, s in choices}
-    x = TensorVector._of(comp, {g: _coefficient(((d, 1),)) for g, d in terms.items()})
-    x.check_unitriangular(eta, _below(eta))
-    return x
+    return terms
 
 
 def canonical_basis_by_bar(comp, eta) -> TensorVector:
@@ -440,21 +450,17 @@ def _canonical_basis_by_bar(comp, eta) -> TensorVector:
     return x
 
 
-def _beta(comp, eta) -> tuple[int, ...]:
-    return tuple(a - e for a, e in zip(comp, eta))
-
-
 def standard_norm(comp, eta) -> LaurentPoly:
     """The form value (v_eta, v_eta): the rescaled quantum multinomial of
     (a_j - eta_j); ValueError unless comp is a composition and eta a 0/1
     sequence with one entry per part."""
-    return _standard_norm(tuple(comp), tuple(eta))
+    comp = composition(comp)
+    return _standard_norm(comp, _check_eta(comp, eta))
 
 
 @cache
 def _standard_norm(comp, eta) -> LaurentPoly:
-    # checked on a cache miss only: tensor products call this per term
-    return quantum_multinom0(_beta(comp, _check_eta(composition(comp), eta)))
+    return quantum_multinom0(tuple(a - e for a, e in zip(comp, eta)))
 
 
 def bilinear_form(v: TensorVector, w: TensorVector):
@@ -466,7 +472,7 @@ def bilinear_form(v: TensorVector, w: TensorVector):
     for eta, c in v.support.items():
         d = w.support.get(eta)
         if d is not None:
-            out = out + c * d * standard_norm(v.comp, eta)
+            out = out + c * d * _standard_norm(v.comp, eta)
     return out
 
 
@@ -474,39 +480,26 @@ def dual_standard(comp, eta) -> TensorVector:
     """The vector pairing to 1 with v_eta and to 0 with the others."""
     comp = composition(comp)
     eta = _check_eta(comp, eta)
-    return TensorVector(comp, {eta: 1 / standard_norm(comp, eta)})
+    return TensorVector(comp, {eta: 1 / _standard_norm(comp, eta)})
 
 
 def dual_canonical(comp, eta) -> TensorVector:
-    """The basis dual to the canonical one.  With c_h = sum_g U[h][g] v_g,
-    U unitriangular with Laurent entries, the dual vector is
-    d_g = sum_e (U^-1)[e][g] / (v_e, v_e) v_e; U^-1 comes from forward
-    substitution in weight_etas order, so the only division is one per
-    output coefficient."""
+    """The basis dual to the canonical one, (c_h, d_eta) = delta_{h,eta}: the
+    block product of the module docstring in the dual standard basis, each
+    coefficient one interned +-q^d divided by one form value (v_g, v_g)."""
     comp = composition(comp)
-    eta = _check_eta(comp, eta)
-    return _dual_canonical_space(comp, weight_index(comp, eta))[eta]
+    return _dual_canonical(comp, _check_eta(comp, eta))
 
 
 @cache
-def _dual_canonical_space(comp, k: int) -> dict:
-    """The dual canonical vectors of the weight space of index k, by eta."""
-    etas = weight_etas(comp, k)
-    # rows[h] = row h of U^-1 = v_h - sum_{e < h} U[h][e] rows[e]
-    rows = {}
-    for h in etas:
-        rows[h] = TensorVector.from_terms(comp, (
-            (g, -u * x)
-            for e, u in canonical_basis(comp, h).support.items()
-            if e != h
-            for g, x in rows[e].support.items()
-        ), {h: _ONE})
-    columns = {g: [] for g in etas}
-    for e, row in rows.items():
-        norm = standard_norm(comp, e)
-        for g, x in row.support.items():
-            columns[g].append((e, x / norm))
-    return {g: TensorVector.from_terms(comp, terms) for g, terms in columns.items()}
+def _dual_canonical(comp, eta) -> TensorVector:
+    # a 0 moved j places passes j 1s and adds j inversions: the sign
+    # (-1)^j of all blocks is (-1)^(inversions(g) - inversions(eta))
+    base = _inversions(eta)
+    return TensorVector._of(comp, {
+        g: _coefficient(((d, (-1) ** (_inversions(g) - base)),)) / _standard_norm(comp, g)
+        for g, d in _blocks(comp, eta, 0).items()
+    })
 
 
 # -- Hecke action on tensor powers of the vector representation -----------

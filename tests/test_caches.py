@@ -65,7 +65,7 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",
         "heckeweb.uqrep._bar_basis",
-        "heckeweb.uqrep._dual_canonical_space",
+        "heckeweb.uqrep._dual_canonical",
         "heckeweb.uqrep._bits",
         "heckeweb.uqrep._eta_key",
         "heckeweb.uqrep._weight_etas",

@@ -14,7 +14,7 @@ IDENTITIES_AT_4 = {
     "adjunction": 1256,
     "stl": 264,
     "webs": 212,
-    "triple": 90,
+    "triple": 284,
     "theorem1": 17,
     "efm": 634,
     "homdim": 98,
@@ -63,4 +63,17 @@ def test_a_wrong_raised_vector_shared_by_its_pairs_fails_adjunction(capsys, monk
     monkeypatch.setattr(uqrep, "act_Eprime", lambda v: raise_(v) + v if v == target else raise_(v))
     assert _check(capsys, "adjunction") == (
         1, "adjunction: FAIL (F/E' adjunction fails on (1, 2) at (0, 1),(0, 1))\n"
+    )
+
+
+def test_a_wrong_dual_canonical_vector_fails_triple(capsys, monkeypatch):
+    # d_01 of (1, 2) plus the dual standard vector of v_10, which c_10 meets
+    comp = (1, 2)
+    wrong = uqrep.dual_canonical(comp, (0, 1)) + uqrep.dual_standard(comp, (1, 0))
+    dual = uqrep.dual_canonical
+    monkeypatch.setattr(
+        uqrep, "dual_canonical", lambda c, eta: wrong if (c, eta) == (comp, (0, 1)) else dual(c, eta)
+    )
+    assert _check(capsys, "triple") == (
+        1, "triple: FAIL (dual canonical pairing fails on (1, 2) at (1, 0),(0, 1))\n"
     )

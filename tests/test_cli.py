@@ -333,6 +333,20 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bottom, top, bad", [
+    ("1", "01", "(1,)"),  # the source (1, 1) has two factors
+    ("101", "01", "(1, 0, 1)"),
+    ("10", "0", "(0,)"),  # so has the target of the identity web
+    ("10", "011", "(0, 1, 1)"),
+])
+def test_web_coeff_refuses_a_labeling_of_the_wrong_length(capsys, bottom, top, bad):
+    code, out, err = run_cli(
+        capsys, "web-coeff", "--comp", "1,1", "--word", "id", "--bottom", bottom, "--top", top
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad 0/1 sequence {bad} for composition (1, 1)\n"
+
+
 def _main_output(capsys, argv):
     """(exit status, stdout, stderr) of cli.main(argv), usage errors included."""
     try:

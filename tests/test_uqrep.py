@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import heckeweb
 from heckeweb.qarith import (
     LaurentPoly,
     quantum_binom,
@@ -200,6 +201,28 @@ def test_bilinear_form_values():
 def test_standard_norm_refuses_a_bad_eta_or_composition(comp, eta):
     with pytest.raises(ValueError):
         uqrep.standard_norm(comp, eta)
+
+
+@pytest.mark.parametrize("comp, eta", [
+    ((2, 1), (True, False)),  # equal to (1, 0) as a key, but not 0/1 ints
+    ((2.0, 1), (1, 0)),  # equal to (2, 1) as a key, but not a composition
+])
+def test_standard_norm_refuses_an_input_equal_to_a_cached_valid_one(comp, eta):
+    heckeweb.clear_caches()
+    for _ in range(2):  # cold, then with the valid input cached
+        with pytest.raises(ValueError):
+            uqrep.standard_norm(comp, eta)
+        assert uqrep.standard_norm((2, 1), (1, 0)) == quantum_multinom0((1, 1))
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2", None])
+def test_weight_etas_refuses_a_k_that_is_not_an_int_warm_or_cold(k):
+    heckeweb.clear_caches()
+    for _ in range(2):  # cold, then with the valid input cached
+        with pytest.raises(ValueError, match="weight index k must be an integer"):
+            uqrep.weight_etas((1, 2), k)
+        assert uqrep.weight_etas((1, 2), 2) == [(0, 1), (1, 0)]
+        assert uqrep.weight_etas((1, 2), 1) == [(1, 1)]
 
 
 def test_standard_norm_is_the_multinomial_of_the_lowered_parts():
