@@ -135,9 +135,6 @@ def _cmd_web_coeff(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     comp = _parse_comp(args.comp)
-    n = sum(comp)
-    if not 0 <= args.k <= n:
-        raise ValueError(f"k={args.k} out of range 0..{n}")
     if args.admissible_only:
         tabs = tabgroth.admissible_tableaux(comp, args.k)
     else:

@@ -25,8 +25,6 @@ of the module, so it builds every element.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .qarith import LaurentPoly, json_parser
 from .symgrp import Permutation
 from . import inducedmod
@@ -67,15 +65,8 @@ class HeckeElement(ModuleElement):
         return HeckeElement._from_support_json(mod, data, "w", lambda w: Permutation(tuple(w)))
 
 
-@cache
-def _regular_module(n: int) -> InducedModule:
-    """InducedModule.of(n), built once per n; n is the size of a
-    Permutation, so always a genuine int."""
-    return InducedModule.of(n)
-
-
 def standard_basis_element(w: Permutation) -> HeckeElement:
-    return HeckeElement(_regular_module(w.n), {w: _ONE})
+    return HeckeElement(InducedModule.of(w.n), {w: _ONE})
 
 
 def bar(x: HeckeElement) -> HeckeElement:
@@ -86,5 +77,5 @@ def bar(x: HeckeElement) -> HeckeElement:
 def kl_basis_element(w: Permutation) -> HeckeElement:
     """The canonical basis element: the canonical basis element of the
     regular module, read as an element of the algebra."""
-    cb = inducedmod.canonical_basis_element(_regular_module(w.n), w)
+    cb = inducedmod.canonical_basis_element(InducedModule.of(w.n), w)
     return HeckeElement._of(cb.parent, cb.support)

@@ -28,19 +28,22 @@ exactly when a < b.  A step thus costs O(1) per support term.  This needs
 every support index to be a shortest representative, which the
 constructors that take outside input check.
 
-Every operation on elements other than the canonical step runs through
-one loop over plain {label: {exponent: int}} dicts, and each coefficient
-of its result is built once.  For each (module, i) and each diagonal
-term d (none for the action, q for the canonical step H_i + q, q - q^-1
-for H_i^-1 in the bar involution), a table filled in as labels are met
-holds the (target, exponent shift, coefficient) triples of
-N_y . (H_i + d), read off the four cases with like terms combined.  The
-bar images bar(N_w) and N_e . H_w are cached as triples in the same
-form, and so are the images of N_w under the inclusions map_i and map_j.  An element with
-fractional coefficients is taken as integer numerators over the lcm of
-its denominators, a coefficient already over the lcm without a
-division; dividing the result's coefficients by it costs one reduction
-per distinct (numerator, denominator) pair, since the normalizer of
+Every linear operation on elements (the action, the bar involution and
+the four maps) is one call of _apply, which sends each N_w to a row of
+(target, exponent shift, coefficient) triples and sums the rows in one
+loop over plain {label: {exponent: int}} dicts, so each coefficient of
+the result is built once.  For each (module, i) and each diagonal term d
+(none for the action, q for the canonical step H_i + q, q - q^-1 for
+H_i^-1 in the bar involution), a table filled in as labels are met
+holds the rows of N_y . (H_i + d), read off the four cases with like
+terms combined.  The rows of bar(N_w) and N_e . H_w are cached in the
+same form, and so are the images of N_w under the inclusions map_i and
+map_j.  The bar involution is semilinear, so it bars the coefficients
+and sends each N_w to bar(N_w).  An element with fractional
+coefficients is taken as integer numerators over the lcm of its
+denominators, a coefficient already over the lcm without a division;
+dividing the result's coefficients by it costs one reduction per
+distinct (numerator, denominator) pair, since the normalizer of
 `qarith` is memoized by value.
 
 The canonical basis is built by multiplying and correcting: C_w is
@@ -181,6 +184,9 @@ class ModuleElement(SparseVector):
     def _label(self, code: int) -> str:
         return _label_text(self.PREFIX, self.parent.n, code)
 
+    def _shown(self, code: int) -> Permutation:
+        return _permutation(self.parent.n, code)
+
     def coeff(self, w: Permutation):
         """The coefficient of N_w."""
         return SparseVector.coeff(self, _encode(w))
@@ -191,21 +197,23 @@ class ModuleElement(SparseVector):
         return {_permutation(n, code): c for code, c in self.support.items()}
 
     def check_unitriangular(self, top: Permutation, below=None) -> None:
-        """SparseVector.check_unitriangular, with top, below's argument
-        and the labels of the message as Permutations."""
-        SparseVector(self.parent, self.permutation_support()).check_unitriangular(top, below)
+        """SparseVector.check_unitriangular, with top and below's argument
+        as Permutations."""
+        n = self.parent.n
+        if type(top) is not Permutation or top.n != n:
+            raise ArithmeticError(f"no diagonal coefficient at {top}")
+        on_codes = None if below is None else lambda code: below(_permutation(n, code))
+        SparseVector.check_unitriangular(self, _encode(top), on_codes)
 
     def act_generator(self, i: int) -> "ModuleElement":
         return act_generator(self, i)
 
     def bar(self) -> "ModuleElement":
-        """Bar involution via N_w = N_e . H_w and bar(N_e) = N_e."""
+        """Bar involution via N_w = N_e . H_w and bar(N_e) = N_e: it is
+        semilinear, so the barred coefficients go to bar(N_w)."""
         mod = self.parent
-        terms, den = _numerators(self)
-        work = _accumulate({}, (
-            ({-e: v for e, v in c.items()}, _word_times(mod, w, _H_INVERSE)) for w, c in terms
-        ))
-        return _element(type(self), mod, work, None if den is None else den.bar())
+        barred = self._of(mod, {w: c.bar() for w, c in self.support.items()})
+        return _apply(barred, type(self), mod, lambda w: _word_times(mod, w, _H_INVERSE))
 
     def to_json(self):
         return {"module": self.parent.to_json(), "support": self._support_json_by_word()}
@@ -265,19 +273,6 @@ def _times_simple(code: int, i: int, width: int) -> int:
     low = width * (i - 1)
     flip = ((code >> low) ^ (code >> (low + width))) & ((1 << width) - 1)
     return code ^ (flip << low) ^ (flip << (low + width))
-
-
-def _last_descent(n: int, code: int) -> int:
-    """The largest i with w(i) > w(i+1), 0 for the identity."""
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    b = code >> (width * (n - 1))
-    for i in range(n - 1, 0, -1):
-        a = (code >> (width * (i - 1))) & mask
-        if a > b:
-            return i
-        b = a
-    return 0
 
 
 def _first_descent(n: int, code: int) -> int:
@@ -395,7 +390,7 @@ def _accumulate(work: dict, pairs) -> dict:
     """Add c * coeff q^shift N_target into work, a {label: {exponent: int}}
     dict, for each (c, row) of pairs, c an {exponent: int} dict, and each
     (target, shift, coeff) triple of row.  Every module operation but the
-    canonical step runs through this loop."""
+    canonical step runs through this loop, by way of _apply."""
     for c, row in pairs:
         c = c.items()
         for target, shift, coeff in row:
@@ -408,26 +403,26 @@ def _accumulate(work: dict, pairs) -> dict:
     return work
 
 
-def _numerators(x: ModuleElement) -> tuple[list, LaurentPoly | None]:
-    """x's coefficients as {exponent: int} numerators over one denominator,
-    the lcm of theirs: the (label, numerator) pairs and the denominator,
-    None when every coefficient is a LaurentPoly.  A coefficient already
-    over the lcm gives its numerator without a division."""
+def _apply(x: ModuleElement, cls, dst: InducedModule, row_of, norm=None) -> ModuleElement:
+    """sum_w c_w row_of(w) for x = sum_w c_w N_w, as an element of class
+    cls of dst, divided by norm when one is given; row_of(w) is a tuple of
+    (target, exponent shift, coefficient) triples.  The coefficients are
+    taken as {exponent: int} numerators over the lcm of their
+    denominators, a coefficient already over the lcm without a division,
+    and each coefficient of the result is divided once."""
     den = common_denominator(x.support.values())
     if den is None:
-        return [(w, c.terms) for w, c in x.support.items()], None
+        pairs = ((c.terms, row_of(w)) for w, c in x.support.items())
+    else:
+        def numerator(c) -> dict:
+            if not isinstance(c, RationalFunction):
+                return (c * den).terms
+            return c.num.terms if c.den == den else (c.num * den.divexact(c.den)).terms
 
-    def numerator(c) -> LaurentPoly:
-        if not isinstance(c, RationalFunction):
-            return c * den
-        return c.num if c.den == den else c.num * den.divexact(c.den)
-
-    return [(w, numerator(c).terms) for w, c in x.support.items()], den
-
-
-def _element(cls, mod: InducedModule, work: dict, den=None) -> ModuleElement:
-    """The element of mod with the coefficients in work, each divided by
-    den when one is given."""
+        pairs = ((numerator(c), row_of(w)) for w, c in x.support.items())
+    work = _accumulate({}, pairs)
+    if norm is not None:
+        den = norm if den is None else den * norm
     support = {}
     for y, poly in work.items():
         if not all(poly.values()):
@@ -435,26 +430,27 @@ def _element(cls, mod: InducedModule, work: dict, den=None) -> ModuleElement:
         if poly:
             c = LaurentPoly._of(poly)
             support[y] = c if den is None else c / den
-    return cls._of(mod, support)
+    return cls._of(dst, support)
 
 
 def act_generator(x: ModuleElement, i: int) -> ModuleElement:
     """Right action of H_i by the four-case rule."""
     mod = x.parent
+    if type(i) is not int:
+        raise ValueError(f"generator index must be an integer, not {i!r}")
     if not 1 <= i <= mod.n - 1:
         raise ValueError(f"generator index {i} out of range for S_{mod.n}")
-    terms, den = _numerators(x)
-    table = _step_table(mod, i, _H)
-    return _element(type(x), mod, _accumulate({}, ((c, table[w]) for w, c in terms)), den)
+    return _apply(x, type(x), mod, _step_table(mod, i, _H).__getitem__)
 
 
 @cache
 def _word_times(mod: InducedModule, code: int, diagonal: tuple) -> tuple:
     """N_e . (H_i1 + diagonal) ... (H_ik + diagonal) along the reduced
-    word of w that ends in its last right descent, as (label, exponent,
+    word of w that ends in its first right descent, as (label, exponent,
     coefficient) triples: N_e . H_w for _H, and bar(N_w) = N_e . bar(H_w)
-    = N_e . H_i1^-1 ... H_ik^-1 for _H_INVERSE."""
-    i = _last_descent(mod.n, code)
+    = N_e . H_i1^-1 ... H_ik^-1 for _H_INVERSE.  H_w is the same along
+    every reduced word, so the word is the canonical step's."""
+    i = _first_descent(mod.n, code)
     if not i:
         return ((code, 0, 1),)
     table = _step_table(mod, i, diagonal)
@@ -541,24 +537,8 @@ def _stepped(mod: InducedModule, code: int) -> ModuleElement:
             entry = sums.get((id(a), id(c), 0, -m)) or _add(sums, a, c, 0, -m)
             work[z] = entry[0]
     result = ModuleElement._of(mod, {y: a for y, a in work.items() if a.terms})
-    if not _is_unitriangular(result.support, code):
-        # the same condition: raises with its message
-        result.check_unitriangular(_permutation(mod.n, code))
+    SparseVector.check_unitriangular(result, code)
     return result
-
-
-def _is_unitriangular(support: dict, top: int) -> bool:
-    """SparseVector.check_unitriangular's condition on shared values: the
-    coefficient at top is 1 and no other label has it, and each distinct
-    value at another label lies in qZ[q]."""
-    diag = support.get(top)
-    if diag is None or not diag.is_one():
-        return False
-    values = list(support.values())
-    ids = list(map(id, values))
-    if ids.count(id(diag)) != 1:
-        return False
-    return all(min(c.terms) >= 1 for c in dict(zip(ids, values)).values() if c is not diag)
 
 
 # -- the symmetries of the regular module ---------------------------------
@@ -665,54 +645,39 @@ def _map_table(src: InducedModule, dst: InducedModule) -> _Table:
 def map_i(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
     """Inclusion along a shrinking trivial wall: requires the destination
     q-parabolic to sit inside the source one, same p."""
-    _check_shrink(src, dst, which="q")
-    return _include(src, dst, x)
+    _check_map(x, src, big=src, small=dst, which="q")
+    return _apply(x, ModuleElement, dst, _map_table(src, dst).__getitem__)
 
 
 def map_Q(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
     """Left inverse of map_i: the scaled quotient map along a growing
-    trivial wall (source q-parabolic inside the destination one)."""
-    _check_shrink(dst, src, which="q")
-    if x.parent != src:
-        raise ValueError("element does not live in the source module")
-    return _push_forward(dst, x, _quotient_norm(dst.parabolic_q(), src.q_gens))
+    trivial wall (source q-parabolic inside the destination one), sum_w
+    c_w N_e . H_w divided by the norm of the quotient."""
+    _check_map(x, src, big=dst, small=src, which="q")
+    norm = _quotient_norm(dst.parabolic_q(), src.q_gens)
+    return _apply(x, ModuleElement, dst, lambda w: _word_times(dst, w, _H), norm)
 
 
 def map_j(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
     """Inclusion along a shrinking sign wall: destination p-parabolic
     inside the source one, same q."""
-    _check_shrink(src, dst, which="p")
-    return _include(src, dst, x)
+    _check_map(x, src, big=src, small=dst, which="p")
+    return _apply(x, ModuleElement, dst, _map_table(src, dst).__getitem__)
 
 
 def map_z(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
-    """Quotient map along a growing sign wall, normalized by N_e -> N_e."""
-    _check_shrink(dst, src, which="p")
-    if x.parent != src:
-        raise ValueError("element does not live in the source module")
-    return _push_forward(dst, x)
+    """Quotient map along a growing sign wall, normalized by N_e -> N_e:
+    sum_w c_w N_e . H_w."""
+    _check_map(x, src, big=dst, small=src, which="p")
+    return _apply(x, ModuleElement, dst, lambda w: _word_times(dst, w, _H))
 
 
-def _include(src: InducedModule, dst: InducedModule, x: ModuleElement) -> ModuleElement:
-    """x's image under map_i or map_j, read off their table."""
-    if x.parent != src:
-        raise ValueError("element does not live in the source module")
-    terms, den = _numerators(x)
-    table = _map_table(src, dst)
-    return _element(ModuleElement, dst, _accumulate({}, ((c, table[w]) for w, c in terms)), den)
-
-
-def _push_forward(dst: InducedModule, x: ModuleElement, norm=None) -> ModuleElement:
-    """sum_w c_w N_e . H_w in dst, for x = sum_w c_w N_w in a module over
-    the same S_n, divided by norm when one is given."""
-    terms, den = _numerators(x)
-    if norm is not None:
-        den = norm if den is None else den * norm
-    work = _accumulate({}, ((c, _word_times(dst, w, _H)) for w, c in terms))
-    return _element(ModuleElement, dst, work, den)
-
-
-def _check_shrink(big: InducedModule, small: InducedModule, which: str) -> None:
+def _check_map(
+    x: ModuleElement, src: InducedModule, big: InducedModule, small: InducedModule, which: str
+) -> None:
+    """Raise ValueError unless big and small are modules over one S_n
+    whose `which` walls nest (small's inside big's) and whose other walls
+    agree, and x lives in src."""
     if big.n != small.n:
         raise ValueError("modules over different symmetric groups")
     if which == "q":
@@ -721,3 +686,5 @@ def _check_shrink(big: InducedModule, small: InducedModule, which: str) -> None:
     else:
         if big.q_gens != small.q_gens or not small.p_gens <= big.p_gens:
             raise ValueError("need identical q-walls and nested p-walls")
+    if x.parent != src:
+        raise ValueError("element does not live in the source module")

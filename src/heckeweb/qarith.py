@@ -607,7 +607,8 @@ class SparseVector(Immutable):
     coefficient is ever stored, so equal vectors have equal dicts.
 
     Subclasses fix only the format: `_sort_key(label)` orders the terms
-    (leading terms first), `_label(label)` renders a basis vector, and
+    (leading terms first), `_label(label)` renders a basis vector,
+    `_shown(label)` gives the label as messages name it, and
     `PARENTHESIZE_FRACTIONS` says whether a non-Laurent coefficient is
     printed in parentheses.  A subclass's constructor may take other
     labels than it stores (ModuleElement takes Permutations and stores
@@ -643,6 +644,9 @@ class SparseVector(Immutable):
 
     def coeff(self, label):
         return self.support.get(label, _ZERO)
+
+    def _shown(self, label):
+        return label
 
     def is_zero(self) -> bool:
         return not self.support
@@ -713,22 +717,27 @@ class SparseVector(Immutable):
         element.  Each distinct coefficient object off the diagonal is
         checked once; the first label in support order that breaks the
         shape is reported."""
+        shown = self._shown
         if top not in self.support:
-            raise ArithmeticError(f"no diagonal coefficient at {top}")
+            raise ArithmeticError(f"no diagonal coefficient at {shown(top)}")
         good = set()  # ids of the off-diagonal coefficients found in qZ[q]
         for label, c in self.support.items():
             if label == top or id(c) not in good:
                 if not isinstance(c, LaurentPoly):
-                    raise ArithmeticError(f"coefficient {c} at {label} is not a Laurent polynomial")
+                    raise ArithmeticError(
+                        f"coefficient {c} at {shown(label)} is not a Laurent polynomial"
+                    )
                 if label == top:
                     if not c.is_one():
-                        raise ArithmeticError(f"diagonal coefficient {c} at {top}")
+                        raise ArithmeticError(f"diagonal coefficient {c} at {shown(top)}")
                     continue
                 if c.min_exp() < 1:
-                    raise ArithmeticError(f"coefficient {c} at {label} breaks unitriangularity")
+                    raise ArithmeticError(
+                        f"coefficient {c} at {shown(label)} breaks unitriangularity"
+                    )
                 good.add(id(c))
             if below is not None and not below(label):
-                raise ArithmeticError(f"coefficient {c} at {label} breaks unitriangularity")
+                raise ArithmeticError(f"coefficient {c} at {shown(label)} breaks unitriangularity")
 
     def _support_json(self, key: str, label_json) -> list:
         return [

@@ -252,6 +252,8 @@ def class_vector(comp, eta, kind: str) -> TensorVector:
 def check_weight(comp, k: int) -> None:
     """Raise ValueError unless k is a weight index of the tensor product
     of type comp, that is unless uqrep.weight_etas(comp, k) is nonempty."""
+    if type(k) is not int:
+        raise ValueError(f"weight index k must be an integer, not {k!r}")
     n = sum(comp)
     if not n - len(comp) <= k <= n:
         raise ValueError(f"k={k} is not a weight of {tuple(comp)}: needs {n - len(comp)}..{n}")

@@ -117,7 +117,7 @@ def canonical_basis_by_step(mod, code: int):
     SparseVector.check_unitriangular.  The production route reads most
     of the regular module's elements off a computed symmetric one."""
     n = mod.n
-    i = inducedmod._last_descent(n, code)
+    i = max(inducedmod._permutation(n, code).right_descents(), default=0)
     if not i:
         return inducedmod.ModuleElement._of(mod, {code: inducedmod._coefficient(((0, 1),))})
     shorter = canonical_basis_by_step(mod, inducedmod._times_simple(code, i, n.bit_length()))

@@ -73,7 +73,6 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.qarith._fraction",
         "heckeweb.inducedmod._label_text",
         "heckeweb.inducedmod._parabolic_pq",
-        "heckeweb.hecke._regular_module",
         "heckeweb.cli.build_parser",
     }
     heckeweb.clear_caches()

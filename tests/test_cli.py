@@ -643,6 +643,13 @@ def test_admissible_listing_rejects_k_outside_the_weights(capsys):
     assert code == 0 and out == "row[1 1] col[]  w=[1,2]  not admissible\n"
 
 
+def test_tableaux_rejects_k_past_n_in_the_library(capsys):
+    # (2,) has n = 2: the full listing and the admissible one both refuse k = 5
+    for extra in ((), ("--admissible-only",)):
+        code, out, err = run_cli(capsys, "tableaux", "--comp", "2", "--k", "5", *extra)
+        assert code == 2 and out == "" and "k=5" in err, extra
+
+
 def test_fractional_canonical_coefficient_is_an_internal_error(capsys, monkeypatch):
     interned = uqrep._coefficient
 

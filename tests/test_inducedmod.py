@@ -237,6 +237,20 @@ def test_json_rejects_an_index_outside_the_quotient():
             inducedmod.ModuleElement.from_json(bad)
 
 
+@pytest.mark.parametrize("i", [1.0, True])
+def test_a_generator_index_that_is_not_an_int_is_refused_before_any_cache(i):
+    heckeweb.clear_caches()
+    mod = inducedmod.InducedModule.of(3)
+    w = Permutation((2, 1, 3))
+    for _ in range(2):  # cold, then with the table of H_1 cached
+        with pytest.raises(ValueError, match="generator index must be an integer"):
+            inducedmod.act_generator(mod.standard(w), i)
+        assert inducedmod.act_generator(mod.standard(w), 1) == act_generator_by_products(mod, w, 1)
+        assert hecke.standard_basis_element(w).times_generator(1) == hecke.HeckeElement._of(
+            mod, act_generator_by_products(mod, w, 1).support
+        )
+
+
 def test_action_matches_permutation_products():
     for mod in commuting_modules(4):
         for w in mod.basis_index():
@@ -259,7 +273,11 @@ def test_generator_times_standard_matches_closed_form():
         regular = inducedmod.InducedModule.of(mod.n)
         for w in all_permutations(mod.n):
             want = generator_times_closed_form(mod, w)
-            assert inducedmod._push_forward(mod, regular.standard(w)) == want, (mod, w)
+            got = inducedmod._apply(
+                regular.standard(w), inducedmod.ModuleElement, mod,
+                lambda code: inducedmod._word_times(mod, code, inducedmod._H),
+            )
+            assert got == want, (mod, w)
 
 
 def test_canonical_basis_matches_module_arithmetic():
@@ -304,15 +322,23 @@ def test_the_shared_value_check_is_check_unitriangular():
         {s1: LaurentPoly.one(), e: q},  # an unshared diagonal 1
         {e: q},  # no diagonal
     ]
+    accepted = [True, True, False, False, False, False, False, True, False]
     mod = inducedmod.InducedModule.of(3)
-    for support in supports:
+    for support, want in zip(supports, accepted, strict=True):
         x = inducedmod.ModuleElement(mod, support)
         try:
             x.check_unitriangular(s1)
-            want = True
+            got = True
         except ArithmeticError:
-            want = False
-        assert inducedmod._is_unitriangular(x.support, inducedmod._encode(s1)) == want, support
+            got = False
+        assert got == want, support
+    # below's argument and the labels of the messages are Permutations
+    x = inducedmod.ModuleElement(mod, supports[0])
+    x.check_unitriangular(s1, below=lambda w: w.length() <= 1)
+    with pytest.raises(ArithmeticError, match=r"^coefficient q at \[1,2,3\] breaks"):
+        x.check_unitriangular(s1, below=lambda w: w != e)
+    with pytest.raises(ArithmeticError, match=r"^no diagonal coefficient at \[2,1\]$"):
+        x.check_unitriangular(Permutation((2, 1)))
 
 
 @pytest.fixture
@@ -471,7 +497,6 @@ def test_a_code_is_the_one_line_word_and_steps_with_it(data):
     assert inducedmod._entries(n, code) == list(w.one_line)
     assert inducedmod._permutation(n, code) == w
     assert inducedmod._term_key(n, code) == (w.length(), w.one_line)
-    assert inducedmod._last_descent(n, code) == max(w.right_descents(), default=0)
     assert inducedmod._first_descent(n, code) == min(w.right_descents(), default=0)
     if n == 1:
         return

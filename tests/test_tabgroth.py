@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import heckeweb
 from heckeweb.qarith import LaurentPoly, quantum_factorial0, quantum_int0
 from heckeweb.symgrp import Permutation
 from heckeweb import cli, tabgroth, uqrep
@@ -470,6 +471,22 @@ def test_tableau_rendering_and_json():
     assert str(t) == "row[1 2] col[1]"
     back = tabgroth.HookTableau.from_json(t.to_json())
     assert back == t
+
+
+@pytest.mark.parametrize("k", [1.0, True])
+def test_translations_refuse_a_k_that_is_not_an_int_warm_or_cold(k):
+    heckeweb.clear_caches()
+    web = tabgroth.web_translation_matrix
+    translations = (
+        tabgroth.translate_onto_wall,
+        tabgroth.translate_out_of_wall,
+        lambda comp, i, k: web(comp, i, k, "onto"),
+    )
+    for _ in range(2):  # cold, then with k = 1 computed
+        for translate in translations:
+            with pytest.raises(ValueError, match="weight index k must be an integer"):
+                translate((1, 1), 1, k)
+            assert translate((1, 1), 1, 1)
 
 
 def test_translations_reject_k_outside_the_weights():
