@@ -139,7 +139,7 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
+        return LaurentPoly._of({0: 1})
 
     @staticmethod
     def q(exp: int = 1, coeff: int = 1) -> "LaurentPoly":
@@ -716,10 +716,21 @@ class SparseVector(Immutable):
         the predicate `below` is given: the shape of a canonical basis
         element.  Each distinct coefficient object off the diagonal is
         checked once; the first label in support order that breaks the
-        shape is reported."""
+        shape is reported.  Without `below` the distinct objects are
+        collected at C speed, and the labels are walked only to name a
+        label that breaks the shape."""
         shown = self._shown
         if top not in self.support:
             raise ArithmeticError(f"no diagonal coefficient at {shown(top)}")
+        if below is None:
+            off = self.support.copy()
+            diagonal = off.pop(top)
+            values = off.values()
+            distinct = dict(zip(map(id, values), values)).values()
+            if isinstance(diagonal, LaurentPoly) and diagonal.is_one() and all(
+                isinstance(c, LaurentPoly) and c.terms and min(c.terms) >= 1 for c in distinct
+            ):
+                return
         good = set()  # ids of the off-diagonal coefficients found in qZ[q]
         for label, c in self.support.items():
             if label == top or id(c) not in good:

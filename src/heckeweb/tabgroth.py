@@ -153,6 +153,7 @@ def all_tableaux(comp, k: int) -> list[HookTableau]:
     """Every filling of the hook (n-k, k) by the type comp, admissible or
     not, in lexicographic order of the entries in box order.  There are
     n!/(a_1! ... a_l!) of them; raises ValueError past MAX_TABLEAUX."""
+    _check_int(k)
     comp = composition(comp)
     n = sum(comp)
     if not 0 <= k <= n:
@@ -222,6 +223,7 @@ def class_eta(w: Permutation, comp, k: int) -> tuple[int, ...] | None:
     >>> class_eta(Permutation((1, 2, 3, 4, 5, 6, 7)), (1, 2, 2, 2), 4) is None
     True
     """
+    _check_int(k)
     comp = composition(comp)
     if w.n != sum(comp):
         return None
@@ -249,11 +251,17 @@ def class_vector(comp, eta, kind: str) -> TensorVector:
 # -- translation across a merge position ---------------------------------
 
 
+def _check_int(k) -> None:
+    """Raise ValueError unless k is an int: True or 1.0 equals 1 as a key
+    and as an index, and would be taken for it."""
+    if type(k) is not int:
+        raise ValueError(f"weight index k must be an integer, not {k!r}")
+
+
 def check_weight(comp, k: int) -> None:
     """Raise ValueError unless k is a weight index of the tensor product
     of type comp, that is unless uqrep.weight_etas(comp, k) is nonempty."""
-    if type(k) is not int:
-        raise ValueError(f"weight index k must be an integer, not {k!r}")
+    _check_int(k)
     n = sum(comp)
     if not n - len(comp) <= k <= n:
         raise ValueError(f"k={k} is not a weight of {tuple(comp)}: needs {n - len(comp)}..{n}")

@@ -112,10 +112,11 @@ def canonical_basis_element_by_accumulate(mod, w: Permutation):
 def canonical_basis_by_step(mod, code: int):
     """The canonical element at the label code by the canonical step alone,
     for every module and every label: C_{w s_i} . (H_i + q) on shared
-    values for the last descent i of w, corrected by m C_y for each
-    constant term m at a label y != w, then checked by
-    SparseVector.check_unitriangular.  The production route reads most
-    of the regular module's elements off a computed symmetric one."""
+    values for the last descent i of w, one memo-of-sums lookup per step
+    term, corrected by m C_y for each constant term m at a label y != w,
+    then checked by SparseVector.check_unitriangular.  The production
+    route steps the first descent one coset {y, y s_i} at a time and reads
+    most of the regular module's elements off a computed symmetric one."""
     n = mod.n
     i = max(inducedmod._permutation(n, code).right_descents(), default=0)
     if not i:

@@ -61,6 +61,8 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod._quotient_norm",
         "heckeweb.qarith._coefficient",
         "heckeweb.inducedmod._sums",
+        "heckeweb.inducedmod._blocks",
+        "heckeweb.inducedmod._coset_table",
         "heckeweb.inducedmod._symmetries",
         "heckeweb.uqrep._canonical_basis",
         "heckeweb.uqrep._canonical_basis_by_bar",

@@ -391,8 +391,8 @@ def _s5_with_a_clear_halfway(clear):
 
 
 @pytest.mark.parametrize("table", [
-    "clear_caches", "_sums", "_coefficient", "_step_table", "canonical_basis_element",
-    "_canonical",
+    "clear_caches", "_sums", "_blocks", "_coset_table", "_coefficient", "_step_table",
+    "canonical_basis_element", "_canonical",
 ])
 def test_a_cleared_table_halfway_changes_no_value(fresh_caches, table):
     fresh = _s5_with_a_clear_halfway(lambda: None)
@@ -409,6 +409,10 @@ def test_each_memo_entry_holds_the_operands_its_key_names(fresh_caches):
     sums = inducedmod._sums()
     assert sums
     for (a, b, _, _), (_, *operands) in sums.items():
+        assert [id(x) for x in operands] == [a, b]
+    blocks = inducedmod._blocks()
+    assert blocks
+    for (a, b, _), (_, _, *operands) in blocks.items():
         assert [id(x) for x in operands] == [a, b]
 
 
@@ -645,12 +649,48 @@ def test_the_kl_basis_runs_the_step_once_per_symmetry_orbit(fresh_caches, monkey
     assert steps[0] == orbits
 
 
+@pytest.mark.parametrize("n,blocks", [(5, 757), (6, 16_762)])
+def test_the_step_reads_one_block_per_coset(fresh_caches, monkeypatch, n, blocks):
+    """Each stepped element's support is a union of cosets {y, y s_i} for
+    its descent i, and the step reads one block for each: half its terms."""
+    terms = [0]
+    stepped = inducedmod._stepped
+
+    def counted(mod, code):
+        result = stepped(mod, code)
+        if inducedmod._first_descent(mod.n, code):
+            terms[0] += len(result.support)
+        return result
+
+    class Lookups(dict):
+        def get(self, key):
+            self.count += 1
+            return dict.get(self, key)
+
+    memo = Lookups()
+    memo.count = 0
+    monkeypatch.setattr(inducedmod, "_stepped", counted)
+    monkeypatch.setattr(inducedmod, "_blocks", lambda: memo)
+    for w in all_permutations(n):
+        hecke.kl_basis_element(w)
+    assert 2 * memo.count == terms[0] == 2 * blocks
+
+
 def test_a_module_with_a_wall_runs_the_step_for_every_label(fresh_caches, monkeypatch):
     steps = _steps(monkeypatch)
     mod = inducedmod.InducedModule.of(5, q_gens=[1])
     for w in mod.basis_index():
         inducedmod.canonical_basis_element(mod, w)
     assert steps[0] == len(mod.basis_index())
+
+
+def test_the_label_maps_are_inversion_and_conjugation_by_w0():
+    for n in range(1, 6):
+        w0 = Permutation(tuple(range(n, 0, -1)))
+        for w in all_permutations(n):
+            images = inducedmod._images(n, inducedmod._encode(w))
+            want = (w.inverse(), w0 * w * w0, w0 * w.inverse() * w0)
+            assert tuple(inducedmod._permutation(n, code) for code in images) == want, w
 
 
 @pytest.mark.parametrize("image", ["merges two labels", "misses the diagonal"])

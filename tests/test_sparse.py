@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckeweb import hecke, inducedmod, tabgroth, uqrep, webcat
-from heckeweb.qarith import LaurentPoly, RationalFunction, SparseVector, coeff_to_json
+from heckeweb.qarith import (
+    LaurentPoly, RationalFunction, SparseVector, _coefficient, coeff_to_json,
+)
 
 ZERO = LaurentPoly.zero()
 
@@ -200,3 +202,53 @@ def test_unitriangular_shape_check():
     assert shared.support["b"] is shared.support["a"]
     with pytest.raises(ArithmeticError, match="breaks unitriangularity"):
         shared.check_unitriangular("a")
+
+
+_ONE, _Q = _coefficient(((0, 1),)), _coefficient(((1, 1),))
+
+
+@pytest.mark.parametrize("support, message", [
+    # the interned 1 of the diagonal again at a second label
+    ({"a": _ONE, "b": _Q, "c": _ONE}, "coefficient 1 at c breaks unitriangularity"),
+    # two labels break the shape: the first in support order is named
+    ({"a": _ONE, "c": LaurentPoly.q(-1), "b": _ONE + _Q},
+     "coefficient q^-1 at c breaks unitriangularity"),
+    ({"a": _ONE, "b": _ONE + _Q, "c": LaurentPoly.q(-1)},
+     "coefficient 1 + q at b breaks unitriangularity"),
+    ({"b": LaurentPoly.q(-1), "a": _Q}, "coefficient q^-1 at b breaks unitriangularity"),
+    ({"a": _Q, "b": LaurentPoly.q(-1)}, "diagonal coefficient q at a"),
+    # a coefficient that is not a Laurent polynomial, off and on the diagonal
+    ({"a": _ONE, "b": _Q / (_ONE + _Q * _Q)},
+     "coefficient (q)/(1 + q^2) at b is not a Laurent polynomial"),
+    ({"a": _Q / (_ONE + _Q * _Q), "b": _Q},
+     "coefficient (q)/(1 + q^2) at a is not a Laurent polynomial"),
+])
+def test_the_shape_check_without_below_names_the_first_label_that_breaks_it(support, message):
+    x = SparseVector._of("V", support)
+    for below in (None, lambda label: True):
+        with pytest.raises(ArithmeticError) as refused:
+            x.check_unitriangular("a", below)
+        assert str(refused.value) == message
+
+
+shared = st.sampled_from([
+    _ONE, _Q, _coefficient(((1, 2), (3, -1))), _coefficient(((-1, 1),)), LaurentPoly.one(),
+    _Q / (_ONE + _Q),
+])
+
+
+@examples
+@given(st.dictionaries(st.sampled_from("abcd"), shared, max_size=4))
+def test_the_shape_check_without_below_reads_as_with_a_below_that_holds(support):
+    """The check without `below` collects the distinct coefficients; with
+    a predicate it walks the labels.  Both accept the same vectors and
+    name the same label."""
+    x = SparseVector._of("V", support)
+
+    def outcome(*below):
+        try:
+            x.check_unitriangular("a", *below)
+        except ArithmeticError as refused:
+            return str(refused)
+
+    assert outcome() == outcome(lambda label: True)

@@ -489,6 +489,21 @@ def test_translations_refuse_a_k_that_is_not_an_int_warm_or_cold(k):
             assert translate((1, 1), 1, 1)
 
 
+@pytest.mark.parametrize("k", [1.0, True])
+def test_the_tableau_listing_and_class_eta_refuse_a_k_that_is_not_an_int(k):
+    # True once listed the k = 1 tableaux, 1.0 failed as a slice index, and
+    # class_eta took 1.0 for 1
+    e = Permutation.identity(2)
+    for call in (
+        lambda: tabgroth.all_tableaux((2, 1), k),
+        lambda: tabgroth.class_eta(e, (1, 1), k),
+    ):
+        with pytest.raises(ValueError, match=r"^weight index k must be an integer, not "):
+            call()
+    assert len(tabgroth.all_tableaux((2, 1), 1)) == 3
+    assert tabgroth.class_eta(e, (1, 1), 1) == (0, 1)
+
+
 def test_translations_reject_k_outside_the_weights():
     # (1,1) has weights 0, 1, 2; the merged type (2) has 1, 2
     web = tabgroth.web_translation_matrix

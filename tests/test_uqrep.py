@@ -167,6 +167,8 @@ def test_canonical_unitriangular():
      "coefficient q at (1, 1, 0) breaks unitriangularity"),
     ((1, 0, 1), {(1, 0, 1): 0, (1, 0, 0): 2}, "coefficient q^2 at (1, 0, 0) breaks unitriangularity"),
     ((1, 0), {(1, 0): 1, (0, 1): 1}, "diagonal coefficient q at (1, 0)"),
+    # the diagonal's own 1 again at a label below top
+    ((1, 0, 1), {(1, 0, 1): 0, (0, 1, 1): 0}, "coefficient 1 at (0, 1, 1) breaks unitriangularity"),
 ])
 def test_a_label_not_below_top_or_a_diagonal_not_1_is_refused(top, support, message):
     # exponent d stands for q^d, one shared object per exponent
