@@ -98,11 +98,12 @@ def _cmd_canonical(args) -> int:
         vec = uqrep.canonical_basis(comp, eta)
         _emit(args, lambda: [str(vec)], vec.to_json)
         return 0
+    # comp is validated once; every eta listed for it is valid
     n = sum(comp)
     rows = [
-        ("".join(str(b) for b in eta), uqrep.canonical_basis(comp, eta))
+        (uqrep._bits(eta), uqrep._canonical_basis(comp, eta))
         for k in range(n, n - len(comp) - 1, -1)
-        for eta in uqrep.weight_etas(comp, k)
+        for eta in uqrep._weight_etas(comp, k)
     ]
     _emit(args, lambda: [f"{bits}: {vec}" for bits, vec in rows],
           lambda: [{"eta": bits, "vector": vec.to_json()} for bits, vec in rows])

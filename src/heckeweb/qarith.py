@@ -695,20 +695,12 @@ class SparseVector(Immutable):
         return sorted(self.support.items(), key=lambda item: key(item[0]), reverse=True)
 
     def __str__(self):
+        """The terms, leading first, joined by " + "; each coefficient's
+        printed prefix ("", "c*" or "(c)*") is rendered once per value."""
         if not self.support:
             return "0"
-        parts = []
-        for k, c in self.terms_sorted():
-            label = self._label(k)
-            if isinstance(c, LaurentPoly):
-                if c.is_one():
-                    parts.append(label)
-                    continue
-                parenthesize = len(c.terms) > 1
-            else:
-                parenthesize = self.PARENTHESIZE_FRACTIONS
-            parts.append(f"({c})*{label}" if parenthesize else f"{c}*{label}")
-        return " + ".join(parts)
+        label, paren = self._label, self.PARENTHESIZE_FRACTIONS
+        return " + ".join([_prefix(c, paren) + label(k) for k, c in self.terms_sorted()])
 
     def check_unitriangular(self, top, below=None) -> None:
         """Raise ArithmeticError unless the coefficient at `top` is 1 and
@@ -765,6 +757,20 @@ class SparseVector(Immutable):
                 raise ValueError(f"{key} {item[key]!r} is listed twice")
             support[label] = RationalFunction.from_json(item["coeff"])
         return cls.from_terms(parent, support.items())
+
+
+@cache
+def _prefix(c, parenthesize_fractions: bool) -> str:
+    """The text printed before a basis vector with coefficient c: nothing
+    for 1, parentheses around a Laurent polynomial of several terms and,
+    when asked, around a fraction."""
+    if isinstance(c, LaurentPoly):
+        if c.is_one():
+            return ""
+        parenthesize = len(c.terms) > 1
+    else:
+        parenthesize = parenthesize_fractions
+    return f"({c})*" if parenthesize else f"{c}*"
 
 
 def _summed(terms, start) -> dict:
@@ -842,6 +848,7 @@ def quantum_factorial0(k: int) -> LaurentPoly:
     return quantum_factorial(k).shift(k * (k - 1) // 2)
 
 
+@cache
 def quantum_binom0(a: int, b: int) -> LaurentPoly:
     """qbin(a+b, a)_0 = q^(ab) qbin(a+b, a), indexed by the two parts."""
     return quantum_binom(a + b, a).shift(a * b)
@@ -854,8 +861,11 @@ def quantum_multinom0(parts) -> LaurentPoly:
 
 @cache
 def _quantum_multinom0(parts: tuple[int, ...]) -> LaurentPoly:
-    exp = 0
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            exp += parts[i] * parts[j]
-    return quantum_multinom(parts).shift(exp)
+    """The rescaled multinomial of a tuple of nonnegative parts, one
+    product per part: that of all parts but the last (memoized, so the
+    prefixes of a family of tuples are shared) times the rescaled
+    binomial of their sum and the last part."""
+    if not parts:
+        return LaurentPoly.one()
+    head, last = parts[:-1], parts[-1]
+    return _quantum_multinom0(head) * quantum_binom0(sum(head), last)

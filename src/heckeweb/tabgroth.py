@@ -33,6 +33,7 @@ bilinear-form route `hom_dim_form_route`.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
@@ -331,7 +332,9 @@ def _web_route(comp, i: int, direction: str):
     for a valid composition comp and weight k: i and the direction are
     checked here, once.  Each standard vector goes through
     uqrep.phi_merge or uqrep.phi_split, looked up on every call, and each
-    entry is divided by the source norm with `/`."""
+    entry is the product of the image coefficient and the target norm,
+    memoized by the two values (few pairs recur across all entries),
+    divided by the source norm with `/`."""
     merged = uqrep.merged_type(comp, i)
     if direction == "onto":
         src, dst = comp, merged
@@ -349,12 +352,18 @@ def _web_route(comp, i: int, direction: str):
             norm_src = uqrep._standard_norm(src, eta)
             image = apply_web(TensorVector._of(src, {eta: _ONE}))
             out[eta] = {
-                gamma: c * uqrep._standard_norm(dst, gamma) / norm_src
+                gamma: _product(c, uqrep._standard_norm(dst, gamma)) / norm_src
                 for gamma, c in image.support.items()
             }
         return out
 
     return matrix
+
+
+@cache
+def _product(a, b):
+    """a * b, computed once per pair of values."""
+    return a * b
 
 
 def theorem1_check(comp, i: int) -> bool:

@@ -128,7 +128,7 @@ class TensorVector(SparseVector):
         return _eta_key(eta)
 
     def _label(self, eta) -> str:
-        return f"v[{_bits(eta)}]"
+        return _label_text(eta)
 
     def to_json(self):
         return {"comp": list(self.comp), "support": self._support_json("eta", _bits)}
@@ -145,6 +145,12 @@ class TensorVector(SparseVector):
 @cache
 def _bits(eta) -> str:
     return "".join(str(e) for e in eta)
+
+
+@cache
+def _label_text(eta) -> str:
+    """The printed standard vector, e.g. v[0101]."""
+    return f"v[{_bits(eta)}]"
 
 
 def standard_vector(comp, eta) -> TensorVector:
@@ -413,18 +419,28 @@ def _canonical_basis(comp, eta) -> TensorVector:
 def _blocks(comp, eta, mover) -> dict:
     """The block product of the module docstring as {label: d}: eta is cut
     before each entry equal to mover, which moves right in its block, and
-    the term's monomial is q^d, d the sum of the parts the movers passed."""
+    the term's monomial is q^d, d the sum of the parts the movers passed.
+    Each block's choices are read from a cache shared by c_eta and d_eta."""
     cuts = [r for r, e in enumerate(eta) if e == mover] + [len(eta)]
-    pad, mark = (1 - mover,), (mover,)
     terms = {eta[: cuts[0]]: 0}
     for start, end in zip(cuts, cuts[1:]):
-        choices = []
-        shift = 0
-        for r in range(start, end):
-            choices.append((pad * (r - start) + mark + pad * (end - r - 1), shift))
-            shift += comp[r]
+        choices = _block_choices(comp, start, end, mover)
         terms = {head + bits: d + s for head, d in terms.items() for bits, s in choices}
     return terms
+
+
+@cache
+def _block_choices(comp, start, end, mover) -> tuple:
+    """The (bits, shift) choices of the block of comp[start:end] whose
+    first entry is the mover: the mover at each position r of the block,
+    and the sum of the parts it passed to get there."""
+    pad, mark = (1 - mover,), (mover,)
+    choices = []
+    shift = 0
+    for r in range(start, end):
+        choices.append((pad * (r - start) + mark + pad * (end - r - 1), shift))
+        shift += comp[r]
+    return tuple(choices)
 
 
 def canonical_basis_by_bar(comp, eta) -> TensorVector:

@@ -32,7 +32,7 @@ from itertools import product
 
 from .qarith import Immutable, LaurentPoly, json_parser, quantum_binom
 from . import uqrep
-from .uqrep import TensorVector, composition, standard_vector
+from .uqrep import TensorVector, composition
 
 __all__ = [
     "Slice",
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _Q = LaurentPoly.q
+_ONE = LaurentPoly.one()
 
 
 class Slice(Immutable):
@@ -81,14 +82,16 @@ class Slice(Immutable):
 
 
 class Web(Immutable):
-    """The word `slices`, read bottom to top, on the type `source`.  It is
-    compared, hashed and printed by (source, slices); types[j] is the type
-    slice j acts on, and types[-1] is the target."""
+    """The word `slices`, read bottom to top, on the type `source`, which
+    the constructor validates as a composition.  It is compared, hashed
+    and printed by (source, slices); types[j] is the type slice j acts
+    on, and types[-1] is the target."""
 
     __slots__ = ("source", "slices", "types")
     FIELDS = ("source", "slices")
 
     def __init__(self, source: tuple[int, ...], slices: tuple[Slice, ...]):
+        source = composition(source)
         types = [source]
         for s in slices:
             types.append(s.target(types[-1]))
@@ -144,15 +147,15 @@ class Web(Immutable):
 
 
 def identity_web(comp) -> Web:
-    return Web(composition(comp), ())
+    return Web(comp, ())
 
 
 def merge_web(comp, i: int) -> Web:
-    return Web(composition(comp), (Slice("merge", i, None),))
+    return Web(comp, (Slice("merge", i, None),))
 
 
 def split_web(comp, i: int, a: int, b: int) -> Web:
-    return Web(composition(comp), (Slice("split", i, (a, b)),))
+    return Web(comp, (Slice("split", i, (a, b)),))
 
 
 def compose(upper: Web, lower: Web) -> Web:
@@ -185,10 +188,11 @@ def evaluate(web: Web, v: TensorVector) -> TensorVector:
 
 
 def evaluate_matrix(web: Web) -> dict:
-    """Column map: source standard index -> image vector."""
+    """Column map: source standard index -> image vector, each standard
+    vector built on the web's validated source without checking again."""
     out = {}
     for eta in product((0, 1), repeat=len(web.source)):
-        out[eta] = evaluate(web, standard_vector(web.source, eta))
+        out[eta] = evaluate(web, TensorVector._of(web.source, {eta: _ONE}))
     return out
 
 
@@ -276,13 +280,14 @@ def canonical_basis_diagram(comp, eta) -> LabeledWebDiagram:
 
 
 def evaluate_canonical_diagram(d: LabeledWebDiagram) -> TensorVector:
-    return evaluate(d.web, standard_vector(d.web.source, d.bottom))
+    # the diagram has validated its source type and bottom labels
+    return evaluate(d.web, TensorVector._of(d.web.source, {d.bottom: _ONE}))
 
 
 def split_bundle(m: int) -> Web:
     """The web splitting one m-labeled edge into m single strands, one
     strand off the left at a time."""
-    return Web(composition((m,)), tuple(Slice("split", j, (1, m - j)) for j in range(1, m)))
+    return Web((m,), tuple(Slice("split", j, (1, m - j)) for j in range(1, m)))
 
 
 def merge_bundle(m: int) -> Web:

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import heckeweb
-from heckeweb import checks, cli, hecke, inducedmod, qarith, uqrep
+from heckeweb import checks, cli, hecke, inducedmod, qarith, tabgroth, uqrep
 from heckeweb.symgrp import Permutation, all_permutations
 
 
@@ -45,6 +45,8 @@ def _compute():
         uqrep.canonical_basis(comp, (1, 0, 1, 0)),
         uqrep.canonical_basis_by_bar(list(comp), [1, 0, 1, 0]),
         uqrep.dual_canonical(comp, (0, 1, 1, 0)),
+        uqrep.weight_etas(comp, 4),
+        tabgroth.theorem1_check(comp, 2),
     ]
     return values, [str(value) for value in values], cli.build_parser().format_usage()
 
@@ -76,6 +78,11 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.inducedmod._label_text",
         "heckeweb.inducedmod._parabolic_pq",
         "heckeweb.cli.build_parser",
+        "heckeweb.tabgroth._product",
+        "heckeweb.uqrep._block_choices",
+        "heckeweb.qarith._prefix",
+        "heckeweb.uqrep._label_text",
+        "heckeweb.qarith.quantum_binom0",
     }
     heckeweb.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in cached.items()} == {

@@ -714,6 +714,9 @@ def test_json_output_is_pinned(capsys, argv, digest):
 # SHA-256 of the text stdout of `translate` in each basis/direction mode, of
 # `homdim` and of `tableaux`: the rows and terms keep their (length, one_line)
 # order of the index permutations, whatever index the library computes with.
+# The last five pin whole `canonical` listings and the printed forms of a
+# `HeckeElement`, a `ModuleElement` and a `web-eval` map, whose coefficients
+# come out parenthesized.
 TEXT_DIGESTS = [
     (("translate", "--comp", "2,1,2", "--pos", "2", "--k", "3",
       "--dir", "onto", "--basis", "proper"),
@@ -753,6 +756,16 @@ TEXT_DIGESTS = [
      "7739fc5cba5b4bff6ec9574f42097b220916d21b967859315586efa0048d3dc6"),
     (("tableaux", "--comp", "2,1,2", "--k", "2"),
      "c35866d02e09606d5807f4af6da5743bce57e94caafa01ca5c37b99e4c428f1c"),
+    (("canonical", "--comp", "2,1,2,1"),
+     "4ce835dd4d83a95458e8ed584297bc8e4bf394cd54bd9fb590797352bb3f3d75"),
+    (("canonical", "--comp", "1,1,1,1,1,1,1,1,1"),
+     "7a2d15edc830029b594a5aa73c01835537df44a3e5bba98341df83b67b09eb28"),
+    (("kl-basis", "--n", "4", "--w", "[4,2,3,1]"),
+     "bacf91a8d9e980fdd07776fc8f64b1cdd84fecc7ac223b652ff2c3a9e37f993a"),
+    (("mod-basis", "--n", "4", "--p", "3", "--q", "1", "--w", "s2*s1*s3*s2"),
+     "c7b17ba1f4a9931d7555823256ba0a1df933e85a1060d59d32604d10fed8a9cb"),
+    (("web-eval", "--comp", "1,1,1", "--word", "m1.m1.s1:1,2"),
+     "6e22f111bb7d43af7e656f17c6b217d8bd7d60e8f96197efef5d5dd4e833ea1d"),
 ]
 
 

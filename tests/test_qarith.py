@@ -91,6 +91,17 @@ def test_factorization_identity():
             assert quantum_multinom0(parts) * prod == quantum_factorial0(n), parts
 
 
+def test_rescaled_multinomial_from_binomials_matches_the_definition():
+    """The rescaled multinomial, built as a product of rescaled binomials,
+    is q^(sum_{i<j} p_i p_j) times the multinomial on every short tuple."""
+    from itertools import combinations, product
+
+    for length in range(5):
+        for parts in product(range(5), repeat=length):
+            exp = sum(a * b for a, b in combinations(parts, 2))
+            assert qarith._quantum_multinom0(parts) == quantum_multinom(parts).shift(exp), parts
+
+
 def test_binom_at_one_is_ordinary():
     from math import comb
 

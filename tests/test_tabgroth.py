@@ -278,6 +278,27 @@ def test_theorem1_check_detects_a_wrong_merge_scalar(monkeypatch):
             assert not tabgroth.theorem1_check(comp, i), (comp, i)
 
 
+def test_theorem1_check_detects_a_wrong_split_scalar_after_a_correct_run(monkeypatch):
+    """The web route's memo of products is keyed by values: a split that
+    gives q^(a+1) in place of q^a is caught after the memo is warm."""
+    comps = [(1, 1), (2, 1, 1), (1, 3)]
+    for comp in comps:
+        for i in range(1, len(comp)):
+            assert tabgroth.theorem1_check(comp, i), (comp, i)
+    split = uqrep.phi_split
+
+    def wrong_split(v, i, a, b):
+        out = split(v, i, a, b)
+        return uqrep.TensorVector._of(out.comp, {
+            g: c * Q(1) if g[i - 1 : i + 1] == (0, 1) else c for g, c in out.support.items()
+        })
+
+    monkeypatch.setattr(uqrep, "phi_split", wrong_split)
+    for comp in comps:
+        for i in range(1, len(comp)):
+            assert not tabgroth.theorem1_check(comp, i), (comp, i)
+
+
 @pytest.mark.parametrize("wrong", range(3))
 def test_theorem1_check_detects_one_wrong_cached_merge_scalar(monkeypatch, wrong):
     scalars = uqrep._merge_scalars

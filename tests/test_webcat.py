@@ -25,6 +25,14 @@ def test_typing_and_composition():
         webcat.split_web((3,), 1, 1, 1)
 
 
+@pytest.mark.parametrize("source", [(0, 1), (1, -2), (1.0,), (True,), "12"])
+def test_a_web_rejects_a_source_that_is_not_a_composition(source):
+    """The evaluations build standard vectors on a web's source unchecked,
+    so the web itself refuses a source that is not a composition."""
+    with pytest.raises(ValueError):
+        webcat.Web(source, ())
+
+
 def test_identity_and_tensor():
     ident = webcat.identity_web((2, 1))
     assert webcat.compose(webcat.merge_web((2, 1), 1), ident) == webcat.merge_web((2, 1), 1)
