@@ -706,40 +706,30 @@ class SparseVector(Immutable):
         """Raise ArithmeticError unless the coefficient at `top` is 1 and
         every other one lies in qZ[q], at a label with below(label) when
         the predicate `below` is given: the shape of a canonical basis
-        element.  Each distinct coefficient object off the diagonal is
-        checked once; the first label in support order that breaks the
-        shape is reported.  Without `below` the distinct objects are
-        collected at C speed, and the labels are walked only to name a
-        label that breaks the shape."""
+        element.  The distinct coefficient objects off the diagonal are
+        collected at C speed and each is checked once; the labels are
+        walked only to name the first one in support order that breaks
+        the shape."""
         shown = self._shown
         if top not in self.support:
             raise ArithmeticError(f"no diagonal coefficient at {shown(top)}")
-        if below is None:
-            off = self.support.copy()
-            diagonal = off.pop(top)
-            values = off.values()
-            distinct = dict(zip(map(id, values), values)).values()
-            if isinstance(diagonal, LaurentPoly) and diagonal.is_one() and all(
-                isinstance(c, LaurentPoly) and c.terms and min(c.terms) >= 1 for c in distinct
-            ):
-                return
-        good = set()  # ids of the off-diagonal coefficients found in qZ[q]
+        off = self.support.copy()
+        diagonal = off.pop(top)
+        values = off.values()
+        distinct = dict(zip(map(id, values), values)).values()
+        if isinstance(diagonal, LaurentPoly) and diagonal.is_one() and all(
+            isinstance(c, LaurentPoly) and c.terms and min(c.terms) >= 1 for c in distinct
+        ) and (below is None or all(map(below, off))):
+            return
         for label, c in self.support.items():
-            if label == top or id(c) not in good:
-                if not isinstance(c, LaurentPoly):
-                    raise ArithmeticError(
-                        f"coefficient {c} at {shown(label)} is not a Laurent polynomial"
-                    )
-                if label == top:
-                    if not c.is_one():
-                        raise ArithmeticError(f"diagonal coefficient {c} at {shown(top)}")
-                    continue
-                if c.min_exp() < 1:
-                    raise ArithmeticError(
-                        f"coefficient {c} at {shown(label)} breaks unitriangularity"
-                    )
-                good.add(id(c))
-            if below is not None and not below(label):
+            if not isinstance(c, LaurentPoly):
+                raise ArithmeticError(
+                    f"coefficient {c} at {shown(label)} is not a Laurent polynomial"
+                )
+            if label == top:
+                if not c.is_one():
+                    raise ArithmeticError(f"diagonal coefficient {c} at {shown(top)}")
+            elif c.min_exp() < 1 or (below is not None and not below(label)):
                 raise ArithmeticError(f"coefficient {c} at {shown(label)} breaks unitriangularity")
 
     def _support_json(self, key: str, label_json) -> list:
@@ -815,23 +805,35 @@ def quantum_factorial(k: int) -> LaurentPoly:
     return out
 
 
-@cache
 def quantum_binom(n: int, k: int) -> LaurentPoly:
-    """[n]!/([k]![n-k]!); symmetric in k <-> n-k."""
-    if k < 0 or k > n:
-        raise ValueError(f"quantum binomial needs 0 <= k <= n, got n={n}, k={k}")
+    """[n]!/([k]![n-k]!); symmetric in k <-> n-k.  The ints are checked
+    before the memo, where 3.0 would be served the value of 3."""
+    if not (type(n) is type(k) is int and 0 <= k <= n):
+        raise ValueError(f"quantum binomial needs integers 0 <= k <= n, got n={n!r}, k={k!r}")
+    return _quantum_binom(n, k)
+
+
+@cache
+def _quantum_binom(n: int, k: int) -> LaurentPoly:
     return quantum_factorial(n).divexact(quantum_factorial(k) * quantum_factorial(n - k))
 
 
 def quantum_multinom(parts) -> LaurentPoly:
     """[k1+...+kl]! / ([k1]! ... [kl]!)."""
-    parts = list(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"quantum multinomial needs nonnegative parts, got {parts}")
+    parts = _parts(parts)
     den = LaurentPoly.one()
     for p in parts:
         den = den * quantum_factorial(p)
     return quantum_factorial(sum(parts)).divexact(den)
+
+
+def _parts(parts) -> tuple[int, ...]:
+    """parts as a tuple, or ValueError unless each is a nonnegative int;
+    checked before a memo, where 3.0 would be served the value of 3."""
+    parts = tuple(parts)
+    if not all(type(p) is int and p >= 0 for p in parts):
+        raise ValueError(f"quantum multinomial needs nonnegative integer parts, got {list(parts)}")
+    return parts
 
 
 # Rescaled variants: polynomials in q with constant term 1 when nonzero.
@@ -848,15 +850,20 @@ def quantum_factorial0(k: int) -> LaurentPoly:
     return quantum_factorial(k).shift(k * (k - 1) // 2)
 
 
-@cache
 def quantum_binom0(a: int, b: int) -> LaurentPoly:
-    """qbin(a+b, a)_0 = q^(ab) qbin(a+b, a), indexed by the two parts."""
+    """qbin(a+b, a)_0 = q^(ab) qbin(a+b, a), indexed by the two parts: the
+    rescaled multinomial of (a, b), whose parts are checked likewise."""
+    return _quantum_binom0(*_parts((a, b)))
+
+
+@cache
+def _quantum_binom0(a: int, b: int) -> LaurentPoly:
     return quantum_binom(a + b, a).shift(a * b)
 
 
 def quantum_multinom0(parts) -> LaurentPoly:
     """Rescaled multinomial q^(sum_{i<j} k_i k_j) * multinom(parts)."""
-    return _quantum_multinom0(tuple(parts))
+    return _quantum_multinom0(_parts(parts))
 
 
 @cache
@@ -868,4 +875,4 @@ def _quantum_multinom0(parts: tuple[int, ...]) -> LaurentPoly:
     if not parts:
         return LaurentPoly.one()
     head, last = parts[:-1], parts[-1]
-    return _quantum_multinom0(head) * quantum_binom0(sum(head), last)
+    return _quantum_multinom0(head) * _quantum_binom0(sum(head), last)

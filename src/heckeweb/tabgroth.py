@@ -18,23 +18,24 @@ fix.
 The four distinguished bases of each weight space (standard, proper
 standard, projective, simple) are realized as vectors: a standard
 vector, its form-normalized multiple, the canonical vector, the dual
-canonical vector.  Translation matrices across a merge position are
-computed from the case analysis on eta, and the translations of
-projective and simple classes, which the paper states through coset
-representatives, are closed forms on eta too.  An independent
-computation of the matrices via the evaluated merge/split webs
-transported through the class isomorphism is exposed for the
-commutativity check, which the test suite requires to pass for every
-composition at desk scale.  The raising/lowering rules on the class
-bases are stated by the `efm` suite of `checks`.  `hom_dim` counts
-diagram labelings; the `homdim` suite compares that count with the
-bilinear-form route `hom_dim_form_route`.
+canonical vector.  A translation across a merge position is a row per
+source eta, {target eta: coefficient}, given by the case analysis on eta
+and, independently, by the evaluated merge/split webs transported
+through the class isomorphism; a matrix maps the etas of one weight
+through a row.  The commutativity check compares the two rows on every
+source eta, all weights at once, and the test suite requires it to pass
+for every composition at desk scale.  The translations of projective
+and simple classes, which the paper states through coset
+representatives, are closed forms on eta too.  The raising/lowering
+rules on the class bases are stated by the `efm` suite of `checks`.
+`hom_dim` counts diagram labelings; the `homdim` suite compares that
+count with the bilinear-form route `hom_dim_form_route`.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import factorial, prod
 
 from .qarith import Immutable, LaurentPoly, json_parser, quantum_binom0
@@ -141,8 +142,7 @@ def tableau_of_eta(comp, eta) -> HookTableau:
 def admissible_tableaux(comp, k: int) -> list[HookTableau]:
     """The admissible tableaux of the weight space k, one per eta;
     raises ValueError unless k is a weight of comp."""
-    comp = composition(comp)
-    check_weight(comp, k)
+    comp = check_weight(comp, k)
     return [tableau_of_eta(comp, eta) for eta in uqrep.weight_etas(comp, k)]
 
 
@@ -259,13 +259,15 @@ def _check_int(k) -> None:
         raise ValueError(f"weight index k must be an integer, not {k!r}")
 
 
-def check_weight(comp, k: int) -> None:
-    """Raise ValueError unless k is a weight index of the tensor product
-    of type comp, that is unless uqrep.weight_etas(comp, k) is nonempty."""
+def check_weight(comp, k: int) -> tuple[int, ...]:
+    """The validated composition comp; ValueError unless k is a weight of
+    its tensor product, that is unless uqrep.weight_etas(comp, k) is nonempty."""
+    comp = composition(comp)
     _check_int(k)
     n = sum(comp)
     if not n - len(comp) <= k <= n:
-        raise ValueError(f"k={k} is not a weight of {tuple(comp)}: needs {n - len(comp)}..{n}")
+        raise ValueError(f"k={k} is not a weight of {comp}: needs {n - len(comp)}..{n}")
+    return comp
 
 
 def translate_onto_wall(comp, i: int, k: int) -> dict:
@@ -277,20 +279,9 @@ def translate_onto_wall(comp, i: int, k: int) -> dict:
     >>> translate_onto_wall((1, 1), 1, 1)
     {(0, 1): {(1,): LaurentPoly(1)}, (1, 0): {(1,): LaurentPoly(q^-1)}}
     """
-    comp = composition(comp)
-    check_weight(comp, k)
-    merged = uqrep.merged_type(comp, i)
-    ai, aj = comp[i - 1], comp[i]
-    out = {}
-    for eta in uqrep._weight_etas(comp, k):
-        pattern = eta[i - 1 : i + 1]
-        if pattern == (1, 1):
-            out[eta] = {}
-            continue
-        target = eta[: i - 1] + (max(pattern),) + eta[i + 1 :]
-        # q^(-a_j) q^(-(a_i - 1) a_j) for (1, 0) is q^(-a_i a_j), as for (0, 0)
-        out[eta] = {target: _Q(-ai * (aj - 1)) if pattern == (0, 1) else _Q(-ai * aj)}
-    return out
+    comp = check_weight(comp, k)
+    src, closed, _ = _rows(comp, i, "onto")
+    return {eta: closed(eta) for eta in uqrep._weight_etas(src, k)}
 
 
 def translate_out_of_wall(comp, i: int, k: int) -> dict:
@@ -298,22 +289,9 @@ def translate_out_of_wall(comp, i: int, k: int) -> dict:
     merged type back to comp.  A merged slot i in the row splits two ways
     with rescaled binomial coefficients; one in the column goes to the
     single target with both slots in the column."""
-    comp = composition(comp)
-    check_weight(comp, k)
-    merged = uqrep.merged_type(comp, i)
-    ai, aj = comp[i - 1], comp[i]
-    out = {}
-    for eta in uqrep._weight_etas(merged, k):
-        split = lambda pair: eta[: i - 1] + pair + eta[i:]
-        if eta[i - 1] == 1:
-            row = {
-                split((1, 0)): quantum_binom0(ai - 1, aj),
-                split((0, 1)): _Q(ai) * quantum_binom0(ai, aj - 1),
-            }
-        else:
-            row = {split((0, 0)): quantum_binom0(ai, aj)}
-        out[eta] = row
-    return out
+    comp = check_weight(comp, k)
+    src, closed, _ = _rows(comp, i, "out")
+    return {eta: closed(eta) for eta in uqrep._weight_etas(src, k)}
 
 
 def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
@@ -322,42 +300,56 @@ def web_translation_matrix(comp, i: int, k: int, direction: str) -> dict:
     standard vector v_eta / (v_eta, v_eta): the web is applied to the
     plain standard vector and each entry divided once.  Raises ValueError
     unless k is a weight of comp, as the closed forms do."""
-    comp = composition(comp)
-    check_weight(comp, k)
-    return _web_route(comp, i, direction)(k)
+    comp = check_weight(comp, k)
+    src, _, web = _rows(comp, i, direction)
+    return {eta: web(eta) for eta in uqrep._weight_etas(src, k)}
 
 
-def _web_route(comp, i: int, direction: str):
-    """The function k -> web_translation_matrix(comp, i, k, direction)
-    for a valid composition comp and weight k: i and the direction are
-    checked here, once.  Each standard vector goes through
-    uqrep.phi_merge or uqrep.phi_split, looked up on every call, and each
-    entry is the product of the image coefficient and the target norm,
-    memoized by the two values (few pairs recur across all entries),
-    divided by the source norm with `/`."""
+def _rows(comp, i: int, direction: str):
+    """The source type of the translation across position i of the valid
+    composition comp, "onto" or "out" of the wall, and its two rows, each
+    taking one source eta to {target eta: coefficient}: the closed form
+    and the web route.  i and the direction are checked, and the closed
+    form's scalars computed, once, here.  The web row sends v_eta through
+    uqrep.phi_merge or phi_split, looked up on every call, and divides
+    each entry, the image coefficient times the target norm (memoized by
+    the two values), by the source norm."""
     merged = uqrep.merged_type(comp, i)
+    ai, aj = comp[i - 1], comp[i]
     if direction == "onto":
         src, dst = comp, merged
         apply_web = lambda v: uqrep.phi_merge(v, i)
+        # q^(-a_j) q^(-(a_i - 1) a_j) for (1, 0) is q^(-a_i a_j), as for (0, 0)
+        scalars = {(0, 0): _Q(-ai * aj), (0, 1): _Q(-ai * (aj - 1)), (1, 0): _Q(-ai * aj)}
+
+        def closed(eta):
+            c = scalars.get(eta[i - 1 : i + 1])  # none for (1, 1): both in the row
+            return {} if c is None else {eta[: i - 1] + (eta[i - 1] | eta[i],) + eta[i + 1 :]: c}
+
     elif direction == "out":
         src, dst = merged, comp
-        ai, aj = comp[i - 1], comp[i]
         apply_web = lambda v: uqrep.phi_split(v, i, ai, aj)
+        row = quantum_binom0(ai - 1, aj), _Q(ai) * quantum_binom0(ai, aj - 1)
+        column = quantum_binom0(ai, aj)
+
+        def closed(eta):
+            head, tail = eta[: i - 1], eta[i:]
+            if eta[i - 1]:
+                return {head + (1, 0) + tail: row[0], head + (0, 1) + tail: row[1]}
+            return {head + (0, 0) + tail: column}
+
     else:
         raise ValueError(f"direction must be 'onto' or 'out', got {direction!r}")
 
-    def matrix(k: int) -> dict:
-        out = {}
-        for eta in uqrep._weight_etas(src, k):
-            norm_src = uqrep._standard_norm(src, eta)
-            image = apply_web(TensorVector._of(src, {eta: _ONE}))
-            out[eta] = {
-                gamma: _product(c, uqrep._standard_norm(dst, gamma)) / norm_src
-                for gamma, c in image.support.items()
-            }
-        return out
+    def web(eta):
+        norm_src = uqrep._standard_norm(src, eta)
+        image = apply_web(TensorVector._of(src, {eta: _ONE}))
+        return {
+            gamma: _product(c, uqrep._standard_norm(dst, gamma)) / norm_src
+            for gamma, c in image.support.items()
+        }
 
-    return matrix
+    return src, closed, web
 
 
 @cache
@@ -368,14 +360,12 @@ def _product(a, b):
 
 def theorem1_check(comp, i: int) -> bool:
     """The case analysis on eta equals the web route, both directions, all
-    weights.  comp, i and the direction are checked once per direction,
-    not once per weight."""
+    weights: the two rows agree on every 0/1 sequence of the source.
+    comp is checked once, i and the direction once per direction."""
     comp = composition(comp)
-    n = sum(comp)
-    weights = range(n - len(comp), n + 1)
-    for direction, closed_form in (("onto", translate_onto_wall), ("out", translate_out_of_wall)):
-        web = _web_route(comp, i, direction)
-        if any(closed_form(comp, i, k) != web(k) for k in weights):
+    for direction in ("onto", "out"):
+        src, closed, web = _rows(comp, i, direction)
+        if any(closed(eta) != web(eta) for eta in product((0, 1), repeat=len(src))):
             return False
     return True
 

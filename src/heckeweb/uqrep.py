@@ -37,11 +37,11 @@ from .qarith import (
     LaurentPoly,
     SparseVector,
     _coefficient,
+    _quantum_multinom0,
     json_parser,
     quantum_binom,
     quantum_int,
     quantum_int0,
-    quantum_multinom0,
 )
 from .symgrp import seq_act_right
 from .inducedmod import ModuleElement
@@ -476,7 +476,7 @@ def standard_norm(comp, eta) -> LaurentPoly:
 
 @cache
 def _standard_norm(comp, eta) -> LaurentPoly:
-    return quantum_multinom0(tuple(a - e for a, e in zip(comp, eta)))
+    return _quantum_multinom0(tuple(a - e for a, e in zip(comp, eta)))
 
 
 def bilinear_form(v: TensorVector, w: TensorVector):

@@ -82,7 +82,8 @@ def test_clear_caches_empties_every_cache_and_changes_no_value():
         "heckeweb.uqrep._block_choices",
         "heckeweb.qarith._prefix",
         "heckeweb.uqrep._label_text",
-        "heckeweb.qarith.quantum_binom0",
+        "heckeweb.qarith._quantum_binom0",
+        "heckeweb.qarith._quantum_binom",
     }
     heckeweb.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in cached.items()} == {

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heckeweb
 from heckeweb import qarith
 from heckeweb.qarith import (
     LaurentPoly,
@@ -52,6 +54,33 @@ def test_quantum_binom_values():
             assert quantum_binom(n, k) == quantum_binom(n, n - k)
     with pytest.raises(ValueError):
         quantum_binom(2, 3)
+
+
+@pytest.mark.parametrize(
+    "f,bad,good",
+    [
+        (quantum_binom, (3.0, 1), (3, 1)),
+        (quantum_binom, (3, True), (3, 1)),
+        (quantum_binom0, (1.0, 2), (1, 2)),
+        (quantum_multinom0, ([1.0, 2],), ([1, 2],)),
+    ],
+)
+def test_the_memoized_binomials_refuse_a_part_that_is_not_an_int_warm_or_cold(f, bad, good):
+    # a key with 3.0 equals the key with 3, so a warm memo once served 3's value
+    heckeweb.clear_caches()
+    for _ in range(2):  # cold, then with the int value memoized
+        with pytest.raises(ValueError, match="integer"):
+            f(*bad)
+        assert f(*good) == f(*good)
+
+
+def test_the_multinomials_refuse_a_negative_or_float_part_alike():
+    message = "quantum multinomial needs nonnegative integer parts, got [1, -1]"
+    for f in (quantum_multinom, quantum_multinom0):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            f((1, -1))
+        with pytest.raises(ValueError, match="integer parts"):
+            f([1.0, 2])
 
 
 def test_multinom_matches_binom():

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 from math import comb
 
@@ -268,6 +269,74 @@ def test_translation_matches_webs_all_compositions_n4():
         for comp in compositions_of(n):
             for i in range(1, len(comp)):
                 assert tabgroth.theorem1_check(comp, i), (comp, i)
+
+
+def test_the_translation_matrices_keep_their_values():
+    """One digest of every matrix of the three functions over every
+    composition with n <= 5, position and weight, in both directions: the
+    values, their types and the order of rows and entries."""
+    web = tabgroth.web_translation_matrix
+    matrices = [
+        (
+            comp, i, k,
+            tabgroth.translate_onto_wall(comp, i, k),
+            tabgroth.translate_out_of_wall(comp, i, k),
+            web(comp, i, k, "onto"),
+            web(comp, i, k, "out"),
+        )
+        for n in range(1, 6)
+        for comp in compositions_of(n)
+        for i in range(1, len(comp))
+        for k in range(n - len(comp), n + 1)
+    ]
+    assert len(matrices) == 209
+    digest = hashlib.sha256(repr(matrices).encode()).hexdigest()
+    assert digest == "ec3fa6acc7a3ab1e0a64ff748068b57fdb6d6b4ca112a2c1e17c965e52f2be51"
+
+
+def _routes_agree(comp, i, direction):
+    closed = tabgroth.translate_onto_wall if direction == "onto" else tabgroth.translate_out_of_wall
+    n = sum(comp)
+    return all(
+        closed(comp, i, k) == tabgroth.web_translation_matrix(comp, i, k, direction)
+        for k in range(n - len(comp), n + 1)
+    )
+
+
+@pytest.mark.parametrize("wrong", ["onto", "out"])
+def test_theorem1_check_detects_a_wrong_closed_form_in_either_direction(monkeypatch, wrong):
+    if wrong == "out":
+        binom0 = tabgroth.quantum_binom0
+        monkeypatch.setattr(tabgroth, "quantum_binom0", lambda a, b: binom0(a, b) * Q(1))
+    else:
+        # the onto rows read q^e with e <= 0, the out rows q^(a_i) only
+        monkeypatch.setattr(tabgroth, "_Q", lambda e: Q(e - 1) if e < 0 else Q(e))
+    right = "onto" if wrong == "out" else "out"
+    for comp in [(1, 1), (2, 1, 1), (1, 3)]:
+        for i in range(1, len(comp)):
+            assert not tabgroth.theorem1_check(comp, i), (comp, i)
+            assert not _routes_agree(comp, i, wrong), (comp, i)
+            assert _routes_agree(comp, i, right), (comp, i)
+
+
+def test_theorem1_check_validates_once_and_never_per_weight(monkeypatch):
+    calls = {"composition": 0, "check_weight": 0}
+    for name in calls:
+
+        def counted(*args, f=getattr(tabgroth, name), name=name):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(tabgroth, name, counted)
+    assert tabgroth.theorem1_check((1,) * 6, 3)
+    assert calls == {"composition": 1, "check_weight": 0}
+
+
+@pytest.mark.parametrize("comp", [(1.5,), "ab"])
+def test_check_weight_validates_its_composition(comp):
+    with pytest.raises(ValueError, match="composition"):
+        tabgroth.check_weight(comp, 1)
+    assert tabgroth.check_weight([2, 1], 2) == (2, 1)
 
 
 def test_theorem1_check_detects_a_wrong_merge_scalar(monkeypatch):
