@@ -22,9 +22,12 @@ LaurentPoly or a RationalFunction has its slots written only where it
 is built.
 Every cache is a `functools.cache` on a pure function: the caches grow
 without bound, are safe under concurrent readers (at worst two threads
-compute the same value), and `clear_caches()` empties them all.  The one
-cached object that is not a value, the CLI's argument parser, is built
-once per process and never changed by parsing.
+compute the same value), and `clear_caches()` empties them all.  The
+tables that `inducedmod._step_table`, `_coset_table`, `_map_table` and
+`_symmetries` hand out are filled in as labels are met; each row is a
+pure function of its label, so a concurrent fill at worst writes the
+same row twice.  The one cached object that is not a value, the CLI's
+argument parser, is built once per process and never changed by parsing.
 """
 
 __version__ = "0.1.0"

@@ -56,11 +56,11 @@ H_i + q acts on each right coset {y, y s_i} by a fixed 2x2 block, read
 off the four cases: on lo < hi = lo s_i the new coefficients are
 c_hi + q c_lo at lo and c_lo + q^-1 c_hi at hi, on the trivial wall
 (q + q^-1) c_y and on the sign wall 0.  So the step visits each coset of
-the support once, and one lookup in a memo of blocks, keyed by the two
-shared operands and the kind, gives both new coefficients.  Each
-correction is one lookup in a memo of sums keyed by its two operands, so
-each distinct block or sum is computed once, and unitriangularity is
-read once per distinct value.
+the support once, and one call of a memo of blocks, keyed by the values
+of the two operands and the kind, gives both new coefficients.  Each
+correction is one call of a memo keyed by the values of its operands and
+its multiplier, so each distinct block or correction is computed once,
+and unitriangularity is read once per distinct value.
 
 In the regular module (both walls empty) the step runs once per orbit
 of {w, w^-1, w0 w w0, w0 w^-1 w0}.  The anti-involution H_x -> H_{x^-1}
@@ -481,43 +481,17 @@ def _coset_table(mod: InducedModule, i: int) -> _Table:
     return _Table(row_of)
 
 
-@cache
-def _sums() -> dict:
-    """The memo of the canonical step's corrections on shared values:
-    (id(a), id(b), shift, coeff) -> (a + coeff q^shift b, a, b).  Each
-    entry holds its operands, so no other value can take an id in its key
-    while it lives, whatever else is cleared."""
-    return {}
-
-
-@cache
-def _blocks() -> dict:
-    """The memo of the canonical step's coset blocks on shared values:
-    (id(a), id(b), kind) -> (new a, new b, a, b), for the coefficients a
-    at lo and b at hi of a coset of this kind.  Its entries hold their
-    operands, as those of _sums do."""
-    return {}
-
-
 def _shared(poly: dict) -> LaurentPoly:
     """The shared value with these {exponent: int} terms, zeros dropped."""
     return _coefficient(tuple(sorted(item for item in poly.items() if item[1])))
 
 
-def _add(sums: dict, a: LaurentPoly, b: LaurentPoly, shift: int, coeff: int) -> tuple:
-    """The entry of sums for a + coeff q^shift b, computed once."""
-    poly = dict(a.terms)
-    for e, v in b.terms.items():
-        e += shift
-        poly[e] = poly.get(e, 0) + coeff * v
-    entry = sums[id(a), id(b), shift, coeff] = (_shared(poly), a, b)
-    return entry
-
-
-def _block(blocks: dict, a: LaurentPoly, b: LaurentPoly, kind: int) -> tuple:
-    """The entry of blocks for a at lo and b at hi of a coset of this kind,
-    read off the rows of N_lo . (H_i + q) and N_hi . (H_i + q): a term
-    that moves goes to the other label of the coset."""
+@cache
+def _block(a: LaurentPoly, b: LaurentPoly, kind: int) -> tuple:
+    """The new coefficients (at lo, at hi) of a coset of this kind with a
+    at lo and b at hi, read off the rows of N_lo . (H_i + q) and
+    N_hi . (H_i + q): a term that moves goes to the other label of the
+    coset."""
     new_a, new_b = {}, {}
     hi_case = _FALLING if kind == _RISING else kind
     for c, case, stay, moved in ((a, kind, new_a, new_b), (b, hi_case, new_b, new_a)):
@@ -526,8 +500,16 @@ def _block(blocks: dict, a: LaurentPoly, b: LaurentPoly, kind: int) -> tuple:
             for e, v in c.terms.items():
                 e += shift
                 out[e] = out.get(e, 0) + coeff * v
-    entry = blocks[id(a), id(b), kind] = (_shared(new_a), _shared(new_b), a, b)
-    return entry
+    return _shared(new_a), _shared(new_b)
+
+
+@cache
+def _corrected(a: LaurentPoly, c: LaurentPoly, m: int) -> LaurentPoly:
+    """The shared value a - m c."""
+    poly = dict(a.terms)
+    for e, v in c.terms.items():
+        poly[e] = poly.get(e, 0) - m * v
+    return _shared(poly)
 
 
 @cache
@@ -563,22 +545,22 @@ def _stepped(mod: InducedModule, code: int) -> ModuleElement:
     terms for S_7).
 
     Each label's coefficient is a shared value at every stage.  The step
-    visits each right coset {y, y s_i} of the support once, and one lookup
-    in the memo of blocks gives both new coefficients (Kazhdan and
-    Lusztig, 1979, and du Cloux, 2002, step a coset at a time): for S_7
-    the step reads 507,441 blocks, half the terms of the elements it
-    builds, where one lookup per step term read 1,423,986 sums.  A
-    falling label whose partner is not in the support is a coset with 0
-    at lo.  A correction is one lookup in the memo of sums, so each
-    distinct sum is computed once.  Each C_y has a constant term only at
-    y, so the corrections do not interact.  Unitriangularity is read once
-    per distinct value of the result."""
+    visits each right coset {y, y s_i} of the support once, and one call
+    of _block, memoized by the values of the two coefficients and the
+    kind, gives both new coefficients (Kazhdan and Lusztig, 1979, and du
+    Cloux, 2002, step a coset at a time): for S_7 the step reads 507,441
+    blocks, half the terms of the elements it builds, where one lookup per
+    step term read 1,423,986 sums.  A falling label whose partner is not
+    in the support is a coset with 0 at lo.  A correction is one call of
+    _corrected, memoized by value likewise, so each distinct correction is
+    computed once (5,757 of S_7's 416,140).  Each C_y has a constant term
+    only at y, so the corrections do not interact.  Unitriangularity is
+    read once per distinct value of the result."""
     i = _first_descent(mod.n, code)
     if not i:
         return ModuleElement._of(mod, {code: _coefficient(((0, 1),))})
     shorter = _canonical(mod, _times_simple(code, i, mod.n.bit_length())).support
     cosets = _coset_table(mod, i)
-    blocks, sums = _blocks(), _sums()
     zero = _coefficient(())
     work = {}
     for y, c in shorter.items():
@@ -589,13 +571,10 @@ def _stepped(mod: InducedModule, code: int) -> ModuleElement:
             continue  # the coset is met at lo
         else:
             a, b = zero, c
-        entry = blocks.get((id(a), id(b), kind)) or _block(blocks, a, b, kind)
-        work[lo], work[hi] = entry[0], entry[1]
+        work[lo], work[hi] = _block(a, b, kind)
     for y, m in [(y, a.terms[0]) for y, a in work.items() if 0 in a.terms and y != code]:
         for z, c in _canonical(mod, y).support.items():
-            a = work.get(z, zero)
-            entry = sums.get((id(a), id(c), 0, -m)) or _add(sums, a, c, 0, -m)
-            work[z] = entry[0]
+            work[z] = _corrected(work.get(z, zero), c, m)
     result = ModuleElement._of(mod, {y: a for y, a in work.items() if a.terms})
     SparseVector.check_unitriangular(result, code)
     return result

@@ -788,17 +788,19 @@ _ZERO = LaurentPoly.zero()
 
 @cache
 def quantum_int(k: int) -> LaurentPoly:
-    """[k] = (q^k - q^-k)/(q - q^-1) = q^(k-1) + q^(k-3) + ... + q^(1-k)."""
-    if k < 0:
-        raise ValueError(f"quantum integer needs k >= 0, got {k}")
+    """[k] = (q^k - q^-k)/(q - q^-1) = q^(k-1) + q^(k-3) + ... + q^(1-k).
+    The check may sit inside the memo: a lone float or bool is another
+    cache key than the int it equals, so it always reaches the check."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"quantum integer needs an integer k >= 0, got {k!r}")
     return LaurentPoly({k - 1 - 2 * i: 1 for i in range(k)})
 
 
 @cache
 def quantum_factorial(k: int) -> LaurentPoly:
-    """[k]! = [k][k-1]...[1]."""
-    if k < 0:
-        raise ValueError(f"quantum factorial needs k >= 0, got {k}")
+    """[k]! = [k][k-1]...[1], with quantum_int's check."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"quantum factorial needs an integer k >= 0, got {k!r}")
     out = LaurentPoly.one()
     for i in range(2, k + 1):
         out = out * quantum_int(i)

@@ -112,11 +112,13 @@ def canonical_basis_element_by_accumulate(mod, w: Permutation):
 def canonical_basis_by_step(mod, code: int):
     """The canonical element at the label code by the canonical step alone,
     for every module and every label: C_{w s_i} . (H_i + q) on shared
-    values for the last descent i of w, one memo-of-sums lookup per step
-    term, corrected by m C_y for each constant term m at a label y != w,
-    then checked by SparseVector.check_unitriangular.  The production
-    route steps the first descent one coset {y, y s_i} at a time and reads
-    most of the regular module's elements off a computed symmetric one."""
+    values for the last descent i of w, one sum a + coeff q^shift c of
+    term dicts per step term, interned through _coefficient, corrected by
+    m C_y for each constant term m at a label y != w, then checked by
+    SparseVector.check_unitriangular.  The production route steps the
+    first descent one coset {y, y s_i} at a time, with memoized blocks and
+    corrections, and reads most of the regular module's elements off a
+    computed symmetric one."""
     n = mod.n
     i = max(inducedmod._permutation(n, code).right_descents(), default=0)
     if not i:
@@ -127,10 +129,11 @@ def canonical_basis_by_step(mod, code: int):
     work = {}
 
     def add(label, c, shift, coeff):
-        a = work.get(label, zero)
-        key = (id(a), id(c), shift, coeff)
-        sums = inducedmod._sums()
-        work[label] = (sums.get(key) or inducedmod._add(sums, a, c, shift, coeff))[0]
+        poly = dict(work.get(label, zero).terms)
+        for e, v in c.terms.items():
+            poly[e + shift] = poly.get(e + shift, 0) + coeff * v
+        terms = tuple(sorted(item for item in poly.items() if item[1]))
+        work[label] = inducedmod._coefficient(terms)
 
     for y, c in shorter.support.items():
         for target, shift, coeff in table[y]:

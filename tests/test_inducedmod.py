@@ -391,7 +391,7 @@ def _s5_with_a_clear_halfway(clear):
 
 
 @pytest.mark.parametrize("table", [
-    "clear_caches", "_sums", "_blocks", "_coset_table", "_coefficient", "_step_table",
+    "clear_caches", "_block", "_corrected", "_coset_table", "_coefficient", "_step_table",
     "canonical_basis_element", "_canonical",
 ])
 def test_a_cleared_table_halfway_changes_no_value(fresh_caches, table):
@@ -402,18 +402,6 @@ def test_a_cleared_table_halfway_changes_no_value(fresh_caches, table):
     else:
         clear = getattr(inducedmod, table).cache_clear
     assert _s5_with_a_clear_halfway(clear) == fresh
-
-
-def test_each_memo_entry_holds_the_operands_its_key_names(fresh_caches):
-    _s5_with_a_clear_halfway(inducedmod._coefficient.cache_clear)
-    sums = inducedmod._sums()
-    assert sums
-    for (a, b, _, _), (_, *operands) in sums.items():
-        assert [id(x) for x in operands] == [a, b]
-    blocks = inducedmod._blocks()
-    assert blocks
-    for (a, b, _), (_, _, *operands) in blocks.items():
-        assert [id(x) for x in operands] == [a, b]
 
 
 def _elements(mod, others):
@@ -662,18 +650,30 @@ def test_the_step_reads_one_block_per_coset(fresh_caches, monkeypatch, n, blocks
             terms[0] += len(result.support)
         return result
 
-    class Lookups(dict):
-        def get(self, key):
-            self.count += 1
-            return dict.get(self, key)
-
-    memo = Lookups()
-    memo.count = 0
     monkeypatch.setattr(inducedmod, "_stepped", counted)
-    monkeypatch.setattr(inducedmod, "_blocks", lambda: memo)
     for w in all_permutations(n):
         hecke.kl_basis_element(w)
-    assert 2 * memo.count == terms[0] == 2 * blocks
+    info = inducedmod._block.cache_info()
+    assert 2 * (info.hits + info.misses) == terms[0] == 2 * blocks
+
+
+@pytest.mark.parametrize("n,corrections", [(5, 380), (6, 11_164)])
+def test_the_step_makes_one_correction_call_per_correction_term(fresh_caches, n, corrections):
+    for w in all_permutations(n):
+        hecke.kl_basis_element(w)
+    info = inducedmod._corrected.cache_info()
+    assert info.hits + info.misses == corrections
+
+
+def test_the_step_memos_are_keyed_by_value(fresh_caches):
+    """An operand equal to a memoized one, but another object, is given the
+    memoized result itself."""
+    q, zero = inducedmod._coefficient(((1, 1),)), inducedmod._coefficient(())
+    block = inducedmod._block(q, zero, inducedmod._RISING)
+    assert inducedmod._block(LaurentPoly({1: 1}), LaurentPoly(), inducedmod._RISING) is block
+    corrected = inducedmod._corrected(q, q, 1)
+    assert corrected == zero
+    assert inducedmod._corrected(LaurentPoly({1: 1}), LaurentPoly({1: 1}), 1) is corrected
 
 
 def test_a_module_with_a_wall_runs_the_step_for_every_label(fresh_caches, monkeypatch):

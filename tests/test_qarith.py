@@ -63,10 +63,17 @@ def test_quantum_binom_values():
         (quantum_binom, (3, True), (3, 1)),
         (quantum_binom0, (1.0, 2), (1, 2)),
         (quantum_multinom0, ([1.0, 2],), ([1, 2],)),
+        (quantum_int, (3.0,), (3,)),
+        (quantum_int, (True,), (1,)),
+        (quantum_int0, (True,), (1,)),
+        (quantum_factorial, (2.0,), (2,)),
+        (quantum_factorial0, (True,), (1,)),
     ],
 )
 def test_the_memoized_binomials_refuse_a_part_that_is_not_an_int_warm_or_cold(f, bad, good):
-    # a key with 3.0 equals the key with 3, so a warm memo once served 3's value
+    # a key with 3.0 equals the key with 3, so a warm memo once served 3's
+    # value; a lone 3.0 or True is another key than the int, so the
+    # one-argument memos check inside their bodies
     heckeweb.clear_caches()
     for _ in range(2):  # cold, then with the int value memoized
         with pytest.raises(ValueError, match="integer"):
@@ -392,8 +399,8 @@ def test_the_shortcuts_keep_the_checks():
         with pytest.raises(ValueError):
             quantum_int(-1)
     assert quantum_int(3) is quantum_int(3)
-    # an equal float is another cache key, so it still reaches range()
-    with pytest.raises(TypeError):
+    # an equal float is another cache key, so it still reaches the check
+    with pytest.raises(ValueError):
         quantum_int(3.0)
     one = LaurentPoly.one()
     for x in (quantum_int(3), LaurentPoly.q(-2, 5), LaurentPoly.zero(), quantum_int(3) / quantum_int0(2)):
